@@ -16,8 +16,6 @@ from .diagnostics import (
 from .env import (
     EnvSpec,
     PublicStateSet,
-    Trajectory,
-    Transition,
     discounted_return,
     load_state_set,
     reset,
@@ -54,11 +52,13 @@ from .public_states import generate_public_states
 from .reinforce import (
     Agent,
     AgentConfig,
+    Episode,
     RoundStats,
     collect_trajectories,
     local_update,
     make_agents,
     policy_gradient,
+    rollout,
     train_independent,
 )
 

@@ -178,7 +178,7 @@ def cmd_diagnose(args) -> int:
         ))
         report = gradient_variance(
             policy, spec, states, consensus, config["diag.samples"], rng,
-            round_index=rep,
+            float(config["run.gamma"]), config["run.reward_to_go"], round_index=rep,
         )
         rows.append([
             f"variance-{rep}", str(report.round_index), str(report.n_samples),

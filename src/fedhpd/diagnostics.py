@@ -30,18 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvSpec, Trajectory, Transition, reset, step
+from .env import EnvSpec
 from .errors import ConfigurationError
 from .policy import DistributionBatch
-from .reinforce import policy_gradient
-
-
-@dataclass(frozen=True)
-class ProbeSettings:
-    """Gradient-estimator knobs used when sampling diagnostic trajectories."""
-
-    gamma: float = 0.99
-    reward_to_go: bool = False
+from .reinforce import policy_gradient, rollout
 
 
 @dataclass
@@ -136,23 +128,15 @@ def sample_trajectory_gradients(
     spec: EnvSpec,
     n_samples: int,
     rng: np.random.Generator,
-    settings: ProbeSettings = ProbeSettings(),
+    gamma: float,
+    reward_to_go: bool,
 ) -> np.ndarray:
     """n independent single-trajectory score-function gradient estimates."""
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples")
     samples = np.empty((n_samples, policy.num_params))
     for i in range(n_samples):
-        traj = Trajectory()
-        state = reset(spec, rng)
-        for _ in range(spec.max_steps):
-            action = policy.sample_action(state, rng)
-            next_state, reward, done = step(spec, state, action)
-            traj.append(Transition(state, action, reward, next_state, done))
-            state = next_state
-            if done:
-                break
-        samples[i] = policy_gradient(policy, [traj], settings)
+        samples[i] = policy_gradient(policy, [rollout(policy, spec, rng)], gamma, reward_to_go)
     return samples
 
 
@@ -163,11 +147,12 @@ def gradient_variance(
     consensus: DistributionBatch,
     n_samples: int,
     rng: np.random.Generator,
-    settings: ProbeSettings = ProbeSettings(),
+    gamma: float,
+    reward_to_go: bool,
     round_index: int = 0,
 ) -> VarianceReport:
     """Sample gradients in the environment and report the variance identity."""
-    samples = sample_trajectory_gradients(policy, spec, n_samples, rng, settings)
+    samples = sample_trajectory_gradients(policy, spec, n_samples, rng, gamma, reward_to_go)
     _, grad_kl = policy.kl_batch_loss(states, consensus)
     return variance_report_from_samples(samples, grad_kl, round_index)
 
@@ -248,13 +233,8 @@ def lipschitz_probe(
     lipschitz = 0.0
     g_bound = 0.0
     m_bound = 0.0
-    action_card = None
     for _ in range(n_pairs):
         policy = policy_factory(rng)
-        if action_card is None:
-            action_card = (
-                policy.action_count if policy.kind == "categorical" else policy.action_dim
-            )
         theta = policy.get_params()
         _, grad_a = policy.kl_batch_loss(states, consensus)
         g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
@@ -275,5 +255,5 @@ def lipschitz_probe(
         lipschitz_estimate=lipschitz,
         grad_log_prob_bound=g_bound,
         hessian_bound_estimate=m_bound,
-        theory_bound=g_bound * (2.0 + math.log(action_card)),
+        theory_bound=g_bound * (2.0 + math.log(policy.net.output_dim)),
     )

@@ -9,13 +9,13 @@ at 20 ms) and the alive-bonus reward; they differ only in the action space:
 
 State is (cart position, cart velocity, pole angle, pole angular velocity).
 `step` is a pure function of (state, action); episode horizons are enforced
-by the rollout loop, not the dynamics.
+by the rollout loop (`reinforce.rollout`), not the dynamics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,50 +104,14 @@ def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, b
     return next_state, reward, is_terminal(next_state)
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: object  # int for discrete, 1-D array for continuous
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-
-@dataclass
-class Trajectory:
-    """A contiguous episode; transition t's next_state is t+1's state."""
-
-    transitions: list[Transition] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-    def append(self, transition: Transition) -> None:
-        if self.transitions and self.transitions[-1].done:
-            raise ConfigurationError("cannot extend a finished trajectory")
-        self.transitions.append(transition)
-
-    def states(self) -> np.ndarray:
-        return np.array([t.state for t in self.transitions])
-
-    def actions(self) -> list:
-        return [t.action for t in self.transitions]
-
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.transitions])
-
-    def undiscounted_return(self) -> float:
-        return float(self.rewards().sum())
-
-
-def discounted_return(traj: Trajectory, gamma: float) -> float:
-    """sum_t gamma^t r_t over the trajectory."""
-    if len(traj) == 0:
-        raise ConfigurationError("discounted_return needs a non-empty trajectory")
+def discounted_return(rewards: np.ndarray, gamma: float) -> float:
+    """sum_t gamma^t r_t over one episode's rewards, accumulated step by step."""
+    if len(rewards) == 0:
+        raise ConfigurationError("discounted_return needs a non-empty episode")
     total = 0.0
     weight = 1.0
-    for t in traj.transitions:
-        total += weight * t.reward
+    for reward in rewards.tolist():
+        total += weight * reward
         weight *= gamma
     return total
 
@@ -165,6 +129,9 @@ class PublicStateSet:
             raise ConfigurationError("public state set must be [n x 4]")
         if self.states.shape[0] < 1:
             raise ConfigurationError("public state set cannot be empty")
+        bad = np.flatnonzero(~np.isfinite(self.states).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(f"public state set row {bad[0]} is not finite")
 
     @property
     def size(self) -> int:
@@ -194,8 +161,11 @@ def load_state_set(path) -> PublicStateSet:
         raise ArtifactIOError(f"cannot read state set {path}: {exc}") from exc
     if not lines or not lines[0].startswith(STATE_FILE_HEADER):
         raise ArtifactIOError(f"{path} is not a state-set file")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line.strip()]
-    states = PublicStateSet(np.array(rows))
+    try:
+        states = PublicStateSet(np.array([[float(v) for v in line.split(",")]
+                                          for line in lines[1:] if line.strip()]))
+    except (ValueError, ConfigurationError) as exc:
+        raise ArtifactIOError(f"{path} is not a valid state set: {exc}") from exc
     declared = lines[0].split("n=")[-1]
     if declared.strip().isdigit() and int(declared) != states.size:
         raise ArtifactIOError(f"{path} declares n={declared} but has {states.size} rows")

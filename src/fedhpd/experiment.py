@@ -22,6 +22,7 @@ worker count.
 from __future__ import annotations
 
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,6 +71,10 @@ _KEY_DEFAULTS = {
 }
 
 
+# a quoted string (kept whole) or a comment from '#' to the end of the line
+_COMMENT = re.compile(r"""("[^"]*"|'[^']*')|#.*""")
+
+
 def _parse_scalar(raw: str):
     text = raw.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
@@ -92,7 +97,7 @@ def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment, commas make lists."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub(lambda m: m.group(1) or "", line).strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -105,6 +110,10 @@ def parse_config_text(text: str) -> dict:
         else:
             values[key] = _parse_scalar(raw)
     return values
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_list(value) -> list:
@@ -175,18 +184,18 @@ class ExperimentConfig:
         for key in ("env.max_steps", "run.rounds", "run.workers",
                     "run.episodes_per_round", "states.size", "states.rollouts",
                     "diag.samples", "diag.repeats", "diag.pairs"):
-            if not isinstance(v[key], int) or v[key] < 1:
+            if not _is_int(v[key]) or v[key] < 1:
                 self._fail(key, "must be a positive integer")
-        if not isinstance(v["states.warmup_rounds"], int) or v["states.warmup_rounds"] < 0:
+        if not _is_int(v["states.warmup_rounds"]) or v["states.warmup_rounds"] < 0:
             self._fail("states.warmup_rounds", "must be a non-negative integer")
         if not (0.0 < float(v["run.gamma"]) < 1.0):
             self._fail("run.gamma", "must lie in (0, 1)")
         seeds = _as_list(v["run.seeds"])
-        if not seeds or not all(isinstance(s, int) for s in seeds):
+        if not seeds or not all(_is_int(s) for s in seeds):
             self._fail("run.seeds", "must be one or more integers")
         v["run.seeds"] = seeds
         ds = _as_list(v["fed.d"])
-        if not all(isinstance(d, int) and d >= 1 for d in ds):
+        if not all(_is_int(d) and d >= 1 for d in ds):
             self._fail("fed.d", "intervals must be integers >= 1")
         if any(d > v["run.rounds"] for d in ds):
             self._fail("fed.d", "intervals beyond run.rounds never fire; drop them "
@@ -304,8 +313,9 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
     """One row per agent per round plus a system row, already formatted."""
     rows = []
     d_text = "" if cell.interval is None else str(cell.interval)
+    records = {record.round_index: record for record in result.consensus_records}
     for i, per_agent in enumerate(result.round_stats):
-        record = result.consensus_at(i)
+        record = records.get(i)
         for k, stats in enumerate(per_agent):
             kl_loss = record.kl_losses[k] if record else None
             kl_norm = record.kl_grad_norms[k] if record else None

@@ -76,12 +76,6 @@ class RunResult:
     param_traces: list[list[np.ndarray]] = field(default_factory=list)
     final_snapshots: list[bytes] = field(default_factory=list)  # per agent
 
-    def consensus_at(self, round_index: int) -> ConsensusRecord | None:
-        for record in self.consensus_records:
-            if record.round_index == round_index:
-                return record
-        return None
-
 
 def aggregate(batches: list[DistributionBatch],
               weights: np.ndarray | None = None) -> DistributionBatch:

@@ -241,17 +241,22 @@ def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
     """Inverse of `network_to_bytes`; returns (network, trailing extras)."""
     if blob[:4] != SNAPSHOT_MAGIC:
         raise ArtifactIOError("bad snapshot magic")
-    version, n_layers = struct.unpack_from("<II", blob, 4)
-    if version != SNAPSHOT_VERSION:
-        raise ArtifactIOError(f"unsupported snapshot version {version}")
-    offset = 12
-    layers = []
-    for _ in range(n_layers):
-        in_dim, out_dim, tag = struct.unpack_from("<IIB", blob, offset)
-        offset += 9
-        if tag not in _TAG_ACTS:
-            raise ArtifactIOError(f"unknown activation tag {tag}")
-        layers.append(LayerSpec(in_dim, out_dim, _TAG_ACTS[tag]))
+    try:
+        version, n_layers = struct.unpack_from("<II", blob, 4)
+        if version != SNAPSHOT_VERSION:
+            raise ArtifactIOError(f"unsupported snapshot version {version}")
+        offset = 12
+        layers = []
+        for _ in range(n_layers):
+            in_dim, out_dim, tag = struct.unpack_from("<IIB", blob, offset)
+            offset += 9
+            if tag not in _TAG_ACTS:
+                raise ArtifactIOError(f"unknown activation tag {tag}")
+            layers.append(LayerSpec(in_dim, out_dim, _TAG_ACTS[tag]))
+    except struct.error as exc:
+        raise ArtifactIOError(f"truncated snapshot header: {exc}") from exc
+    if (len(blob) - offset) % 8:
+        raise ArtifactIOError("snapshot payload is not a whole number of f64 values")
     flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
     net_count = sum(l.param_count for l in layers)
     if flat.size < net_count:

@@ -9,6 +9,9 @@ Two heads cover the two action-space regimes:
   log-std vector (clamped to [-5, 2]) supplies the scale. Its flat parameter
   vector is the network parameters followed by the log-std entries.
 
+Each head's `score_grad` is the one place its score function d log pi(a|s)
+lives: `log_prob_grad` calls it on one state, REINFORCE on a weighted batch.
+
 `DistributionBatch` is the only payload agents and server ever exchange: a
 matrix of probability rows (categorical) or mean/variance matrices (Gaussian)
 evaluated on the shared public state set, with a compact binary wire format.
@@ -57,13 +60,17 @@ class DistributionBatch:
         if self.kind == "categorical":
             if self.probs is None or self.probs.ndim != 2:
                 raise ConfigurationError("categorical batch needs a 2-D probs matrix")
+            _reject_nonfinite_rows(self.probs, "probability")
             if np.any(self.probs < 0.0):
                 raise ConfigurationError("negative probability in batch")
             if np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-9:
                 raise ConfigurationError("categorical rows must sum to 1")
         elif self.kind == "gaussian":
-            if self.mean is None or self.var is None or self.mean.shape != self.var.shape:
-                raise ConfigurationError("gaussian batch needs matching mean/var matrices")
+            if (self.mean is None or self.var is None or self.mean.ndim != 2
+                    or self.mean.shape != self.var.shape):
+                raise ConfigurationError("gaussian batch needs matching 2-D mean/var matrices")
+            _reject_nonfinite_rows(self.mean, "mean")
+            _reject_nonfinite_rows(self.var, "variance")
             if np.any(self.var <= 0.0):
                 raise ConfigurationError("gaussian variances must be positive")
         else:
@@ -90,20 +97,31 @@ class DistributionBatch:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DistributionBatch":
+        if len(blob) < 9 or (len(blob) - 9) % 8:
+            raise ArtifactIOError(f"truncated batch of {len(blob)} bytes")
         tag, n, dim = struct.unpack_from("<BII", blob, 0)
         if tag not in _TAG_KINDS:
             raise ArtifactIOError(f"unknown batch kind tag {tag}")
         kind = _TAG_KINDS[tag]
-        rows = np.frombuffer(blob, dtype="<f8", offset=9)
-        if kind == "categorical":
-            if rows.size != n * dim:
-                raise ArtifactIOError("batch payload size mismatch")
-            return cls(kind, probs=rows.reshape(n, dim).astype(np.float64))
-        if rows.size != 2 * n * dim:
+        rows = np.frombuffer(blob, dtype="<f8", offset=9).astype(np.float64)
+        matrices = 1 if kind == "categorical" else 2
+        if n == 0:
+            raise ArtifactIOError("batch declares no states")
+        if rows.size != matrices * n * dim:
             raise ArtifactIOError("batch payload size mismatch")
-        mean = rows[: n * dim].reshape(n, dim).astype(np.float64)
-        var = rows[n * dim :].reshape(n, dim).astype(np.float64)
-        return cls(kind, mean=mean, var=var)
+        fields = rows.reshape(matrices, n, dim)
+        try:
+            if kind == "categorical":
+                return cls(kind, probs=fields[0])
+            return cls(kind, mean=fields[0], var=fields[1])
+        except ConfigurationError as exc:
+            raise ArtifactIOError(f"invalid batch: {exc}") from exc
+
+
+def _reject_nonfinite_rows(matrix: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"non-finite {what} in batch row {bad[0]}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,13 +132,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """sum_i p_i ln(p_i / q_i), with 0 ln 0 = 0 and a floor inside the logs."""
+    """sum_i p_i ln(p_i / q_i), with 0 ln 0 = 0 and a floor inside the logs.
+
+    For rows that agree to rounding the sum can land a few ulps below zero;
+    it is clamped, since a KL divergence is never negative.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ConfigurationError("KL rows must have equal length")
     logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
-    return float(np.sum(np.where(p > 0.0, p * logs, 0.0)))
+    return max(0.0, float(np.sum(np.where(p > 0.0, p * logs, 0.0))))
 
 
 def kl_gaussian(mu1, var1, mu2, var2) -> float:
@@ -165,14 +187,23 @@ class CategoricalPolicy:
         u = rng.random()
         return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, probs.size - 1))
 
+    def score_grad(self, states: np.ndarray, actions,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+        """d log pi(a|s) from the seed onehot(a) - probs: one state and action,
+        or the sum over a batch of rows, each scaled by its weight."""
+        logits, cache = self.net.forward(states)
+        seed = -softmax(logits)
+        if weights is None:
+            seed[actions] += 1.0
+        else:
+            seed[np.arange(seed.shape[0]), actions] += 1.0
+            seed *= weights[:, None]
+        return self.net.backward(cache, seed)
+
     def log_prob_grad(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= action < self.action_count:
             raise ConfigurationError(f"action {action} out of range")
-        logits, cache = self.net.forward(state)
-        probs = softmax(logits)
-        seed = -probs
-        seed[action] += 1.0
-        return self.net.backward(cache, seed)
+        return self.score_grad(state, action)
 
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
         logits, _ = self.net.forward(np.asarray(states, dtype=np.float64))
@@ -244,14 +275,21 @@ class GaussianPolicy:
         mu, var = self.action_distribution(state)
         return mu + np.sqrt(var) * rng.standard_normal(self.action_dim)
 
-    def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        action = np.asarray(action, dtype=np.float64)
-        mu, cache = self.net.forward(state)
+    def score_grad(self, states: np.ndarray, actions: np.ndarray,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+        """d log pi(a|s): (a - mu)/var through the network, then the log-std
+        term (a - mu)^2/var - 1. Weights work as in `CategoricalPolicy`."""
+        mu, cache = self.net.forward(states)
         var = np.exp(2.0 * self.log_std)
-        seed = (action - mu) / var
-        net_grad = self.net.backward(cache, seed)
-        log_std_grad = (action - mu) ** 2 / var - 1.0
-        return np.concatenate([net_grad, log_std_grad])
+        seed = (actions - mu) / var
+        log_std_grad = (actions - mu) ** 2 / var - 1.0
+        if weights is not None:
+            seed = seed * weights[:, None]
+            log_std_grad = (log_std_grad * weights[:, None]).sum(axis=0)
+        return np.concatenate([self.net.backward(cache, seed), log_std_grad])
+
+    def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
+        return self.score_grad(state, np.asarray(action, dtype=np.float64))
 
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
         mu, _ = self.net.forward(np.asarray(states, dtype=np.float64))

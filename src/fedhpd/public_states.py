@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import EnvSpec, PublicStateSet, reset, step
+from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
-from .reinforce import Agent, AgentConfig
+from .reinforce import Agent, AgentConfig, rollout
 
 VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
 VIRTUAL_AGENT_LR = 1e-3
@@ -48,16 +48,8 @@ def generate_public_states(
     for i in range(warmup_rounds):
         agent.local_round(i)
 
-    visited = []
-    for _ in range(rollouts):
-        state = reset(spec, agent.rng)
-        for _ in range(spec.max_steps):
-            visited.append(state)
-            action = agent.policy.sample_action(state, agent.rng)
-            state, _, done = step(spec, state, action)
-            if done:
-                break
-    pool = np.array(visited)
+    pool = np.concatenate([rollout(agent.policy, spec, agent.rng).states
+                           for _ in range(rollouts)])
     if pool.shape[0] >= n:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)
     else:

@@ -1,7 +1,8 @@
 """Vanilla on-policy REINFORCE local training.
 
 Each round an agent collects whole episodes from its private environment
-copy and forms the score-function gradient estimate
+copy (`rollout`, the one episode loop of the package) and forms the
+score-function gradient estimate
 
     g_hat = mean over episodes of [sum_t grad log pi(a_t|s_t)] * R(tau)
 
@@ -16,7 +17,6 @@ term-by-term sum in the tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import env as envmod
 from .errors import ConfigurationError
 from .nn_core import AdamState, LayerSpec, adam_step, glorot_init
-from .policy import CategoricalPolicy, GaussianPolicy, softmax
+from .policy import CategoricalPolicy, GaussianPolicy
 
 
 @dataclass
@@ -57,7 +57,6 @@ class RoundStats:
     episode_returns: list[float]
     discounted_returns: list[float]
     grad_norm: float
-    wall_time: float
 
     @property
     def mean_episode_return(self) -> float:
@@ -86,57 +85,57 @@ def build_policy(config: AgentConfig, spec: envmod.EnvSpec, rng: np.random.Gener
     return GaussianPolicy(net)
 
 
+@dataclass
+class Episode:
+    """One episode: states [T, 4], actions ([T] ints or [T, a_dim]), rewards [T]."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+
+
+def rollout(policy, spec: envmod.EnvSpec, rng: np.random.Generator) -> Episode:
+    """Run one episode until it terminates or reaches the horizon.
+
+    The stream is consumed as one `reset` then one `sample_action` per step.
+    """
+    states, actions, rewards = [], [], []
+    state = envmod.reset(spec, rng)
+    for _ in range(spec.max_steps):
+        action = policy.sample_action(state, rng)
+        states.append(state)
+        actions.append(action)
+        state, reward, done = envmod.step(spec, state, action)
+        rewards.append(reward)
+        if done:
+            break
+    return Episode(np.array(states), np.array(actions), np.array(rewards))
+
+
 def collect_trajectories(policy, spec: envmod.EnvSpec, config: AgentConfig,
-                         rng: np.random.Generator) -> list[envmod.Trajectory]:
+                         rng: np.random.Generator) -> list[Episode]:
     """Roll out `episodes_per_round` complete episodes."""
-    trajectories = []
-    for _ in range(config.episodes_per_round):
-        traj = envmod.Trajectory()
-        state = envmod.reset(spec, rng)
-        for _ in range(spec.max_steps):
-            action = policy.sample_action(state, rng)
-            next_state, reward, done = envmod.step(spec, state, action)
-            traj.append(envmod.Transition(state, action, reward, next_state, done))
-            state = next_state
-            if done:
-                break
-        trajectories.append(traj)
-    return trajectories
+    return [rollout(policy, spec, rng) for _ in range(config.episodes_per_round)]
 
 
-def _step_weights(traj: envmod.Trajectory, config: AgentConfig) -> np.ndarray:
-    rewards = traj.rewards()
-    discounts = config.gamma ** np.arange(len(traj))
-    if config.reward_to_go:
+def _step_weights(rewards: np.ndarray, gamma: float, reward_to_go: bool) -> np.ndarray:
+    discounts = gamma ** np.arange(rewards.size)
+    if reward_to_go:
         # per-step coefficient sum_{t' >= t} gamma^{t'} r_{t'}
         return np.cumsum((discounts * rewards)[::-1])[::-1]
-    return np.full(len(traj), float(np.sum(discounts * rewards)))
+    return np.full(rewards.size, float(np.sum(discounts * rewards)))
 
 
-def policy_gradient(policy, trajectories: list[envmod.Trajectory],
-                    config: AgentConfig) -> np.ndarray:
-    """Ascent-direction estimate of grad J from whole trajectories."""
-    if not trajectories:
-        raise ConfigurationError("policy_gradient needs at least one trajectory")
+def policy_gradient(policy, episodes: list[Episode], gamma: float,
+                    reward_to_go: bool) -> np.ndarray:
+    """Ascent-direction estimate of grad J from whole episodes."""
+    if not episodes:
+        raise ConfigurationError("policy_gradient needs at least one episode")
     total = np.zeros(policy.num_params)
-    for traj in trajectories:
-        states = traj.states()
-        weights = _step_weights(traj, config)
-        if policy.kind == "categorical":
-            logits, cache = policy.net.forward(states)
-            probs = softmax(logits)
-            seeds = -probs
-            seeds[np.arange(len(traj)), traj.actions()] += 1.0
-            total += policy.net.backward(cache, seeds * weights[:, None])
-        else:
-            actions = np.array(traj.actions())
-            mu, cache = policy.net.forward(states)
-            var = np.exp(2.0 * policy.log_std)
-            seeds = (actions - mu) / var * weights[:, None]
-            net_grad = policy.net.backward(cache, seeds)
-            log_std_grad = (((actions - mu) ** 2 / var - 1.0) * weights[:, None]).sum(axis=0)
-            total += np.concatenate([net_grad, log_std_grad])
-    return total / len(trajectories)
+    for episode in episodes:
+        weights = _step_weights(episode.rewards, gamma, reward_to_go)
+        total += policy.score_grad(episode.states, episode.actions, weights)
+    return total / len(episodes)
 
 
 def local_update(policy, adam_state: AdamState, ascent_grad: np.ndarray,
@@ -159,19 +158,18 @@ class Agent:
         self.adam = AdamState.zeros(self.policy.num_params)
 
     def local_round(self, round_index: int) -> RoundStats:
-        start = time.perf_counter()
-        trajectories = collect_trajectories(self.policy, self.spec, self.config, self.rng)
-        grad = policy_gradient(self.policy, trajectories, self.config)
-        self.adam = local_update(self.policy, self.adam, grad, self.config.learning_rate)
+        config = self.config
+        episodes = collect_trajectories(self.policy, self.spec, config, self.rng)
+        grad = policy_gradient(self.policy, episodes, config.gamma, config.reward_to_go)
+        self.adam = local_update(self.policy, self.adam, grad, config.learning_rate)
         return RoundStats(
-            agent_id=self.config.agent_id,
+            agent_id=config.agent_id,
             round_index=round_index,
-            episode_returns=[t.undiscounted_return() for t in trajectories],
+            episode_returns=[float(e.rewards.sum()) for e in episodes],
             discounted_returns=[
-                envmod.discounted_return(t, self.config.gamma) for t in trajectories
+                envmod.discounted_return(e.rewards, config.gamma) for e in episodes
             ],
             grad_norm=float(np.linalg.norm(grad)),
-            wall_time=time.perf_counter() - start,
         )
 
 

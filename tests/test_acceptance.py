@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fedhpd.diagnostics import (
-    ProbeSettings,
     lipschitz_probe,
     sample_trajectory_gradients,
     variance_report_from_samples,
@@ -217,7 +216,7 @@ def test_criterion_4_variance_identity():
         states = rng.normal(scale=0.5, size=(8, 4))
         consensus = other.extract_batch(states)
         samples = sample_trajectory_gradients(
-            policy, spec, 256, np.random.default_rng(60_000 + case), ProbeSettings()
+            policy, spec, 256, np.random.default_rng(60_000 + case), 0.99, False
         )
         _, grad_kl = policy.kl_batch_loss(states, consensus)
         reportv = variance_report_from_samples(samples, grad_kl)

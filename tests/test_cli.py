@@ -5,6 +5,7 @@ import pytest
 
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
 from fedhpd.errors import ConfigurationError
+from fedhpd.nn_core import LayerSpec, glorot_init, save_network
 from fedhpd.experiment import (
     METRICS_COLUMNS,
     ExperimentConfig,
@@ -52,6 +53,16 @@ def test_parse_config_text_types():
     assert values["run.gamma"] == 0.95
     assert values["fed.include_nofed"] is False
     assert values["run.seeds"] == [1, 2, 3]
+
+
+def test_parse_config_keeps_hash_inside_quotes():
+    values = parse_config_text('run.output_dir = "runs/#1"  # trailing comment\n')
+    assert values["run.output_dir"] == "runs/#1"
+
+
+def test_boolean_is_not_a_positive_integer():
+    with pytest.raises(ConfigurationError, match="run.workers"):
+        load_experiment_config(None, ["run.workers = true"])
 
 
 def test_parse_config_rejects_unknown_key():
@@ -209,11 +220,41 @@ def test_cli_exit_codes(tmp_path):
     assert main(["train", "--config", str(bad_cfg)]) == 2
     assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 2
     path = write_config(tmp_path)
-    code = main([
-        "diagnose", "--config", str(path), "--snapshot", str(tmp_path / "nope.fhpd"),
-        "--states", str(tmp_path / "nope.txt"), "--output-dir", str(tmp_path),
-    ])
-    assert code == 4
+    truncated = tmp_path / "truncated.fhpd"
+    truncated.write_bytes(b"FHPD\x01")
+    snapshot = tmp_path / "net.fhpd"
+    save_network(glorot_init([LayerSpec(4, 2, "identity")], np.random.default_rng(0)), snapshot)
+    nan_states = tmp_path / "nan.txt"
+    nan_states.write_text("# fedhpd-states v1 dim=4 n=2\n0,0,0,0\nnan,0,0,0\n")
+    missing = tmp_path / "nope.txt"
+    for snap, states in ((tmp_path / "nope.fhpd", missing), (truncated, missing),
+                         (snapshot, nan_states)):
+        code = main([
+            "diagnose", "--config", str(path), "--snapshot", str(snap),
+            "--states", str(states), "--output-dir", str(tmp_path),
+        ])
+        assert code == 4
+
+
+def test_cli_diagnose_uses_configured_gamma(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "train-out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
+    snapshot = next(iter(sorted((out / "snapshots").glob("*.fhpd"))))
+    variance_rows = {}
+    for gamma in ("0.99", "0.5"):
+        diag_out = tmp_path / f"diag-{gamma}"
+        assert main([
+            "diagnose", "--config", str(path), "--snapshot", str(snapshot),
+            "--states", str(out / "states.txt"), "--output-dir", str(diag_out),
+            "--set", "diag.samples = 8", "--set", "diag.repeats = 2",
+            "--set", "diag.pairs = 1", "--set", f"run.gamma = {gamma}",
+        ]) == 0
+        lines = (diag_out / "diagnostics.csv").read_text().splitlines()
+        variance_rows[gamma] = [line for line in lines if line.startswith("variance")]
+    assert len(variance_rows["0.5"]) == 2
+    for low, default in zip(variance_rows["0.5"], variance_rows["0.99"]):
+        assert low != default
 
 
 def test_cli_diagnose_self_consensus(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedhpd.diagnostics import (
-    ProbeSettings,
     SmoothnessProbe,
     chebyshev_samples,
     gradient_variance,
@@ -14,12 +13,12 @@ from fedhpd.diagnostics import (
     sample_trajectory_gradients,
     variance_report_from_samples,
 )
-from fedhpd.env import EnvSpec, Trajectory, Transition, step
+from fedhpd.env import EnvSpec, step
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import CategoricalPolicy, DistributionBatch, GaussianPolicy
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import policy_gradient
+from fedhpd.reinforce import Episode, policy_gradient
 
 SPEC = EnvSpec("cartpole-discrete")
 
@@ -46,7 +45,7 @@ def test_variance_identity_on_sampled_gradients():
         consensus = other.extract_batch(states)
         report = gradient_variance(
             policy, SPEC, states, consensus, n_samples=64,
-            rng=np.random.default_rng(300 + case),
+            rng=np.random.default_rng(300 + case), gamma=0.99, reward_to_go=False,
         )
         assert report.identity_residual < 1e-9
         assert report.var_j_trace >= 0.0
@@ -59,7 +58,8 @@ def test_zero_kl_gradient_collapses_to_plain_variance():
     policy = make_categorical(seed=7)
     consensus = policy.extract_batch(states)  # self-consensus: grad_kl == 0
     report = gradient_variance(
-        policy, SPEC, states, consensus, n_samples=32, rng=np.random.default_rng(8)
+        policy, SPEC, states, consensus, n_samples=32, rng=np.random.default_rng(8),
+        gamma=0.99, reward_to_go=False,
     )
     assert report.var_kl_trace == 0.0
     assert report.cov_trace == 0.0
@@ -79,15 +79,16 @@ def test_deterministic_policy_and_start_state_give_zero_variance():
     s0 = np.array([0.01, 0.0, 0.02, 0.0])
     samples = []
     for _ in range(4):
-        traj = Trajectory()
+        states, rewards = [], []
         state = s0
         for _ in range(SPEC.max_steps):
-            next_state, reward, done = step(SPEC, state, 0)
-            traj.append(Transition(state, 0, reward, next_state, done))
-            state = next_state
+            states.append(state)
+            state, reward, done = step(SPEC, state, 0)
+            rewards.append(reward)
             if done:
                 break
-        samples.append(policy_gradient(policy, [traj], ProbeSettings()))
+        episode = Episode(np.array(states), np.zeros(len(states), dtype=int), np.array(rewards))
+        samples.append(policy_gradient(policy, [episode], 0.99, False))
     report = variance_report_from_samples(np.array(samples), np.zeros(policy.num_params))
     assert report.var_j_trace == 0.0
     assert report.var_jprime_direct == 0.0
@@ -121,7 +122,8 @@ def test_cov_bounded_by_cauchy_schwarz():
     policy = make_categorical(seed=13)
     other = make_categorical(seed=14)
     report = gradient_variance(
-        policy, SPEC, states, other.extract_batch(states), n_samples=32, rng=rng
+        policy, SPEC, states, other.extract_batch(states), n_samples=32, rng=rng,
+        gamma=0.99, reward_to_go=False,
     )
     bound = math.sqrt(report.var_j_trace * report.var_kl_trace)
     assert abs(report.cov_trace) <= bound + 1e-9
@@ -134,7 +136,7 @@ def test_report_rejects_degenerate_inputs():
         variance_report_from_samples(np.zeros((4, 3)), np.zeros(2))
     with pytest.raises(ConfigurationError):
         sample_trajectory_gradients(
-            make_categorical(1), SPEC, 1, np.random.default_rng(0)
+            make_categorical(1), SPEC, 1, np.random.default_rng(0), 0.99, False
         )
 
 

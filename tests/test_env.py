@@ -7,8 +7,6 @@ from fedhpd.env import (
     EnvSpec,
     PublicStateSet,
     THETA_THRESHOLD,
-    Trajectory,
-    Transition,
     discounted_return,
     is_terminal,
     load_state_set,
@@ -17,6 +15,9 @@ from fedhpd.env import (
     step,
 )
 from fedhpd.errors import ArtifactIOError, ConfigurationError
+from fedhpd.nn_core import LayerSpec, glorot_init
+from fedhpd.policy import CategoricalPolicy
+from fedhpd.reinforce import rollout
 
 DISCRETE = EnvSpec("cartpole-discrete")
 CONTINUOUS = EnvSpec("cartpole-continuous")
@@ -89,35 +90,38 @@ def test_discrete_rejects_bad_action():
         step(DISCRETE, np.zeros(4), 2)
 
 
-def make_traj(rewards):
-    traj = Trajectory()
-    state = np.zeros(4)
-    for i, r in enumerate(rewards):
-        nxt = state + 0.01
-        traj.append(Transition(state, 0, r, nxt, i == len(rewards) - 1))
-        state = nxt
-    return traj
-
-
 def test_discounted_return_values():
-    assert discounted_return(make_traj([3.0, 7.0, 9.0]), 0.0) == 3.0
-    assert discounted_return(make_traj([1.0, 1.0, 1.0]), 0.5) == 1.75
+    assert discounted_return(np.array([3.0, 7.0, 9.0]), 0.0) == 3.0
+    assert discounted_return(np.array([1.0, 1.0, 1.0]), 0.5) == 1.75
     for length in (1, 17, 400):
-        got = discounted_return(make_traj([1.0] * length), 0.99)
+        got = discounted_return(np.ones(length), 0.99)
         geometric = (1.0 - 0.99**length) / 0.01
         assert abs(got - geometric) < 1e-9
 
 
 def test_trajectory_contiguity_guard():
-    traj = make_traj([1.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        traj.append(Transition(np.zeros(4), 0, 1.0, np.zeros(4), False))
+    # every recorded state is the dynamics applied to the one before it, and
+    # the episode stops exactly at termination or at the horizon
+    policy = CategoricalPolicy(glorot_init(
+        [LayerSpec(4, 8, "tanh"), LayerSpec(8, 2, "identity")], np.random.default_rng(1)))
+    for spec in (DISCRETE, EnvSpec("cartpole-discrete", max_steps=7)):
+        for seed in range(5):
+            episode = rollout(policy, spec, np.random.default_rng(seed))
+            states, actions, rewards = episode.states, episode.actions, episode.rewards
+            assert len(states) == len(actions) == len(rewards) >= 1
+            for t in range(len(states)):
+                nxt, reward, done = step(spec, states[t], int(actions[t]))
+                assert reward == rewards[t]
+                if t + 1 < len(states):
+                    assert np.array_equal(nxt, states[t + 1]) and not done
+                else:
+                    assert done or len(states) == spec.max_steps
 
 
 def test_return_under_gamma_one_equals_length():
-    traj = make_traj([1.0] * 23)
-    assert discounted_return(traj, 1.0 - 1e-300) == pytest.approx(23.0)
-    assert traj.undiscounted_return() == 23.0
+    rewards = np.ones(23)
+    assert discounted_return(rewards, 1.0 - 1e-300) == pytest.approx(23.0)
+    assert float(rewards.sum()) == 23.0
 
 
 def test_state_set_roundtrip_is_bit_exact(tmp_path):
@@ -137,6 +141,26 @@ def test_state_set_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a header\n1,2,3,4\n")
     with pytest.raises(ArtifactIOError):
+        load_state_set(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,x,4", "1,2,3", "1,,3,4"])
+def test_state_set_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# fedhpd-states v1 dim=4 n=2\n0,0,0,0\n{row}\n")
+    with pytest.raises(ArtifactIOError, match="not a valid state set"):
+        load_state_set(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_set_rejects_non_finite_rows(tmp_path, bad):
+    rows = np.zeros((3, 4))
+    rows[2, 1] = bad
+    with pytest.raises(ConfigurationError, match="row 2 is not finite"):
+        PublicStateSet(rows)
+    path = tmp_path / "states.txt"
+    path.write_text(f"# fedhpd-states v1 dim=4 n=2\n0,0,0,0\n0,{bad},0,0\n")
+    with pytest.raises(ArtifactIOError, match="row 1 is not finite"):
         load_state_set(path)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedhpd.errors import ConfigurationError, NumericError
+from fedhpd.errors import ArtifactIOError, ConfigurationError, NumericError
 from fedhpd.nn_core import (
     AdamState,
     LayerSpec,
@@ -261,3 +261,11 @@ def test_snapshot_roundtrip_with_extra_params():
     restored, extras = network_from_bytes(network_to_bytes(net, extra))
     assert np.array_equal(extras, extra)
     assert np.array_equal(restored.get_params(), net.get_params())
+
+
+def test_every_truncated_snapshot_is_an_artifact_error():
+    net = glorot_init(build_layers([(5, "tanh"), (3, "relu")], 2), np.random.default_rng(31))
+    blob = network_to_bytes(net)
+    for end in range(len(blob)):
+        with pytest.raises(ArtifactIOError):
+            network_from_bytes(blob[:end])

@@ -1,13 +1,14 @@
 """Policy heads, KL divergences, and their analytic gradients."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhpd.errors import ConfigurationError
+from fedhpd.errors import ArtifactIOError, ConfigurationError
 from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import (
     CategoricalPolicy,
@@ -433,3 +434,33 @@ def test_distribution_batch_validation():
         DistributionBatch("categorical", probs=np.array([[0.7, 0.7]]))
     with pytest.raises(ConfigurationError):
         DistributionBatch("gaussian", mean=np.zeros((2, 1)), var=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_every_truncated_batch_is_an_artifact_error(kind):
+    if kind == "categorical":
+        batch = DistributionBatch("categorical", probs=np.full((3, 2), 0.5))
+    else:
+        batch = DistributionBatch("gaussian", mean=np.zeros((3, 1)), var=np.ones((3, 1)))
+    blob = batch.to_bytes()
+    for end in range(len(blob)):
+        with pytest.raises(ArtifactIOError):
+            DistributionBatch.from_bytes(blob[:end])
+
+
+def test_empty_batch_blob_is_an_artifact_error():
+    with pytest.raises(ArtifactIOError):
+        DistributionBatch.from_bytes(struct.pack("<BII", 0, 0, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_batch_rejects_non_finite_rows(bad):
+    probs = np.full((3, 2), 0.5)
+    probs[1] = bad
+    with pytest.raises(ConfigurationError, match="non-finite probability in batch row 1"):
+        DistributionBatch("categorical", probs=probs)
+    blob = DistributionBatch("gaussian", mean=np.zeros((3, 1)), var=np.ones((3, 1))).to_bytes()
+    for offset, what in ((9 + 8 * 2, "mean"), (9 + 8 * 5, "variance")):
+        poisoned = blob[:offset] + np.array([bad]).tobytes() + blob[offset + 8:]
+        with pytest.raises(ArtifactIOError, match=f"non-finite {what} in batch row 2"):
+            DistributionBatch.from_bytes(poisoned)

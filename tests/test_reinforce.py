@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedhpd.env import EnvSpec, THETA_THRESHOLD, X_THRESHOLD, Trajectory, Transition, step
+from fedhpd.env import EnvSpec, THETA_THRESHOLD, X_THRESHOLD, reset, step
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import AdamState, LayerSpec, MlpNetwork
 from fedhpd.policy import CategoricalPolicy
@@ -11,11 +11,13 @@ from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import (
     Agent,
     AgentConfig,
+    Episode,
     build_policy,
     collect_trajectories,
     local_update,
     make_agents,
     policy_gradient,
+    rollout,
     train_independent,
 )
 
@@ -41,17 +43,34 @@ def test_collect_is_deterministic_given_seed():
     tb = collect_trajectories(b.policy, SPEC, cfg, b.rng)
     assert len(ta) == len(tb) == 3
     for x, y in zip(ta, tb):
-        assert np.array_equal(x.states(), y.states())
-        assert x.actions() == y.actions()
+        assert np.array_equal(x.states, y.states)
+        assert np.array_equal(x.actions, y.actions)
 
 
 def test_trajectory_lengths_within_horizon():
     cfg = agent_config(episodes_per_round=5)
     agent = Agent(cfg, SPEC, np.random.SeedSequence(6))
-    for traj in collect_trajectories(agent.policy, SPEC, cfg, agent.rng):
-        assert 1 <= len(traj) <= SPEC.max_steps
-        for a, b in zip(traj.transitions, traj.transitions[1:]):
-            assert np.array_equal(a.next_state, b.state)
+    for episode in collect_trajectories(agent.policy, SPEC, cfg, agent.rng):
+        assert 1 <= len(episode.rewards) <= SPEC.max_steps
+        for t in range(len(episode.rewards) - 1):
+            nxt, _, _ = step(SPEC, episode.states[t], int(episode.actions[t]))
+            assert np.array_equal(nxt, episode.states[t + 1])
+
+
+@pytest.mark.parametrize("head,env_kind", [
+    ("categorical", "cartpole-discrete"),
+    ("gaussian", "cartpole-continuous"),
+])
+def test_rollout_consumes_reset_then_one_sample_per_step(head, env_kind):
+    spec = EnvSpec(env_kind)
+    agent = Agent(agent_config(head=head), spec, np.random.SeedSequence(7))
+    rng = np.random.default_rng(8)
+    replay = np.random.default_rng(8)
+    episode = rollout(agent.policy, spec, rng)
+    assert np.array_equal(reset(spec, replay), episode.states[0])
+    for state, action in zip(episode.states, episode.actions):
+        assert np.array_equal(agent.policy.sample_action(state, replay), action)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_near_deterministic_policy_matches_scripted_replay():
@@ -64,27 +83,20 @@ def test_near_deterministic_policy_matches_scripted_replay():
     policy = CategoricalPolicy(net)
     cfg = agent_config()
     rng = np.random.default_rng(9)
-    traj = collect_trajectories(policy, SPEC, cfg, rng)[0]
-    assert set(traj.actions()) == {0}
-    state = traj.transitions[0].state
-    for tr in traj.transitions:
-        next_state, reward, done = step(SPEC, state, 0)
-        assert np.array_equal(next_state, tr.next_state)
-        assert reward == tr.reward
-        state = next_state
-    assert traj.transitions[-1].done or len(traj) == SPEC.max_steps
+    episode = collect_trajectories(policy, SPEC, cfg, rng)[0]
+    assert set(episode.actions.tolist()) == {0}
+    state = episode.states[0]
+    for t, reward in enumerate(episode.rewards):
+        assert np.array_equal(state, episode.states[t])
+        state, replay_reward, done = step(SPEC, state, 0)
+        assert replay_reward == reward
+    assert done or len(episode.rewards) == SPEC.max_steps
 
 
 def synthetic_trajectory(rng, policy, length, rewards=None):
-    traj = Trajectory()
-    state = rng.normal(size=4) * 0.05
-    for t in range(length):
-        action = int(rng.integers(0, policy.action_count))
-        nxt = state + rng.normal(size=4) * 0.01
-        r = 1.0 if rewards is None else rewards[t]
-        traj.append(Transition(state, action, r, nxt, t == length - 1))
-        state = nxt
-    return traj
+    states = rng.normal(size=4) * 0.05 + np.cumsum(rng.normal(size=(length, 4)) * 0.01, axis=0)
+    actions = rng.integers(0, policy.action_count, size=length)
+    return Episode(states, actions, np.ones(length) if rewards is None else np.array(rewards))
 
 
 def test_zero_rewards_give_zero_gradient():
@@ -92,7 +104,7 @@ def test_zero_rewards_give_zero_gradient():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(10))
     traj = synthetic_trajectory(rng, agent.policy, 6, rewards=[0.0] * 6)
-    grad = policy_gradient(agent.policy, [traj], cfg)
+    grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
     assert np.array_equal(grad, np.zeros(agent.policy.num_params))
 
 
@@ -101,10 +113,8 @@ def test_one_step_trajectory_is_scaled_log_prob_grad():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(11))
     traj = synthetic_trajectory(rng, agent.policy, 1, rewards=[2.5])
-    grad = policy_gradient(agent.policy, [traj], cfg)
-    expected = 2.5 * agent.policy.log_prob_grad(
-        traj.transitions[0].state, traj.transitions[0].action
-    )
+    grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
+    expected = 2.5 * agent.policy.log_prob_grad(traj.states[0], int(traj.actions[0]))
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -119,22 +129,22 @@ def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         trajectories = collect_trajectories(agent.policy, spec, cfg, agent.rng)
-        got = policy_gradient(agent.policy, trajectories, cfg)
+        got = policy_gradient(agent.policy, trajectories, cfg.gamma, cfg.reward_to_go)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
         expected = np.zeros(agent.policy.num_params)
         for traj in trajectories:
-            rewards = traj.rewards()
-            discounts = cfg.gamma ** np.arange(len(traj))
+            rewards = traj.rewards
+            discounts = cfg.gamma ** np.arange(len(rewards))
             if reward_to_go:
                 weights = [
-                    float(np.sum(discounts[t:] * rewards[t:])) for t in range(len(traj))
+                    float(np.sum(discounts[t:] * rewards[t:])) for t in range(len(rewards))
                 ]
             else:
                 full = float(np.sum(discounts * rewards))
-                weights = [full] * len(traj)
-            for w, tr in zip(weights, traj.transitions):
-                expected += w * agent.policy.log_prob_grad(tr.state, tr.action)
+                weights = [full] * len(rewards)
+            for w, state, action in zip(weights, traj.states, traj.actions):
+                expected += w * agent.policy.log_prob_grad(state, action)
         expected /= len(trajectories)
         denom = max(np.max(np.abs(expected)), 1e-12)
         assert np.max(np.abs(got - expected)) / denom < 1e-10
@@ -145,10 +155,10 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
         traj = collect_trajectories(agent.policy, SPEC, cfg, agent.rng)[0]
-        grad = policy_gradient(agent.policy, [traj], cfg)
+        grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
         log_lik_dir = np.zeros(agent.policy.num_params)
-        for tr in traj.transitions:
-            log_lik_dir += agent.policy.log_prob_grad(tr.state, tr.action)
+        for state, action in zip(traj.states, traj.actions):
+            log_lik_dir += agent.policy.log_prob_grad(state, action)
         assert float(grad @ log_lik_dir) > 0.0
 
 
