@@ -46,6 +46,8 @@ from .policy import (
     GaussianPolicy,
     kl_categorical,
     kl_gaussian,
+    load_policy,
+    make_policy,
 )
 from .presets import PRESET_NAMES, preset_agents
 from .public_states import generate_public_states

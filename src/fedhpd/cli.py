@@ -19,18 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import chebyshev_samples, gradient_variance, lipschitz_probe
-from .env import EnvSpec, load_state_set, save_state_set
+from .env import EnvSpec, load_state_set
 from .errors import ArtifactIOError, ConfigurationError, NumericError
 from .experiment import (
     ExperimentConfig,
     fmt,
     load_experiment_config,
     train_experiment,
-    write_provenance,
+    write_file,
+    write_states,
 )
-from .nn_core import glorot_init, load_network
-from .policy import CategoricalPolicy, DistributionBatch, GaussianPolicy
-from .public_states import generate_public_states
+from .nn_core import glorot_init
+from .policy import DistributionBatch, load_policy, make_policy
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -91,19 +91,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_generate_states(args) -> int:
     config = _load_config(args)
-    out_dir = Path(config["run.output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = Path(args.out) if args.out else out_dir / "states.txt"
-    spec = EnvSpec(config["env.kind"], config["env.max_steps"])
-    states = generate_public_states(
-        spec,
-        warmup_rounds=config["states.warmup_rounds"],
-        rollouts=config["states.rollouts"],
-        n=config["states.size"],
-        seed=config["states.seed"],
-    )
-    save_state_set(states, target)
-    write_provenance(config, target)
+    target = Path(args.out or Path(config["run.output_dir"]) / "states.txt")
+    states = write_states(config, target)
     print(f"wrote {states.size} states to {target}")
     return 0
 
@@ -129,30 +118,10 @@ def cmd_sweep(args) -> int:
     return cmd_train(args)
 
 
-def _policy_from_snapshot(path, spec: EnvSpec):
-    net, extras = load_network(path)
-    if spec.discrete:
-        if extras.size:
-            raise ConfigurationError(
-                f"snapshot {path} carries a log-std tail but {spec.kind} is discrete"
-            )
-        if net.output_dim != spec.action_count:
-            raise ConfigurationError(
-                f"snapshot output dim {net.output_dim} does not match {spec.kind}"
-            )
-        return CategoricalPolicy(net)
-    if extras.size not in (0, net.output_dim):
-        raise ConfigurationError(
-            f"snapshot {path}: log-std tail has {extras.size} entries, "
-            f"expected {net.output_dim}"
-        )
-    return GaussianPolicy(net, extras if extras.size else None)
-
-
 def cmd_diagnose(args) -> int:
     config = _load_config(args)
     spec = EnvSpec(config["env.kind"], config["env.max_steps"])
-    policy = _policy_from_snapshot(args.snapshot, spec)
+    policy = load_policy(args.snapshot, spec)
 
     states_path = args.states or config["states.path"]
     if not states_path:
@@ -196,8 +165,7 @@ def cmd_diagnose(args) -> int:
     layers = policy.net.layers
 
     def factory(rng):
-        net = glorot_init(layers, rng)
-        return CategoricalPolicy(net) if spec.discrete else GaussianPolicy(net)
+        return make_policy(spec, glorot_init(layers, rng))
 
     probe_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config["diag.seed"], 0xF00D])
@@ -215,12 +183,10 @@ def cmd_diagnose(args) -> int:
         fmt(probe.theory_bound),
     ])
 
-    out_dir = Path(config["run.output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "diagnostics.csv"
+    target = Path(config["run.output_dir"]) / "diagnostics.csv"
     lines = [",".join(DIAGNOSTICS_COLUMNS)]
     lines.extend(",".join(row) for row in rows)
-    target.write_text("\n".join(lines) + "\n")
+    write_file(target, "\n".join(lines) + "\n")
     print(f"wrote {target}")
     return 0
 

@@ -121,7 +121,6 @@ class PublicStateSet:
     """The shared distillation input: n states, one row each."""
 
     states: np.ndarray
-    generated: bool = False  # True when rows came from a policy rollout here
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
@@ -157,7 +156,7 @@ def load_state_set(path) -> PublicStateSet:
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactIOError(f"cannot read state set {path}: {exc}") from exc
     if not lines or not lines[0].startswith(STATE_FILE_HEADER):
         raise ArtifactIOError(f"{path} is not a state-set file")
@@ -167,6 +166,6 @@ def load_state_set(path) -> PublicStateSet:
     except (ValueError, ConfigurationError) as exc:
         raise ArtifactIOError(f"{path} is not a valid state set: {exc}") from exc
     declared = lines[0].split("n=")[-1]
-    if declared.strip().isdigit() and int(declared) != states.size:
+    if declared.strip().isdecimal() and int(declared) != states.size:
         raise ArtifactIOError(f"{path} declares n={declared} but has {states.size} rows")
     return states

@@ -8,8 +8,9 @@ Configs are flat text files of dotted keys (diff-friendly, no nesting):
     fed.d = 5, 10, 20
     agents.preset = "cartpole-4"
 
-Every known key has a default; unknown keys are rejected by name before any
-computation starts. A training invocation expands into a grid of cells
+Every known key has a default, and its values must have the default's type;
+unknown keys and mistyped values are rejected by name before any computation
+starts. A training invocation expands into a grid of cells
 (mode, interval, seed) - the NoFed baseline plus one federated variant per
 interval - and each cell writes one metrics CSV. Reals are printed with 17
 significant digits so downstream comparisons can reproduce results exactly.
@@ -22,6 +23,7 @@ worker count.
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .env import ENV_KINDS, EnvSpec, PublicStateSet, load_state_set, save_state_set
-from .errors import ConfigurationError
+from .errors import ArtifactIOError, ConfigurationError
 from .federation import FedRunConfig, RunResult, run
-from .presets import PRESET_NAMES, preset_agents, preset_head
+from .presets import PRESET_NAMES, preset_agents, preset_env
 from .public_states import generate_public_states
 from .reinforce import AgentConfig
 
@@ -54,7 +56,6 @@ _KEY_DEFAULTS = {
     "fed.include_nofed": True,
     "agents.preset": "cartpole-4",
     "agents.spec": "",
-    "agents.head": "",
     "states.source": "generate",
     "states.path": "",
     "states.size": 512,
@@ -116,15 +117,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A finite int or float; a bool or an int too large for a float is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _as_list(value) -> list:
     return list(value) if isinstance(value, list) else [value]
 
 
-def parse_agent_spec(spec: str, head: str, episodes_per_round: int,
-                     reward_to_go: bool, gamma: float) -> list[AgentConfig]:
+def parse_agent_spec(spec: str, episodes_per_round: int, reward_to_go: bool,
+                     gamma: float) -> list[AgentConfig]:
     """Inline lineup grammar: '64:relu@1e-3; 16x16:relu,tanh@2e-3'."""
-    if head not in ("categorical", "gaussian"):
-        raise ConfigurationError("agents.head must be 'categorical' or 'gaussian'")
     agents = []
     for i, entry in enumerate(part for part in spec.split(";") if part.strip()):
         try:
@@ -146,7 +153,6 @@ def parse_agent_spec(spec: str, head: str, episodes_per_round: int,
             AgentConfig(
                 agent_id=f"agent-{i + 1}",
                 hidden=list(zip(widths, acts)),
-                head=head,
                 learning_rate=lr,
                 episodes_per_round=episodes_per_round,
                 reward_to_go=reward_to_go,
@@ -179,20 +185,28 @@ class ExperimentConfig:
         for key in v:
             if key not in _KEY_DEFAULTS:
                 self._fail(key, "unknown config key")
+        for key, default in _KEY_DEFAULTS.items():
+            value = v[key]
+            if isinstance(default, str) and not isinstance(value, str):
+                self._fail(key, "must be a quoted string")
+            elif isinstance(default, bool) and not isinstance(value, bool):
+                self._fail(key, "must be true or false")
+            elif isinstance(default, float) and not _is_real(value):
+                self._fail(key, "must be a finite number")
+            elif _is_int(default) and not (_is_int(value) and value >= 0):
+                self._fail(key, "must be a non-negative integer")
         if v["env.kind"] not in ENV_KINDS:
             self._fail("env.kind", f"must be one of {', '.join(ENV_KINDS)}")
         for key in ("env.max_steps", "run.rounds", "run.workers",
                     "run.episodes_per_round", "states.size", "states.rollouts",
                     "diag.samples", "diag.repeats", "diag.pairs"):
-            if not _is_int(v[key]) or v[key] < 1:
+            if v[key] < 1:
                 self._fail(key, "must be a positive integer")
-        if not _is_int(v["states.warmup_rounds"]) or v["states.warmup_rounds"] < 0:
-            self._fail("states.warmup_rounds", "must be a non-negative integer")
         if not (0.0 < float(v["run.gamma"]) < 1.0):
             self._fail("run.gamma", "must lie in (0, 1)")
         seeds = _as_list(v["run.seeds"])
-        if not seeds or not all(_is_int(s) for s in seeds):
-            self._fail("run.seeds", "must be one or more integers")
+        if not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
+            self._fail("run.seeds", "must be one or more non-negative integers")
         v["run.seeds"] = seeds
         ds = _as_list(v["fed.d"])
         if not all(_is_int(d) and d >= 1 for d in ds):
@@ -208,14 +222,11 @@ class ExperimentConfig:
         for key in ("diag.radius", "diag.epsilon", "diag.delta"):
             if not float(v[key]) > 0.0:
                 self._fail(key, "must be positive")
-        if not v["agents.spec"] and v["agents.preset"] not in PRESET_NAMES:
-            self._fail("agents.preset", f"must be one of {', '.join(PRESET_NAMES)}")
-        spec_discrete = v["env.kind"] == "cartpole-discrete"
-        head = (v["agents.head"] if v["agents.spec"]
-                else preset_head(v["agents.preset"]))
-        if spec_discrete != (head == "categorical"):
-            self._fail("agents.preset" if not v["agents.spec"] else "agents.head",
-                       f"head kind {head!r} does not fit {v['env.kind']}")
+        if not v["agents.spec"]:
+            if v["agents.preset"] not in PRESET_NAMES:
+                self._fail("agents.preset", f"must be one of {', '.join(PRESET_NAMES)}")
+            if preset_env(v["agents.preset"]) != v["env.kind"]:
+                self._fail("agents.preset", f"is not a lineup for {v['env.kind']}")
         # build once so per-agent validation fires before any run starts
         self.agent_configs()
 
@@ -223,7 +234,7 @@ class ExperimentConfig:
         v = self.values
         if v["agents.spec"]:
             return parse_agent_spec(
-                v["agents.spec"], v["agents.head"], v["run.episodes_per_round"],
+                v["agents.spec"], v["run.episodes_per_round"],
                 v["run.reward_to_go"], float(v["run.gamma"]),
             )
         return preset_agents(
@@ -381,27 +392,25 @@ def _run_cell_checked(args):
         return {"cell": cell, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def resolve_states(config: ExperimentConfig, output_dir: Path) -> PublicStateSet:
-    """Load or generate the public state set; generated sets are saved."""
-    if config["states.source"] == "file":
-        return load_state_set(config["states.path"])
-    spec = EnvSpec(config["env.kind"], config["env.max_steps"])
+def write_file(path: Path, data: str | bytes) -> None:
+    """Write one output file, creating its directory; failures are I/O errors."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+
+
+def write_states(config: ExperimentConfig, path: Path) -> PublicStateSet:
+    """Generate the public state set; save it and its provenance sidecar."""
     states = generate_public_states(
-        spec,
+        EnvSpec(config["env.kind"], config["env.max_steps"]),
         warmup_rounds=config["states.warmup_rounds"],
         rollouts=config["states.rollouts"],
         n=config["states.size"],
         seed=config["states.seed"],
     )
-    path = output_dir / "states.txt"
-    save_state_set(states, path)
-    write_provenance(config, path)
-    return states
-
-
-def write_provenance(config: ExperimentConfig, state_path: Path) -> None:
-    sidecar = state_path.with_suffix(".provenance.json")
-    sidecar.write_text(json.dumps({
+    write_file(path.with_suffix(".provenance.json"), json.dumps({
         "seed": config["states.seed"],
         "warmup_rounds": config["states.warmup_rounds"],
         "rollouts": config["states.rollouts"],
@@ -409,18 +418,22 @@ def write_provenance(config: ExperimentConfig, state_path: Path) -> None:
         "env_kind": config["env.kind"],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }, indent=2) + "\n")
+    save_state_set(states, path)
+    return states
 
 
 def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     """Run every cell of the grid and write metrics, summary, and config."""
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "config.resolved").write_text(config.resolved_text())
+    write_file(output_dir / "config.resolved", config.resolved_text())
 
     cells = experiment_cells(config)
-    needs_states = any(cell.mode == "fedhpd" for cell in cells)
-    states = resolve_states(config, output_dir) if needs_states else None
-    states_rows = states.states if states is not None else None
+    states_rows = None
+    if any(cell.mode == "fedhpd" for cell in cells):
+        if config["states.source"] == "file":
+            states_rows = load_state_set(config["states.path"]).states
+        else:
+            states_rows = write_states(config, output_dir / "states.txt").states
 
     jobs = [(config.values, cell, states_rows) for cell in cells]
     workers = config["run.workers"]
@@ -441,18 +454,14 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         path = output_dir / cell.file_name
         lines = [",".join(METRICS_COLUMNS)]
         lines.extend(",".join(row) for row in outcome["rows"])
-        path.write_text("\n".join(lines) + "\n")
+        write_file(path, "\n".join(lines) + "\n")
         written.append(path)
-        snap_dir = output_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
         for agent_id, blob in outcome["snapshots"]:
-            (snap_dir / f"{cell.run_id}-seed{cell.seed}-{agent_id}.fhpd").write_bytes(blob)
-        if outcome["consensus_dumps"]:
-            dump_dir = output_dir / "consensus"
-            dump_dir.mkdir(exist_ok=True)
-            for round_index, blob in outcome["consensus_dumps"]:
-                name = f"{cell.run_id}-seed{cell.seed}-round{round_index}.bin"
-                (dump_dir / name).write_bytes(blob)
+            name = f"{cell.run_id}-seed{cell.seed}-{agent_id}.fhpd"
+            write_file(output_dir / "snapshots" / name, blob)
+        for round_index, blob in outcome["consensus_dumps"]:
+            name = f"{cell.run_id}-seed{cell.seed}-round{round_index}.bin"
+            write_file(output_dir / "consensus" / name, blob)
         summary_rows.append([
             cell.mode, "" if cell.interval is None else str(cell.interval),
             str(cell.seed), fmt(outcome["final_window_mean"]), fmt(outcome["overall_mean"]),
@@ -477,10 +486,10 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     summary_path = output_dir / "summary.csv"
     summary_lines = [",".join(SUMMARY_COLUMNS)]
     summary_lines.extend(",".join(row) for row in summary_rows)
-    summary_path.write_text("\n".join(summary_lines) + "\n")
+    write_file(summary_path, "\n".join(summary_lines) + "\n")
 
     if failures:
-        (output_dir / "failures.txt").write_text("\n".join(failures) + "\n")
+        write_file(output_dir / "failures.txt", "\n".join(failures) + "\n")
     return {
         "metrics_files": written,
         "summary_file": summary_path,

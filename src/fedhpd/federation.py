@@ -17,6 +17,10 @@ actual wire format so byte volumes are real, not estimated.
 
 Setting the interval to None disables the collaborative phase entirely and
 reproduces independent training bit for bit.
+
+Every agent's head follows the environment's action space, so all uploads of
+a run share one batch kind. The server takes the plain elementwise mean, and
+each agent's final snapshot is its own head's `snapshot()`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
-from .nn_core import adam_step, network_to_bytes
+from .nn_core import adam_step
 from .policy import DistributionBatch
 from .reinforce import Agent, AgentConfig, RoundStats, make_agents
 
@@ -50,9 +54,6 @@ class FedRunConfig:
             raise ConfigurationError("distillation interval must be >= 1 or None")
         if not self.agent_configs:
             raise ConfigurationError("a run needs at least one agent")
-        heads = {cfg.head for cfg in self.agent_configs}
-        if len(heads) > 1:
-            raise ConfigurationError("all agents in a run must share one head kind")
 
     @property
     def spec(self) -> EnvSpec:
@@ -77,9 +78,8 @@ class RunResult:
     final_snapshots: list[bytes] = field(default_factory=list)  # per agent
 
 
-def aggregate(batches: list[DistributionBatch],
-              weights: np.ndarray | None = None) -> DistributionBatch:
-    """Elementwise (weighted) mean of distribution batches.
+def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
+    """Elementwise mean of distribution batches.
 
     Categorical rows stay on the simplex; Gaussian batches are combined by
     averaging means and variances separately (a single moment-matched
@@ -92,22 +92,13 @@ def aggregate(batches: list[DistributionBatch],
     for b in batches:
         if b.kind != kind or (b.n_states, b.dim) != shape:
             raise ConfigurationError("aggregate: mismatched batch kinds or shapes")
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(batches),) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ConfigurationError("aggregate weights must be non-negative and sum to 1")
-
-    def combine(mats):
-        if weights is None:
-            return np.mean(mats, axis=0)
-        return np.tensordot(w, np.stack(mats), axes=1)
-
     if kind == "categorical":
-        return DistributionBatch("categorical", probs=combine([b.probs for b in batches]))
+        return DistributionBatch("categorical",
+                                 probs=np.mean([b.probs for b in batches], axis=0))
     return DistributionBatch(
         "gaussian",
-        mean=combine([b.mean for b in batches]),
-        var=combine([b.var for b in batches]),
+        mean=np.mean([b.mean for b in batches], axis=0),
+        var=np.mean([b.var for b in batches], axis=0),
     )
 
 
@@ -153,7 +144,7 @@ def run(config: FedRunConfig, states: PublicStateSet | None,
     fire = set(distillation_rounds(config.rounds, config.interval))
     result = RunResult(round_stats=[], consensus_records=[], bytes_per_round=[])
     for i in range(config.rounds):
-        result.round_stats.append([agent.local_round(i) for agent in agents])
+        result.round_stats.append([agent.local_round() for agent in agents])
         if i in fire:
             record = distillation_round(agents, states, i)
             result.consensus_records.append(record)
@@ -162,7 +153,5 @@ def run(config: FedRunConfig, states: PublicStateSet | None,
             result.bytes_per_round.append(0)
         if trace_params:
             result.param_traces.append([agent.policy.get_params() for agent in agents])
-    for agent in agents:
-        extras = agent.policy.log_std if agent.config.head == "gaussian" else None
-        result.final_snapshots.append(network_to_bytes(agent.policy.net, extras))
+    result.final_snapshots = [agent.policy.snapshot() for agent in agents]
     return result

@@ -238,7 +238,8 @@ def network_to_bytes(net: MlpNetwork, extra_params: np.ndarray | None = None) ->
 
 
 def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
-    """Inverse of `network_to_bytes`; returns (network, trailing extras)."""
+    """Inverse of `network_to_bytes`; returns (network, trailing extras).
+    Every defect of the blob is an `ArtifactIOError`."""
     if blob[:4] != SNAPSHOT_MAGIC:
         raise ArtifactIOError("bad snapshot magic")
     try:
@@ -253,15 +254,19 @@ def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
             if tag not in _TAG_ACTS:
                 raise ArtifactIOError(f"unknown activation tag {tag}")
             layers.append(LayerSpec(in_dim, out_dim, _TAG_ACTS[tag]))
+        if (len(blob) - offset) % 8:
+            raise ArtifactIOError("snapshot payload is not a whole number of f64 values")
+        flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise ArtifactIOError("non-finite value in snapshot payload")
+        net_count = sum(l.param_count for l in layers)
+        if flat.size < net_count:
+            raise ArtifactIOError("snapshot payload shorter than the layer table implies")
+        net = MlpNetwork(layers, flat[:net_count])
     except struct.error as exc:
         raise ArtifactIOError(f"truncated snapshot header: {exc}") from exc
-    if (len(blob) - offset) % 8:
-        raise ArtifactIOError("snapshot payload is not a whole number of f64 values")
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
-    net_count = sum(l.param_count for l in layers)
-    if flat.size < net_count:
-        raise ArtifactIOError("snapshot payload shorter than the layer table implies")
-    net = MlpNetwork(layers, flat[:net_count])
+    except ConfigurationError as exc:
+        raise ArtifactIOError(f"invalid snapshot layer table: {exc}") from exc
     return net, flat[net_count:]
 
 

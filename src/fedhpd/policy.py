@@ -12,6 +12,9 @@ Two heads cover the two action-space regimes:
 Each head's `score_grad` is the one place its score function d log pi(a|s)
 lives: `log_prob_grad` calls it on one state, REINFORCE on a weighted batch.
 
+The environment's action space decides the head: `make_policy` maps an
+`EnvSpec` to one, `snapshot` writes a head and `load_policy` restores it.
+
 `DistributionBatch` is the only payload agents and server ever exchange: a
 matrix of probability rows (categorical) or mean/variance matrices (Gaussian)
 evaluated on the shared public state set, with a compact binary wire format.
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import EnvSpec
 from .errors import ArtifactIOError, ConfigurationError, NumericError
-from .nn_core import MlpNetwork
+from .nn_core import MlpNetwork, load_network, network_to_bytes
 
 # Floor applied inside logarithms so a near-zero consensus entry cannot
 # produce -inf; softmax outputs themselves are always strictly positive.
@@ -105,8 +109,8 @@ class DistributionBatch:
         kind = _TAG_KINDS[tag]
         rows = np.frombuffer(blob, dtype="<f8", offset=9).astype(np.float64)
         matrices = 1 if kind == "categorical" else 2
-        if n == 0:
-            raise ArtifactIOError("batch declares no states")
+        if n == 0 or dim == 0:
+            raise ArtifactIOError(f"batch declares {n} states of dimension {dim}")
         if rows.size != matrices * n * dim:
             raise ArtifactIOError("batch payload size mismatch")
         fields = rows.reshape(matrices, n, dim)
@@ -174,6 +178,9 @@ class CategoricalPolicy:
 
     def set_params(self, params: np.ndarray) -> None:
         self.net.set_params(params)
+
+    def snapshot(self) -> bytes:
+        return network_to_bytes(self.net)
 
     def action_distribution(self, state: np.ndarray) -> np.ndarray:
         logits = self.net.output(state)
@@ -265,6 +272,10 @@ class GaussianPolicy:
         self.net.set_params(params[: self.net.num_params])
         self.log_std = np.clip(params[self.net.num_params :], LOG_STD_MIN, LOG_STD_MAX)
 
+    def snapshot(self) -> bytes:
+        """The network snapshot with the log-std entries as its tail."""
+        return network_to_bytes(self.net, self.log_std)
+
     def action_distribution(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu = self.net.output(state)
         if not np.all(np.isfinite(mu)):
@@ -323,3 +334,26 @@ class GaussianPolicy:
         net_grad = self.net.backward(cache, seeds)
         log_std_grad = (var / consensus.var - 1.0).mean(axis=0)
         return loss, np.concatenate([net_grad, log_std_grad])
+
+
+def make_policy(spec: EnvSpec, net: MlpNetwork, log_std: np.ndarray | None = None):
+    """The head `spec`'s action space calls for: categorical on the discrete
+    env, Gaussian (log-std zero unless given) on the continuous one."""
+    if net.output_dim != spec.action_count:
+        raise ConfigurationError(
+            f"network output dim {net.output_dim} does not fit {spec.kind}"
+        )
+    return CategoricalPolicy(net) if spec.discrete else GaussianPolicy(net, log_std)
+
+
+def load_policy(path, spec: EnvSpec):
+    """Restore the head for `spec` from a snapshot file; a Gaussian snapshot
+    ends in one log-std entry per action dimension, a categorical one in none."""
+    net, tail = load_network(path)
+    expected = 0 if spec.discrete else net.output_dim
+    if tail.size != expected:
+        raise ConfigurationError(
+            f"snapshot {path}: log-std tail has {tail.size} entries, "
+            f"{spec.kind} needs {expected}"
+        )
+    return make_policy(spec, net, tail)

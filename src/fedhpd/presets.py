@@ -11,10 +11,11 @@ from __future__ import annotations
 from .errors import ConfigurationError
 from .reinforce import AgentConfig
 
+# preset name -> (the env the lineup was tuned for, its agents)
 _PRESET_TABLES = {
     # discrete cart-pole, halved widths of the 10-agent lineup's 1/2/6/10
     "cartpole-4": (
-        "categorical",
+        "cartpole-discrete",
         [
             ("agent-1", [(64, "relu")], 1e-3),
             ("agent-2", [(16, "relu"), (16, "relu")], 2e-3),
@@ -23,7 +24,7 @@ _PRESET_TABLES = {
         ],
     ),
     "cartpole-10": (
-        "categorical",
+        "cartpole-discrete",
         [
             ("agent-1", [(128, "relu")], 1e-3),
             ("agent-2", [(32, "relu"), (32, "relu")], 2e-3),
@@ -39,7 +40,7 @@ _PRESET_TABLES = {
     ),
     # continuous cart-pole, agents 1/2/6/10 of the continuous lineup
     "pendulum-4": (
-        "gaussian",
+        "cartpole-continuous",
         [
             ("agent-1", [(16, "tanh"), (32, "tanh")], 1e-4),
             ("agent-2", [(32, "relu"), (32, "relu")], 1e-4),
@@ -58,22 +59,20 @@ def preset_agents(name: str, episodes_per_round: int = 1, reward_to_go: bool = F
         raise ConfigurationError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         )
-    head, table = _PRESET_TABLES[name]
     return [
         AgentConfig(
             agent_id=agent_id,
             hidden=[tuple(layer) for layer in hidden],
-            head=head,
             learning_rate=lr,
             episodes_per_round=episodes_per_round,
             reward_to_go=reward_to_go,
             gamma=gamma,
         )
-        for agent_id, hidden, lr in table
+        for agent_id, hidden, lr in _PRESET_TABLES[name][1]
     ]
 
 
-def preset_head(name: str) -> str:
+def preset_env(name: str) -> str:
     if name not in _PRESET_TABLES:
         raise ConfigurationError(f"unknown preset {name!r}")
     return _PRESET_TABLES[name][0]

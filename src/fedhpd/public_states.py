@@ -41,12 +41,11 @@ def generate_public_states(
     config = AgentConfig(
         agent_id="virtual",
         hidden=list(VIRTUAL_AGENT_HIDDEN),
-        head="categorical" if spec.discrete else "gaussian",
         learning_rate=VIRTUAL_AGENT_LR,
     )
     agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
-    for i in range(warmup_rounds):
-        agent.local_round(i)
+    for _ in range(warmup_rounds):
+        agent.local_round()
 
     pool = np.concatenate([rollout(agent.policy, spec, agent.rng).states
                            for _ in range(rollouts)])
@@ -54,4 +53,4 @@ def generate_public_states(
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)
     else:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=True)
-    return PublicStateSet(pool[idx], generated=True)
+    return PublicStateSet(pool[idx])

@@ -24,28 +24,26 @@ import numpy as np
 from . import env as envmod
 from .errors import ConfigurationError
 from .nn_core import AdamState, LayerSpec, adam_step, glorot_init
-from .policy import CategoricalPolicy, GaussianPolicy
+from .policy import make_policy
 
 
 @dataclass
 class AgentConfig:
-    """One heterogeneous agent: hidden stack, head kind, and training knobs."""
+    """One heterogeneous agent: hidden stack and training knobs. Its policy
+    head is not configured: it follows the env (`policy.make_policy`)."""
 
     agent_id: str
     hidden: list[tuple[int, str]]  # (width, activation) per hidden layer
-    head: str  # "categorical" | "gaussian"
     learning_rate: float
     episodes_per_round: int = 1
     reward_to_go: bool = False
     gamma: float = 0.99
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"agent {self.agent_id}: learning rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError(f"agent {self.agent_id}: learning rate must be finite, > 0")
         if self.episodes_per_round < 1:
             raise ConfigurationError(f"agent {self.agent_id}: episodes_per_round must be >= 1")
-        if self.head not in ("categorical", "gaussian"):
-            raise ConfigurationError(f"agent {self.agent_id}: unknown head {self.head!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigurationError(f"agent {self.agent_id}: gamma must be in (0, 1)")
 
@@ -53,7 +51,6 @@ class AgentConfig:
 @dataclass
 class RoundStats:
     agent_id: str
-    round_index: int
     episode_returns: list[float]
     discounted_returns: list[float]
     grad_norm: float
@@ -69,20 +66,13 @@ class RoundStats:
 
 def build_policy(config: AgentConfig, spec: envmod.EnvSpec, rng: np.random.Generator):
     """Instantiate the agent's policy for the given environment."""
-    if config.head == "categorical" and not spec.discrete:
-        raise ConfigurationError(f"agent {config.agent_id}: categorical head on continuous env")
-    if config.head == "gaussian" and spec.discrete:
-        raise ConfigurationError(f"agent {config.agent_id}: gaussian head on discrete env")
     layers = []
     prev = envmod.STATE_DIM
     for width, activation in config.hidden:
         layers.append(LayerSpec(prev, width, activation))
         prev = width
     layers.append(LayerSpec(prev, spec.action_count, "identity"))
-    net = glorot_init(layers, rng)
-    if config.head == "categorical":
-        return CategoricalPolicy(net)
-    return GaussianPolicy(net)
+    return make_policy(spec, glorot_init(layers, rng))
 
 
 @dataclass
@@ -157,14 +147,13 @@ class Agent:
         self.policy = build_policy(config, spec, self.rng)
         self.adam = AdamState.zeros(self.policy.num_params)
 
-    def local_round(self, round_index: int) -> RoundStats:
+    def local_round(self) -> RoundStats:
         config = self.config
         episodes = collect_trajectories(self.policy, self.spec, config, self.rng)
         grad = policy_gradient(self.policy, episodes, config.gamma, config.reward_to_go)
         self.adam = local_update(self.policy, self.adam, grad, config.learning_rate)
         return RoundStats(
             agent_id=config.agent_id,
-            round_index=round_index,
             episode_returns=[float(e.rewards.sum()) for e in episodes],
             discounted_returns=[
                 envmod.discounted_return(e.rewards, config.gamma) for e in episodes
@@ -186,8 +175,8 @@ def train_independent(agents: list[Agent], rounds: int,
     """The NoFed baseline: every agent trains alone for `rounds` rounds."""
     stats: list[list[RoundStats]] = []
     traces: list[list[np.ndarray]] = []
-    for i in range(rounds):
-        stats.append([agent.local_round(i) for agent in agents])
+    for _ in range(rounds):
+        stats.append([agent.local_round() for agent in agents])
         if trace_params:
             traces.append([agent.policy.get_params() for agent in agents])
     return {"round_stats": stats, "param_traces": traces}

@@ -1,12 +1,17 @@
 """Config grammar, sweep execution, CSV schemas, and CLI exit codes."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
+from fedhpd.env import PublicStateSet, save_state_set
 from fedhpd.errors import ConfigurationError
-from fedhpd.nn_core import LayerSpec, glorot_init, save_network
+from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes, save_network
 from fedhpd.experiment import (
+    _KEY_DEFAULTS,
     METRICS_COLUMNS,
     ExperimentConfig,
     experiment_cells,
@@ -24,7 +29,6 @@ run.seeds = 20, 25
 run.workers = 1
 fed.d = 4
 agents.spec = "8:tanh@1e-3; 6x6:tanh@2e-3"
-agents.head = "categorical"
 states.size = 16
 states.warmup_rounds = 0
 states.rollouts = 2
@@ -68,6 +72,8 @@ def test_boolean_is_not_a_positive_integer():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigurationError, match="unknown key"):
         parse_config_text("run.bogus = 3")
+    with pytest.raises(ConfigurationError, match="unknown key 'agents.head'"):
+        parse_config_text('agents.head = "categorical"')
     with pytest.raises(ConfigurationError, match="key = value"):
         parse_config_text("run.rounds")
 
@@ -85,17 +91,32 @@ def test_validation_names_the_bad_field():
         ExperimentConfig({"states.source": "file"})
 
 
+@pytest.mark.parametrize("line", [
+    "run.gamma = abc", "run.gamma = 0.5, 0.6", "diag.radius = abc",
+    "diag.epsilon = 0.1, 0.2", "diag.delta = inf", "run.output_dir = 5", "states.path = 5",
+    "agents.spec = 5", "fed.include_nofed = 1", "states.seed = abc", "diag.seed = -1",
+    "run.seeds = -1", pytest.param("diag.radius = 1" + "0" * 400, id="diag.radius-huge-int"),
+])
+def test_config_values_are_type_checked_by_name(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        load_experiment_config(None, [line])
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(_KEY_DEFAULTS)
+
+
 def test_agent_spec_grammar():
-    agents = parse_agent_spec("64:relu@1e-3; 16x16:relu,tanh@2e-3",
-                              "categorical", 1, False, 0.99)
+    agents = parse_agent_spec("64:relu@1e-3; 16x16:relu,tanh@2e-3", 1, False, 0.99)
     assert [a.agent_id for a in agents] == ["agent-1", "agent-2"]
     assert agents[0].hidden == [(64, "relu")]
     assert agents[1].hidden == [(16, "relu"), (16, "tanh")]
     assert agents[1].learning_rate == 2e-3
     with pytest.raises(ConfigurationError):
-        parse_agent_spec("64:relu@1e-3", "beta", 1, False, 0.99)
-    with pytest.raises(ConfigurationError):
-        parse_agent_spec("16x16:relu,tanh,relu@1e-3", "categorical", 1, False, 0.99)
+        parse_agent_spec("16x16:relu,tanh,relu@1e-3", 1, False, 0.99)
 
 
 def test_overrides_apply_after_file(tmp_path):
@@ -234,6 +255,21 @@ def test_cli_exit_codes(tmp_path):
             "--states", str(states), "--output-dir", str(tmp_path),
         ])
         assert code == 4
+    nan_snapshot = tmp_path / "nan.fhpd"
+    nan_snapshot.write_bytes(snapshot.read_bytes()[:-8] + np.array([np.nan]).tobytes())
+    states_file = tmp_path / "states.txt"
+    save_state_set(PublicStateSet(np.zeros((3, 4))), states_file)
+    assert main(["diagnose", "--config", str(path), "--snapshot", str(nan_snapshot),
+                 "--states", str(states_file), "--output-dir", str(tmp_path)]) == 4
+    # an output directory below a regular file cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    quick_diag = ["--set", "diag.samples = 2", "--set", "diag.repeats = 1",
+                  "--set", "diag.pairs = 1"]
+    for argv in (["train"], ["generate-states"],
+                 ["diagnose", "--snapshot", str(snapshot), "--states", str(states_file),
+                  *quick_diag]):
+        assert main([*argv, "--config", str(path), "--output-dir", str(blocker / "x")]) == 4
 
 
 def test_cli_diagnose_uses_configured_gamma(tmp_path):
@@ -287,7 +323,7 @@ def test_cli_diagnose_self_consensus(tmp_path):
 def test_experiment_cells_enumeration():
     config = ExperimentConfig({
         "run.rounds": 10, "run.seeds": [1, 2], "fed.d": [5],
-        "agents.spec": "4:tanh@1e-3", "agents.head": "categorical",
+        "agents.spec": "4:tanh@1e-3",
     })
     cells = experiment_cells(config)
     assert [(c.mode, c.interval, c.seed) for c in cells] == [
@@ -316,3 +352,24 @@ def test_consensus_dump_option(tmp_path):
     assert len(dumps) == 4
     batch = DistributionBatch.from_bytes(dumps[0].read_bytes())
     assert batch.kind == "categorical" and batch.n_states == 16
+
+
+def test_spec_lineup_on_continuous_env_trains_gaussian_agents(tmp_path, capsys):
+    # no head key: the continuous env alone makes every agent Gaussian
+    path = write_config(tmp_path, SMALL_CONFIG.replace(
+        'env.kind = "cartpole-discrete"', 'env.kind = "cartpole-continuous"'))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out),
+                 "--set", "run.rounds = 4", "--set", "run.seeds = 20"]) == 0
+    snapshots = sorted((out / "snapshots").glob("*.fhpd"))
+    assert len(snapshots) == 4
+    for snapshot in snapshots:
+        net, tail = network_from_bytes(snapshot.read_bytes())
+        assert net.output_dim == 1 and tail.size == 1
+    # a snapshot cut by its log-std tail is rejected by name
+    cut = tmp_path / "cut.fhpd"
+    cut.write_bytes(snapshots[0].read_bytes()[:-8])
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(path), "--snapshot", str(cut),
+                 "--states", str(out / "states.txt"), "--output-dir", str(tmp_path)]) == 2
+    assert "log-std tail has 0 entries" in capsys.readouterr().err

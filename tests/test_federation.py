@@ -23,10 +23,8 @@ def cat_batch(rows):
     return DistributionBatch("categorical", probs=np.array(rows, dtype=np.float64))
 
 
-def agent_config(i, lr=1e-3, hidden=((8, "tanh"),), head="categorical"):
-    return AgentConfig(
-        agent_id=f"a{i}", hidden=list(hidden), head=head, learning_rate=lr
-    )
+def agent_config(i, lr=1e-3, hidden=((8, "tanh"),)):
+    return AgentConfig(agent_id=f"a{i}", hidden=list(hidden), learning_rate=lr)
 
 
 def small_states(seed=4, n=16):
@@ -58,15 +56,6 @@ def test_aggregate_gaussian_moments():
     np.testing.assert_allclose(merged.var, 2.0)
 
 
-def test_aggregate_weighted():
-    merged = aggregate(
-        [cat_batch([[1.0, 0.0]]), cat_batch([[0.0, 1.0]])], weights=[0.75, 0.25]
-    )
-    np.testing.assert_allclose(merged.probs, [[0.75, 0.25]])
-    with pytest.raises(ConfigurationError):
-        aggregate([cat_batch([[1.0, 0.0]])], weights=[0.5])
-
-
 def test_aggregate_rejects_mismatches():
     with pytest.raises(ConfigurationError):
         aggregate([])
@@ -90,8 +79,8 @@ def test_aggregate_rows_stay_on_simplex():
 def test_single_agent_distillation_is_exact_fixed_point():
     states = small_states()
     agents = make_agents([agent_config(0)], SPEC, seed=21)
-    for i in range(3):  # warm the Adam moments so the guard actually matters
-        agents[0].local_round(i)
+    for _ in range(3):  # warm the Adam moments so the guard actually matters
+        agents[0].local_round()
     before = agents[0].policy.get_params()
     adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(), agents[0].adam.step_count)
     record = distillation_round(agents, states, round_index=3)
@@ -109,9 +98,9 @@ def test_identical_agents_distillation_is_exact_fixed_point(k):
     agents = [
         make_agents([agent_config(0)], SPEC, seed=33)[0] for _ in range(k)
     ]
-    for i in range(2):
+    for _ in range(2):
         for agent in agents:
-            agent.local_round(i)
+            agent.local_round()
     before = [a.policy.get_params() for a in agents]
     record = distillation_round(agents, states, round_index=2)
     assert record.kl_losses == [0.0] * k
@@ -222,7 +211,7 @@ def test_gaussian_run_consensus_variances_positive():
         env_kind="cartpole-continuous",
         rounds=4,
         interval=2,
-        agent_configs=[agent_config(i, head="gaussian") for i in range(2)],
+        agent_configs=[agent_config(i) for i in range(2)],
         seed=15,
     )
     result = run(config, states)
@@ -234,13 +223,5 @@ def test_gaussian_run_consensus_variances_positive():
 def test_run_config_validation():
     with pytest.raises(ConfigurationError):
         run_config(interval=0)
-    with pytest.raises(ConfigurationError):
-        FedRunConfig(
-            env_kind="cartpole-discrete",
-            rounds=5,
-            interval=None,
-            agent_configs=[agent_config(0), agent_config(1, head="gaussian")],
-            seed=1,
-        )
     with pytest.raises(ConfigurationError):
         run(run_config(interval=2), states=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedhpd.env import EnvSpec
 from fedhpd.errors import ArtifactIOError, ConfigurationError
 from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import (
@@ -16,6 +17,8 @@ from fedhpd.policy import (
     GaussianPolicy,
     kl_categorical,
     kl_gaussian,
+    load_policy,
+    make_policy,
     softmax,
 )
 
@@ -449,8 +452,10 @@ def test_every_truncated_batch_is_an_artifact_error(kind):
 
 
 def test_empty_batch_blob_is_an_artifact_error():
-    with pytest.raises(ArtifactIOError):
-        DistributionBatch.from_bytes(struct.pack("<BII", 0, 0, 2))
+    # no states, or a Gaussian batch with no action dimensions
+    for tag, n, dim in ((0, 0, 2), (1, 0, 1), (1, 3, 0)):
+        with pytest.raises(ArtifactIOError):
+            DistributionBatch.from_bytes(struct.pack("<BII", tag, n, dim))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -464,3 +469,35 @@ def test_distribution_batch_rejects_non_finite_rows(bad):
         poisoned = blob[:offset] + np.array([bad]).tobytes() + blob[offset + 8:]
         with pytest.raises(ArtifactIOError, match=f"non-finite {what} in batch row 2"):
             DistributionBatch.from_bytes(poisoned)
+
+
+@pytest.mark.parametrize("env_kind,other", [
+    ("cartpole-discrete", "cartpole-continuous"),
+    ("cartpole-continuous", "cartpole-discrete"),
+])
+def test_load_policy_round_trips_each_head(tmp_path, env_kind, other):
+    spec = EnvSpec(env_kind)
+    rng = np.random.default_rng(41)
+    layers = [LayerSpec(4, 5, "tanh"), LayerSpec(5, spec.action_count, "identity")]
+    policy = make_policy(spec, glorot_init(layers, rng))
+    assert isinstance(policy, CategoricalPolicy if spec.discrete else GaussianPolicy)
+    policy.set_params(rng.normal(size=policy.num_params))  # log-std away from 0
+    path = tmp_path / "policy.fhpd"
+    path.write_bytes(policy.snapshot())
+    restored = load_policy(path, spec)
+    assert restored.kind == policy.kind
+    assert np.array_equal(restored.get_params(), policy.get_params())
+    with pytest.raises(ConfigurationError):
+        load_policy(path, EnvSpec(other))
+    with pytest.raises(ConfigurationError, match="output dim"):
+        make_policy(EnvSpec(other), policy.net)
+
+
+def test_load_policy_rejects_a_gaussian_snapshot_without_its_tail(tmp_path):
+    spec = EnvSpec("cartpole-continuous")
+    policy = make_policy(spec, glorot_init([LayerSpec(4, 1, "identity")],
+                                           np.random.default_rng(43)))
+    path = tmp_path / "cut.fhpd"
+    path.write_bytes(policy.snapshot()[:-8])
+    with pytest.raises(ConfigurationError, match="log-std tail has 0 entries"):
+        load_policy(path, spec)

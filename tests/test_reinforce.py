@@ -12,7 +12,6 @@ from fedhpd.reinforce import (
     Agent,
     AgentConfig,
     Episode,
-    build_policy,
     collect_trajectories,
     local_update,
     make_agents,
@@ -28,7 +27,6 @@ def agent_config(**overrides):
     base = dict(
         agent_id="a0",
         hidden=[(8, "tanh")],
-        head="categorical",
         learning_rate=1e-3,
     )
     base.update(overrides)
@@ -63,7 +61,8 @@ def test_trajectory_lengths_within_horizon():
 ])
 def test_rollout_consumes_reset_then_one_sample_per_step(head, env_kind):
     spec = EnvSpec(env_kind)
-    agent = Agent(agent_config(head=head), spec, np.random.SeedSequence(7))
+    agent = Agent(agent_config(), spec, np.random.SeedSequence(7))
+    assert agent.policy.kind == head
     rng = np.random.default_rng(8)
     replay = np.random.default_rng(8)
     episode = rollout(agent.policy, spec, rng)
@@ -125,9 +124,10 @@ def test_one_step_trajectory_is_scaled_log_prob_grad():
 @pytest.mark.parametrize("reward_to_go", [False, True])
 def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     spec = EnvSpec(env_kind)
-    cfg = agent_config(head=head, reward_to_go=reward_to_go, episodes_per_round=2)
+    cfg = agent_config(reward_to_go=reward_to_go, episodes_per_round=2)
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
+        assert agent.policy.kind == head
         trajectories = collect_trajectories(agent.policy, spec, cfg, agent.rng)
         got = policy_gradient(agent.policy, trajectories, cfg.gamma, cfg.reward_to_go)
 
@@ -229,25 +229,21 @@ def test_round_stats_returns_nonnegative():
             assert stats.grad_norm >= 0.0
 
 
-def test_build_policy_rejects_head_env_mismatch():
-    with pytest.raises(ConfigurationError):
-        build_policy(agent_config(head="gaussian"), SPEC, np.random.default_rng(0))
-
-
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         agent_config(learning_rate=0.0)
     with pytest.raises(ConfigurationError):
         agent_config(episodes_per_round=0)
-    with pytest.raises(ConfigurationError):
-        agent_config(head="beta")
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            agent_config(learning_rate=lr)
 
 
 def test_generate_public_states_deterministic_and_bounded():
     a = generate_public_states(SPEC, warmup_rounds=3, rollouts=4, n=64, seed=77)
     b = generate_public_states(SPEC, warmup_rounds=3, rollouts=4, n=64, seed=77)
     assert np.array_equal(a.states, b.states)
-    assert a.size == 64 and a.generated
+    assert a.size == 64
     assert np.all(np.abs(a.states[:, 0]) <= X_THRESHOLD)
     assert np.all(np.abs(a.states[:, 2]) <= THETA_THRESHOLD)
 
