@@ -44,8 +44,6 @@ from .policy import (
     CategoricalPolicy,
     DistributionBatch,
     GaussianPolicy,
-    kl_categorical,
-    kl_gaussian,
     load_policy,
     make_policy,
 )
@@ -60,8 +58,9 @@ from .reinforce import (
     local_update,
     make_agents,
     policy_gradient,
+    raise_failures,
     rollout,
-    train_independent,
+    train_round,
 )
 
 __version__ = "0.1.0"

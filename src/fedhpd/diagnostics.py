@@ -33,7 +33,7 @@ import numpy as np
 from .env import EnvSpec
 from .errors import ConfigurationError
 from .policy import DistributionBatch
-from .reinforce import policy_gradient, rollout
+from .reinforce import policy_gradient, raise_failures, rollout
 
 
 @dataclass
@@ -136,7 +136,8 @@ def sample_trajectory_gradients(
         raise ConfigurationError("need at least 2 samples")
     samples = np.empty((n_samples, policy.num_params))
     for i in range(n_samples):
-        samples[i] = policy_gradient(policy, [rollout(policy, spec, rng)], gamma, reward_to_go)
+        episodes = raise_failures(rollout([policy], spec, [rng]))
+        samples[i] = policy_gradient(policy, episodes, gamma, reward_to_go)
     return samples
 
 

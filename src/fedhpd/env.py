@@ -63,8 +63,12 @@ def reset(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-RESET_BOUND, RESET_BOUND, size=STATE_DIM)
 
 
+def _out_of_bounds(x: float, theta: float) -> bool:
+    return abs(x) > X_THRESHOLD or abs(theta) > THETA_THRESHOLD
+
+
 def is_terminal(state: np.ndarray) -> bool:
-    return abs(state[0]) > X_THRESHOLD or abs(state[2]) > THETA_THRESHOLD
+    return _out_of_bounds(state[0], state[2])
 
 
 def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
@@ -73,18 +77,21 @@ def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, b
     Velocities are integrated first, positions with the updated velocities
     (semi-implicit Euler). Reward is 1.0 unless the incoming state was already
     terminal; `done` reflects the outgoing state only - the horizon is the
-    caller's business.
+    caller's business. The arithmetic runs on Python floats, one state at a
+    time: this is the inner loop of every rollout.
     """
-    x, x_dot, theta, theta_dot = (float(v) for v in state)
-    if not all(map(math.isfinite, (x, x_dot, theta, theta_dot))):
+    x, x_dot, theta, theta_dot = np.asarray(state, dtype=np.float64).tolist()
+    if not (math.isfinite(x) and math.isfinite(x_dot)
+            and math.isfinite(theta) and math.isfinite(theta_dot)):
         raise NumericError("non-finite environment state")
     if spec.discrete:
         if action not in (0, 1):
             raise ConfigurationError(f"discrete action must be 0 or 1, got {action!r}")
         force = FORCE_MAG if action == 1 else -FORCE_MAG
     else:
-        force = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0],
-                              -FORCE_MAG, FORCE_MAG))
+        force = float(np.asarray(action, dtype=np.float64).reshape(-1)[0])
+        force = min(max(force, -FORCE_MAG), FORCE_MAG)
+    reward = 0.0 if _out_of_bounds(x, theta) else 1.0
 
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
@@ -99,9 +106,7 @@ def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, b
     theta_dot += TIMESTEP * theta_acc
     theta += TIMESTEP * theta_dot
 
-    next_state = np.array([x, x_dot, theta, theta_dot])
-    reward = 0.0 if is_terminal(state) else 1.0
-    return next_state, reward, is_terminal(next_state)
+    return np.array([x, x_dot, theta, theta_dot]), reward, _out_of_bounds(x, theta)
 
 
 def discounted_return(rewards: np.ndarray, gamma: float) -> float:

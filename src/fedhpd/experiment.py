@@ -15,8 +15,11 @@ starts. A training invocation expands into a grid of cells
 interval - and each cell writes one metrics CSV. Reals are printed with 17
 significant digits so downstream comparisons can reproduce results exactly.
 
-Cells are independent and may run in a process pool; outputs are written by
-the parent in a fixed order, so byte-identical results do not depend on the
+The cells of a grid share their lineup, so they train together in lockstep
+(`run_group`, `federation.run`): one group at `run.workers = 1`, otherwise the
+cells are dealt into `run.workers` groups that run in a process pool. Every
+cell's numbers are those it would have alone, and outputs are written by the
+parent in a fixed order, so byte-identical results do not depend on the
 worker count.
 """
 
@@ -35,6 +38,7 @@ import numpy as np
 from .env import ENV_KINDS, EnvSpec, PublicStateSet, load_state_set, save_state_set
 from .errors import ArtifactIOError, ConfigurationError
 from .federation import FedRunConfig, RunResult, run
+from .nn_core import ACTIVATIONS
 from .presets import PRESET_NAMES, preset_agents, preset_env
 from .public_states import generate_public_states
 from .reinforce import AgentConfig
@@ -149,6 +153,14 @@ def parse_agent_spec(spec: str, episodes_per_round: int, reward_to_go: bool,
                 f"agents.spec entry {entry.strip()!r}: {len(widths)} widths "
                 f"but {len(acts)} activations"
             )
+        for width, act in zip(widths, acts):
+            if width < 1:
+                raise ConfigurationError(
+                    f"agents.spec entry {entry.strip()!r}: width {width} is not positive")
+            if act not in ACTIVATIONS:
+                raise ConfigurationError(
+                    f"agents.spec entry {entry.strip()!r}: unknown activation {act!r}; "
+                    f"choose one of {', '.join(ACTIVATIONS)}")
         agents.append(
             AgentConfig(
                 agent_id=f"agent-{i + 1}",
@@ -354,28 +366,19 @@ def _system_returns(result: RunResult) -> np.ndarray:
     ])
 
 
-def run_cell(config_values: dict, cell: Cell, states_rows) -> dict:
-    """Execute one grid cell; returns formatted rows and summary scalars."""
-    config = ExperimentConfig(dict(config_values))
-    fed_config = FedRunConfig(
-        env_kind=config["env.kind"],
-        rounds=config["run.rounds"],
-        interval=cell.interval,
-        agent_configs=config.agent_configs(),
-        seed=cell.seed,
-        max_steps=config["env.max_steps"],
-    )
-    states = PublicStateSet(states_rows) if states_rows is not None else None
-    result = run(fed_config, states)
+def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
+    """Format one finished cell: metrics CSV text, summary scalars, snapshots."""
     system = _system_returns(result)
     window = min(FINAL_WINDOW, system.size)
+    lines = [",".join(METRICS_COLUMNS)]
+    lines.extend(",".join(row) for row in metrics_rows(cell, result))
     return {
         "cell": cell,
-        "rows": metrics_rows(cell, result),
+        "csv": "\n".join(lines) + "\n",
         "final_window_mean": float(system[-window:].mean()),
         "overall_mean": float(system.mean()),
         "snapshots": list(zip(
-            [a.agent_id for a in fed_config.agent_configs], result.final_snapshots
+            [a.agent_id for a in config.agent_configs()], result.final_snapshots
         )),
         "consensus_dumps": [
             (record.round_index, record.consensus.to_bytes())
@@ -384,12 +387,41 @@ def run_cell(config_values: dict, cell: Cell, states_rows) -> dict:
     }
 
 
-def _run_cell_checked(args):
-    config_values, cell, states_rows = args
+def _cell_outcome(config: ExperimentConfig, cell: Cell, result) -> dict:
+    """A finished cell's outputs, or its failure; cell failures are recorded,
+    not fatal."""
     try:
-        return run_cell(config_values, cell, states_rows)
-    except Exception as exc:  # cell failures are recorded, not fatal
-        return {"cell": cell, "error": f"{type(exc).__name__}: {exc}"}
+        if not isinstance(result, Exception):
+            return run_cell(config, cell, result)
+    except Exception as exc:
+        result = exc
+    return {"cell": cell, "error": f"{type(result).__name__}: {result}"}
+
+
+def run_group(args) -> list[dict]:
+    """Train a group of cells in lockstep (`federation.run`); one outcome per
+    cell, with a failure recorded against its cell only."""
+    config_values, cells, states_rows = args
+    config = ExperimentConfig(dict(config_values))
+    try:
+        results = run([
+            FedRunConfig(
+                env_kind=config["env.kind"],
+                rounds=config["run.rounds"],
+                interval=cell.interval,
+                agent_configs=config.agent_configs(),
+                seed=cell.seed,
+                max_steps=config["env.max_steps"],
+            )
+            for cell in cells
+        ], PublicStateSet(states_rows) if states_rows is not None else None)
+    except Exception as exc:  # a failure before the cells part fails them all
+        results = [exc] * len(cells)
+    outcomes = []
+    for c, cell in enumerate(cells):
+        outcomes.append(_cell_outcome(config, cell, results[c]))
+        results[c] = None  # a cell's result is large next to its CSV text
+    return outcomes
 
 
 def write_file(path: Path, data: str | bytes) -> None:
@@ -435,13 +467,17 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         else:
             states_rows = write_states(config, output_dir / "states.txt").states
 
-    jobs = [(config.values, cell, states_rows) for cell in cells]
-    workers = config["run.workers"]
+    # cells are dealt round-robin into one lockstep group per worker
+    workers = min(config["run.workers"], len(cells))
+    jobs = [(config.values, cells[g::workers], states_rows) for g in range(workers)]
     if workers == 1:
-        outcomes = [_run_cell_checked(job) for job in jobs]
+        grouped = [run_group(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_checked, jobs))
+            grouped = list(pool.map(run_group, jobs))
+    outcomes: list = [None] * len(cells)
+    for g, group in enumerate(grouped):
+        outcomes[g::workers] = group
 
     summary_rows = []
     failures = []
@@ -452,9 +488,7 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
             failures.append(f"{cell.file_name}: {outcome['error']}")
             continue
         path = output_dir / cell.file_name
-        lines = [",".join(METRICS_COLUMNS)]
-        lines.extend(",".join(row) for row in outcome["rows"])
-        write_file(path, "\n".join(lines) + "\n")
+        write_file(path, outcome["csv"])
         written.append(path)
         for agent_id, blob in outcome["snapshots"]:
             name = f"{cell.run_id}-seed{cell.seed}-{agent_id}.fhpd"

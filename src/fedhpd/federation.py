@@ -33,7 +33,7 @@ from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
 from .nn_core import adam_step
 from .policy import DistributionBatch
-from .reinforce import Agent, AgentConfig, RoundStats, make_agents
+from .reinforce import Agent, AgentConfig, RoundStats, make_agents, train_round
 
 
 @dataclass
@@ -135,23 +135,55 @@ def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
     return [i for i in range(rounds) if (i + 1) % interval == 0]
 
 
-def run(config: FedRunConfig, states: PublicStateSet | None,
-        trace_params: bool = False) -> RunResult:
-    """Execute the full protocol for one seed."""
-    if config.interval is not None and states is None:
+def run(configs: list[FedRunConfig], states: PublicStateSet | None,
+        trace_params: bool = False) -> list:
+    """Execute the full protocol for the cells of one grid, in lockstep.
+
+    The cells share the env, the rounds and the lineup, and differ only in
+    interval and seed. Each round agent k of every cell collects its episodes
+    in one lockstep `train_round`; then each cell runs its own distillation
+    if its interval fires. A cell whose code raises stops there: its slot
+    holds the exception instead of a `RunResult`, and the others run on with
+    exactly the numbers they would have had alone.
+    """
+    first = configs[0]
+    shared = (first.env_kind, first.max_steps, first.rounds, first.agent_configs)
+    if any((c.env_kind, c.max_steps, c.rounds, c.agent_configs) != shared for c in configs):
+        raise ConfigurationError("lockstep cells must share env, rounds and lineup")
+    if states is None and any(c.interval is not None for c in configs):
         raise ConfigurationError("federated runs need a public state set")
-    agents = make_agents(config.agent_configs, config.spec, config.seed)
-    fire = set(distillation_rounds(config.rounds, config.interval))
-    result = RunResult(round_stats=[], consensus_records=[], bytes_per_round=[])
-    for i in range(config.rounds):
-        result.round_stats.append([agent.local_round() for agent in agents])
-        if i in fire:
-            record = distillation_round(agents, states, i)
-            result.consensus_records.append(record)
-            result.bytes_per_round.append(record.bytes_communicated)
-        else:
-            result.bytes_per_round.append(0)
-        if trace_params:
-            result.param_traces.append([agent.policy.get_params() for agent in agents])
-    result.final_snapshots = [agent.policy.snapshot() for agent in agents]
-    return result
+    cells = [make_agents(c.agent_configs, c.spec, c.seed) for c in configs]
+    fires = [set(distillation_rounds(c.rounds, c.interval)) for c in configs]
+    results: list = [RunResult(round_stats=[], consensus_records=[], bytes_per_round=[])
+                     for _ in configs]
+
+    def running() -> list[int]:
+        return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
+
+    for i in range(first.rounds):
+        round_stats = {c: [] for c in running()}
+        for k in range(len(first.agent_configs)):
+            live = running()
+            for c, stats in zip(live, train_round([cells[c][k] for c in live])):
+                if isinstance(stats, Exception):
+                    results[c] = stats
+                else:
+                    round_stats[c].append(stats)
+        for c in running():
+            result = results[c]
+            result.round_stats.append(round_stats[c])
+            if i in fires[c]:
+                try:
+                    record = distillation_round(cells[c], states, i)
+                except Exception as exc:
+                    results[c] = exc
+                    continue
+                result.consensus_records.append(record)
+                result.bytes_per_round.append(record.bytes_communicated)
+            else:
+                result.bytes_per_round.append(0)
+            if trace_params:
+                result.param_traces.append([agent.policy.get_params() for agent in cells[c]])
+    for c in running():
+        results[c].final_snapshots = [agent.policy.snapshot() for agent in cells[c]]
+    return results

@@ -169,6 +169,37 @@ class MlpNetwork:
         return grad
 
 
+class NetworkStack:
+    """Same-shape networks evaluated side by side, one input row per network.
+
+    Each layer's weights are stacked once as [n, in, out] (biases [n, 1, out]),
+    so a step of n rows is one `(n, 1, in) @ (n, in, out)` matmul per layer.
+    Row i's output is bit-identical to network i's own 1-D forward pass:
+    every row goes through the same per-matrix product and elementwise ops.
+    """
+
+    def __init__(self, nets: Sequence[MlpNetwork]):
+        layers = nets[0].layers
+        if any(net.layers != layers for net in nets):
+            raise ConfigurationError("stacked networks must share one layer table")
+        self.activations = [spec.activation for spec in layers]
+        per_layer = list(zip(*(net._views for net in nets)))  # [layer][net] -> (w, b)
+        self.weights = [np.stack([w for w, _ in layer]) for layer in per_layer]
+        self.biases = [np.stack([b for _, b in layer])[:, None, :] for layer in per_layer]
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every network but those at `rows`, in that order."""
+        self.weights = [w[rows] for w in self.weights]
+        self.biases = [b[rows] for b in self.biases]
+
+    def output(self, x: np.ndarray) -> np.ndarray:
+        """Row i of `x` [n, in] through network i; returns [n, out]."""
+        h = x[:, None, :]
+        for w, b, activation in zip(self.weights, self.biases, self.activations):
+            h = _apply_activation(activation, h @ w + b)
+        return h[:, 0, :]
+
+
 def glorot_init(layers: Sequence[LayerSpec], rng: np.random.Generator) -> MlpNetwork:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
     layers = tuple(layers)

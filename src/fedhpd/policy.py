@@ -33,7 +33,7 @@ import numpy as np
 
 from .env import EnvSpec
 from .errors import ArtifactIOError, ConfigurationError, NumericError
-from .nn_core import MlpNetwork, load_network, network_to_bytes
+from .nn_core import MlpNetwork, NetworkStack, load_network, network_to_bytes
 
 # Floor applied inside logarithms so a near-zero consensus entry cannot
 # produce -inf; softmax outputs themselves are always strictly positive.
@@ -135,36 +135,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """sum_i p_i ln(p_i / q_i), with 0 ln 0 = 0 and a floor inside the logs.
-
-    For rows that agree to rounding the sum can land a few ulps below zero;
-    it is clamped, since a KL divergence is never negative.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ConfigurationError("KL rows must have equal length")
-    logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
-    return max(0.0, float(np.sum(np.where(p > 0.0, p * logs, 0.0))))
+def _draw_categorical(probs: list[float], rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from one uniform u: the first action whose cumulative
+    probability exceeds u, else the last. With two actions this is u < p0."""
+    u = rng.random()
+    edge = 0.0
+    for action, p in enumerate(probs[:-1]):
+        edge += p
+        if u < edge:
+            return action
+    return len(probs) - 1
 
 
-def kl_gaussian(mu1, var1, mu2, var2) -> float:
-    """Closed-form KL between diagonal Gaussians, summed over dimensions:
-    1/2 (var1/var2 + (mu2-mu1)^2/var2 - 1 + ln(var2/var1)) per dimension.
-    """
-    mu1, var1 = np.asarray(mu1, dtype=np.float64), np.asarray(var1, dtype=np.float64)
-    mu2, var2 = np.asarray(mu2, dtype=np.float64), np.asarray(var2, dtype=np.float64)
-    if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
-        raise ConfigurationError("gaussian KL needs positive variances")
-    terms = var1 / var2 + (mu2 - mu1) ** 2 / var2 - 1.0 + np.log(var2 / var1)
-    return float(0.5 * np.sum(terms))
+def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return mu + std * rng.standard_normal(mu.size)
 
 
 class CategoricalPolicy:
     """Softmax policy for discrete actions: probs(s) = softmax(net(s))."""
 
     kind = "categorical"
+    nonfinite = "non-finite policy logits"
 
     def __init__(self, net: MlpNetwork):
         if net.output_dim < 2:
@@ -185,14 +176,19 @@ class CategoricalPolicy:
     def action_distribution(self, state: np.ndarray) -> np.ndarray:
         logits = self.net.output(state)
         if not np.all(np.isfinite(logits)):
-            raise NumericError("non-finite policy logits")
+            raise NumericError(self.nonfinite)
         return softmax(logits)
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
-        probs = self.action_distribution(state)
-        # inverse-CDF draw keeps the agent's stream consumption at one uniform
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, probs.size - 1))
+        return _draw_categorical(self.action_distribution(state).tolist(), rng)
+
+    def noise_scale(self) -> None:
+        return None  # a categorical draw needs nothing beyond the logits
+
+    @staticmethod
+    def draw_rows(logits: np.ndarray, scales: list, rngs: list) -> list[int]:
+        """`sample_action` for rows of finite logits, row i from rngs[i]."""
+        return [_draw_categorical(row, rng) for row, rng in zip(softmax(logits).tolist(), rngs)]
 
     def score_grad(self, states: np.ndarray, actions,
                    weights: np.ndarray | None = None) -> np.ndarray:
@@ -215,7 +211,7 @@ class CategoricalPolicy:
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
         logits, _ = self.net.forward(np.asarray(states, dtype=np.float64))
         if not np.all(np.isfinite(logits)):
-            raise NumericError("non-finite policy logits")
+            raise NumericError(self.nonfinite)
         return DistributionBatch("categorical", probs=softmax(logits))
 
     def kl_batch_loss(
@@ -251,6 +247,7 @@ class GaussianPolicy:
     """
 
     kind = "gaussian"
+    nonfinite = "non-finite policy mean"
 
     def __init__(self, net: MlpNetwork, log_std: np.ndarray | None = None):
         self.net = net
@@ -279,12 +276,21 @@ class GaussianPolicy:
     def action_distribution(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu = self.net.output(state)
         if not np.all(np.isfinite(mu)):
-            raise NumericError("non-finite policy mean")
+            raise NumericError(self.nonfinite)
         return mu, np.exp(2.0 * self.log_std)
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         mu, var = self.action_distribution(state)
-        return mu + np.sqrt(var) * rng.standard_normal(self.action_dim)
+        return _draw_gaussian(mu, np.sqrt(var), rng)
+
+    def noise_scale(self) -> np.ndarray:
+        return np.sqrt(np.exp(2.0 * self.log_std))
+
+    @staticmethod
+    def draw_rows(mu: np.ndarray, scales: list, rngs: list) -> list[np.ndarray]:
+        """`sample_action` for rows of finite means, row i with policy i's
+        `noise_scale` from rngs[i]."""
+        return [_draw_gaussian(m, std, rng) for m, std, rng in zip(mu, scales, rngs)]
 
     def score_grad(self, states: np.ndarray, actions: np.ndarray,
                    weights: np.ndarray | None = None) -> np.ndarray:
@@ -305,7 +311,7 @@ class GaussianPolicy:
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
         mu, _ = self.net.forward(np.asarray(states, dtype=np.float64))
         if not np.all(np.isfinite(mu)):
-            raise NumericError("non-finite policy mean")
+            raise NumericError(self.nonfinite)
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
@@ -334,6 +340,41 @@ class GaussianPolicy:
         net_grad = self.net.backward(cache, seeds)
         log_std_grad = (var / consensus.var - 1.0).mean(axis=0)
         return loss, np.concatenate([net_grad, log_std_grad])
+
+
+class PolicyStack:
+    """Same-head, same-shape policies sampled together, one state row each.
+
+    The networks are stacked once (`NetworkStack`); each step runs one stacked
+    forward pass, then policy i draws from its own generator through its
+    head's `draw_rows`, the draw its `sample_action` makes. Its action and its
+    generator's state are therefore those of `sample_action` on its own.
+    """
+
+    def __init__(self, policies: list):
+        self.head = type(policies[0])
+        if any(type(policy) is not self.head for policy in policies):
+            raise ConfigurationError("stacked policies must share one head")
+        self.net = NetworkStack([policy.net for policy in policies])
+        self.scales = [policy.noise_scale() for policy in policies]
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every policy but those at `rows`, in that order."""
+        self.net.keep(rows)
+        self.scales = [self.scales[row] for row in rows]
+
+    def sample(self, states: np.ndarray, rngs: list) -> list:
+        """One action per state row; a row whose network output is not finite
+        gets the `NumericError` its policy's `sample_action` raises, and its
+        generator is not drawn from."""
+        outputs = self.net.output(states)
+        finite = np.isfinite(outputs).all(axis=1)
+        if finite.all():
+            return self.head.draw_rows(outputs, self.scales, rngs)
+        rows = np.flatnonzero(finite).tolist()
+        drawn = iter(self.head.draw_rows(outputs[rows], [self.scales[r] for r in rows],
+                                         [rngs[r] for r in rows]))
+        return [next(drawn) if ok else NumericError(self.head.nonfinite) for ok in finite]
 
 
 def make_policy(spec: EnvSpec, net: MlpNetwork, log_std: np.ndarray | None = None):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
-from .reinforce import Agent, AgentConfig, rollout
+from .reinforce import Agent, AgentConfig, raise_failures, rollout, train_round
 
 VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
 VIRTUAL_AGENT_LR = 1e-3
@@ -45,9 +45,9 @@ def generate_public_states(
     )
     agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
     for _ in range(warmup_rounds):
-        agent.local_round()
+        raise_failures(train_round([agent]))
 
-    pool = np.concatenate([rollout(agent.policy, spec, agent.rng).states
+    pool = np.concatenate([raise_failures(rollout([agent.policy], spec, [agent.rng]))[0].states
                            for _ in range(rollouts)])
     if pool.shape[0] >= n:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)

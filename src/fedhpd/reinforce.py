@@ -12,7 +12,9 @@ no normalization. The ascent step runs through Adam on the negated estimate.
 The per-step gradient sum is evaluated as one batched backward pass over the
 episode's states (gradients are additive over batch rows), which is what
 keeps desk-scale sweeps fast; `policy_gradient` is verified against the
-term-by-term sum in the tests.
+term-by-term sum in the tests. The other half of that speed is `rollout`
+stepping many same-shape policies in lockstep: `train_round` runs one round
+for agent k of every cell of a grid at once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import env as envmod
 from .errors import ConfigurationError
 from .nn_core import AdamState, LayerSpec, adam_step, glorot_init
-from .policy import make_policy
+from .policy import PolicyStack, make_policy
 
 
 @dataclass
@@ -48,7 +50,7 @@ class AgentConfig:
             raise ConfigurationError(f"agent {self.agent_id}: gamma must be in (0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundStats:
     agent_id: str
     episode_returns: list[float]
@@ -84,28 +86,97 @@ class Episode:
     rewards: np.ndarray
 
 
-def rollout(policy, spec: envmod.EnvSpec, rng: np.random.Generator) -> Episode:
-    """Run one episode until it terminates or reaches the horizon.
+def rollout(policies: list, spec: envmod.EnvSpec, rngs: list) -> list:
+    """Run one episode for each policy, policy i on generator i, in lockstep.
 
-    The stream is consumed as one `reset` then one `sample_action` per step.
+    The policies share one head and one network shape. Each step samples
+    every running episode through one stacked forward pass (`PolicyStack`),
+    or through `sample_action` once a single episode is left, then advances
+    each state through `env.step`; an episode leaves the stack when it
+    terminates or reaches the horizon. Generator i is consumed as one `reset`
+    then one draw per step, so each episode is exactly the one policy i would
+    run alone. An episode that raises ends there: its slot holds the
+    exception instead of an `Episode`, and the other episodes run on.
     """
-    states, actions, rewards = [], [], []
-    state = envmod.reset(spec, rng)
-    for _ in range(spec.max_steps):
-        action = policy.sample_action(state, rng)
-        states.append(state)
-        actions.append(action)
-        state, reward, done = envmod.step(spec, state, action)
-        rewards.append(reward)
-        if done:
+    n = len(policies)
+    horizon = spec.max_steps
+    states = np.empty((n, horizon + 1, envmod.STATE_DIM))
+    rewards = np.empty((n, horizon))
+    actions: list[list] = [[] for _ in range(n)]
+    results: list = [None] * n
+    for i, rng in enumerate(rngs):
+        states[i, 0] = envmod.reset(spec, rng)
+    stack = PolicyStack(policies) if n > 1 else None
+    live = list(range(n))
+    for t in range(horizon):
+        if not live:
             break
-    return Episode(np.array(states), np.array(actions), np.array(rewards))
+        if len(live) > 1:
+            drawn = stack.sample(states[live, t], [rngs[i] for i in live])
+        else:
+            drawn = [_sample_one(policies[live[0]], states[live[0], t], rngs[live[0]])]
+        kept = []
+        for row, (i, action) in enumerate(zip(live, drawn)):
+            if not isinstance(action, Exception):
+                try:
+                    states[i, t + 1], rewards[i, t], done = envmod.step(spec, states[i, t], action)
+                except Exception as exc:
+                    action = exc
+            if isinstance(action, Exception):
+                results[i] = action
+                continue
+            actions[i].append(action)
+            if done or t + 1 == horizon:
+                end = t + 1
+                results[i] = Episode(states[i, :end].copy(), np.array(actions[i]),
+                                     rewards[i, :end].copy())
+            else:
+                kept.append(row)
+        if len(kept) < len(live):
+            live = [live[row] for row in kept]
+            if len(live) > 1:
+                stack.keep(kept)
+    return results
 
 
-def collect_trajectories(policy, spec: envmod.EnvSpec, config: AgentConfig,
-                         rng: np.random.Generator) -> list[Episode]:
-    """Roll out `episodes_per_round` complete episodes."""
-    return [rollout(policy, spec, rng) for _ in range(config.episodes_per_round)]
+def _sample_one(policy, state: np.ndarray, rng: np.random.Generator):
+    try:
+        return policy.sample_action(state, rng)
+    except Exception as exc:
+        return exc
+
+
+def raise_failures(results: list) -> list:
+    """`results` of `rollout`, `collect_trajectories` or `train_round`, with
+    its first failure raised instead of returned."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def collect_trajectories(agents: list["Agent"]) -> list:
+    """`episodes_per_round` episodes from each agent, stepped in lockstep.
+
+    The agents share one network shape and `episodes_per_round`; an agent
+    whose episode failed gets that exception instead of its episode list.
+    """
+    counts = {agent.config.episodes_per_round for agent in agents}
+    if len(counts) > 1:
+        raise ConfigurationError("lockstep agents must share episodes_per_round")
+    collected: list = [[] for _ in agents]
+    for _ in range(max(counts, default=0)):
+        live = [j for j, episodes in enumerate(collected) if isinstance(episodes, list)]
+        if not live:
+            break
+        episodes = rollout([agents[j].policy for j in live], agents[0].spec,
+                           [agents[j].rng for j in live])
+        for j, episode in zip(live, episodes):
+            if isinstance(episode, Exception):
+                collected[j] = episode
+            else:
+                collected[j].append(episode)
+    return collected
 
 
 def _step_weights(rewards: np.ndarray, gamma: float, reward_to_go: bool) -> np.ndarray:
@@ -147,9 +218,9 @@ class Agent:
         self.policy = build_policy(config, spec, self.rng)
         self.adam = AdamState.zeros(self.policy.num_params)
 
-    def local_round(self) -> RoundStats:
+    def local_round(self, episodes: list[Episode]) -> RoundStats:
+        """Gradient and Adam step from this round's episodes."""
         config = self.config
-        episodes = collect_trajectories(self.policy, self.spec, config, self.rng)
         grad = policy_gradient(self.policy, episodes, config.gamma, config.reward_to_go)
         self.adam = local_update(self.policy, self.adam, grad, config.learning_rate)
         return RoundStats(
@@ -162,21 +233,24 @@ class Agent:
         )
 
 
+def train_round(agents: list[Agent]) -> list:
+    """One local round for agents of one shape: their episodes are collected
+    in lockstep, then each agent takes its own gradient and Adam step. Each
+    slot holds that agent's `RoundStats`, or the exception it raised."""
+    outcomes = []
+    for agent, episodes in zip(agents, collect_trajectories(agents)):
+        if not isinstance(episodes, Exception):
+            try:
+                episodes = agent.local_round(episodes)
+            except Exception as exc:
+                episodes = exc
+        outcomes.append(episodes)
+    return outcomes
+
+
 def make_agents(configs: list[AgentConfig], spec: envmod.EnvSpec, seed: int) -> list[Agent]:
     """One agent per config, each on its own deterministic RNG stream."""
     return [
         Agent(cfg, spec, np.random.SeedSequence([seed, k]))
         for k, cfg in enumerate(configs)
     ]
-
-
-def train_independent(agents: list[Agent], rounds: int,
-                      trace_params: bool = False) -> dict:
-    """The NoFed baseline: every agent trains alone for `rounds` rounds."""
-    stats: list[list[RoundStats]] = []
-    traces: list[list[np.ndarray]] = []
-    for _ in range(rounds):
-        stats.append([agent.local_round() for agent in agents])
-        if trace_params:
-            traces.append([agent.policy.get_params() for agent in agents])
-    return {"round_stats": stats, "param_traces": traces}

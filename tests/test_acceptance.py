@@ -23,13 +23,12 @@ from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import (
     CategoricalPolicy,
     GaussianPolicy,
-    kl_categorical,
-    kl_gaussian,
     softmax,
 )
 from fedhpd.presets import preset_agents
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import Agent, make_agents, train_independent
+from fedhpd.reinforce import Agent, make_agents, raise_failures, train_round
+from oracles import kl_categorical, kl_gaussian, train_independent
 
 SEEDS = (20, 25, 30)
 
@@ -80,12 +79,12 @@ def make_policy(kind, seed, hidden=(6,)):
 def final_window_system_means(env_kind, preset, interval, states, rounds=600,
                               seeds=SEEDS, window=100):
     values = []
-    for seed in seeds:
-        config = FedRunConfig(
-            env_kind=env_kind, rounds=rounds, interval=interval,
-            agent_configs=preset_agents(preset), seed=seed,
-        )
-        result = run(config, states)
+    configs = [
+        FedRunConfig(env_kind=env_kind, rounds=rounds, interval=interval,
+                     agent_configs=preset_agents(preset), seed=seed)
+        for seed in seeds
+    ]
+    for result in raise_failures(run(configs, states)):
         system = np.array([
             np.mean([s.mean_episode_return for s in per])
             for per in result.round_stats
@@ -241,7 +240,7 @@ def test_criterion_5_fixed_points(cartpole_states):
         fire = set(distillation_rounds(rounds, interval))
         for i in range(rounds):
             for agent in agents:
-                agent.local_round()
+                raise_failures(train_round([agent]))
             if i in fire:
                 before = [a.policy.get_params() for a in agents]
                 record = distillation_round(agents, states, i)
@@ -286,7 +285,7 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
         env_kind="cartpole-discrete", rounds=12, interval=None,
         agent_configs=configs, seed=20,
     )
-    fed = run(fed_config, None, trace_params=True)
+    fed, = run([fed_config], None, trace_params=True)
     agents = make_agents(configs, EnvSpec("cartpole-discrete"), seed=20)
     alone = train_independent(agents, rounds=12, trace_params=True)
     equal = all(
@@ -299,7 +298,7 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
         env_kind="cartpole-discrete", rounds=12, interval=99,
         agent_configs=configs, seed=20,
     )
-    never = run(big_interval, cartpole_states, trace_params=True)
+    never, = run([big_interval], cartpole_states, trace_params=True)
     equal_big = all(
         np.array_equal(x, y)
         for pa, pb in zip(never.param_traces, fed.param_traces)

@@ -117,6 +117,9 @@ def test_agent_spec_grammar():
     assert agents[1].learning_rate == 2e-3
     with pytest.raises(ConfigurationError):
         parse_agent_spec("16x16:relu,tanh,relu@1e-3", 1, False, 0.99)
+    for spec in ("0:relu@1e-3", "8x-2:relu@1e-3", "4:sigmoid@1e-3"):
+        with pytest.raises(ConfigurationError, match="agents.spec"):
+            load_experiment_config(None, [f'agents.spec = "{spec}"'])
 
 
 def test_overrides_apply_after_file(tmp_path):
@@ -270,6 +273,12 @@ def test_cli_exit_codes(tmp_path):
                  ["diagnose", "--snapshot", str(snapshot), "--states", str(states_file),
                   *quick_diag]):
         assert main([*argv, "--config", str(path), "--output-dir", str(blocker / "x")]) == 4
+    # a lineup no network can be built from is a config error before any work
+    for spec in ('"0:relu@1e-3"', '"4:sigmoid@1e-3"'):
+        out = tmp_path / f"spec-{len(spec)}"
+        assert main(["train", "--config", str(path), "--output-dir", str(out),
+                     "--set", f"agents.spec = {spec}"]) == 2
+        assert not (out / "states.txt").exists()
 
 
 def test_cli_diagnose_uses_configured_gamma(tmp_path):

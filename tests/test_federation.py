@@ -14,7 +14,8 @@ from fedhpd.federation import (
 )
 from fedhpd.policy import DistributionBatch
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import AgentConfig, make_agents, train_independent
+from fedhpd.reinforce import AgentConfig, make_agents, raise_failures, train_round
+from oracles import train_independent
 
 SPEC = EnvSpec("cartpole-discrete")
 
@@ -80,7 +81,7 @@ def test_single_agent_distillation_is_exact_fixed_point():
     states = small_states()
     agents = make_agents([agent_config(0)], SPEC, seed=21)
     for _ in range(3):  # warm the Adam moments so the guard actually matters
-        agents[0].local_round()
+        raise_failures(train_round(agents))
     before = agents[0].policy.get_params()
     adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(), agents[0].adam.step_count)
     record = distillation_round(agents, states, round_index=3)
@@ -99,8 +100,7 @@ def test_identical_agents_distillation_is_exact_fixed_point(k):
         make_agents([agent_config(0)], SPEC, seed=33)[0] for _ in range(k)
     ]
     for _ in range(2):
-        for agent in agents:
-            agent.local_round()
+        raise_failures(train_round(agents))
     before = [a.policy.get_params() for a in agents]
     record = distillation_round(agents, states, round_index=2)
     assert record.kl_losses == [0.0] * k
@@ -170,8 +170,8 @@ def run_config(interval, rounds=6, seed=42, k=2):
 
 def test_interval_beyond_rounds_matches_nofed_bitwise():
     states = small_states(seed=11)
-    a = run(run_config(interval=99), states, trace_params=True)
-    b = run(run_config(interval=None), None, trace_params=True)
+    a, = run([run_config(interval=99)], states, trace_params=True)
+    b, = run([run_config(interval=None)], None, trace_params=True)
     assert a.consensus_records == [] and b.consensus_records == []
     for pa, pb in zip(a.param_traces, b.param_traces):
         for x, y in zip(pa, pb):
@@ -180,7 +180,7 @@ def test_interval_beyond_rounds_matches_nofed_bitwise():
 
 def test_nofed_run_matches_standalone_trainer_bitwise():
     config = run_config(interval=None, rounds=5, seed=13)
-    fed = run(config, None, trace_params=True)
+    fed, = run([config], None, trace_params=True)
     agents = make_agents(config.agent_configs, SPEC, seed=13)
     alone = train_independent(agents, rounds=5, trace_params=True)
     for pa, pb in zip(fed.param_traces, alone["param_traces"]):
@@ -194,7 +194,7 @@ def test_nofed_run_matches_standalone_trainer_bitwise():
 
 def test_run_emits_consensus_on_schedule_and_counts_bytes():
     states = small_states(seed=12)
-    result = run(run_config(interval=3, rounds=7), states)
+    result, = run([run_config(interval=3, rounds=7)], states)
     fired = [r.round_index for r in result.consensus_records]
     assert fired == [2, 5]
     for i, volume in enumerate(result.bytes_per_round):
@@ -214,7 +214,7 @@ def test_gaussian_run_consensus_variances_positive():
         agent_configs=[agent_config(i) for i in range(2)],
         seed=15,
     )
-    result = run(config, states)
+    result, = run([config], states)
     assert result.consensus_records
     for record in result.consensus_records:
         assert np.all(record.consensus.var > 0.0)
@@ -224,4 +224,4 @@ def test_run_config_validation():
     with pytest.raises(ConfigurationError):
         run_config(interval=0)
     with pytest.raises(ConfigurationError):
-        run(run_config(interval=2), states=None)
+        run([run_config(interval=2)], states=None)

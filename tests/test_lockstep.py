@@ -1,0 +1,204 @@
+"""Lockstep rollouts and grid groups: every policy and every cell gets exactly
+the numbers it would have on its own, and a failure stays with its owner."""
+
+import numpy as np
+import pytest
+
+import fedhpd.env as envmod
+import fedhpd.federation as federation
+from fedhpd.cli import main
+from fedhpd.env import EnvSpec
+from fedhpd.errors import NumericError
+from fedhpd.federation import FedRunConfig, run
+from fedhpd.reinforce import Agent, AgentConfig, collect_trajectories, rollout
+from oracles import play_episode, train_independent
+
+HEADS = [("categorical", "cartpole-discrete"), ("gaussian", "cartpole-continuous")]
+
+
+def make_agent(spec, seed, episodes_per_round=1):
+    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-3,
+                         episodes_per_round=episodes_per_round)
+    return Agent(config, spec, np.random.SeedSequence([seed, 3]))
+
+
+def assert_same_episode(a, b):
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.actions, b.actions)
+    assert np.array_equal(a.rewards, b.rewards)
+    assert a.actions.dtype == b.actions.dtype
+
+
+def count_env_steps(monkeypatch) -> list:
+    calls = []
+    original = envmod.step
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(envmod, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("head,env_kind,horizon", [
+    ("categorical", "cartpole-discrete", 18), ("gaussian", "cartpole-continuous", 40)])
+def test_lockstep_rollout_matches_single_policy_runs(head, env_kind, horizon, monkeypatch):
+    # a short horizon makes some episodes terminate and some hit max_steps
+    spec = EnvSpec(env_kind, max_steps=horizon)
+    policies = [make_agent(spec, seed).policy for seed in range(8)]
+    assert policies[0].kind == head
+    alone_rngs = [np.random.default_rng(100 + i) for i in range(8)]
+    alone = [rollout([p], spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
+
+    calls = count_env_steps(monkeypatch)
+    rngs = [np.random.default_rng(100 + i) for i in range(8)]
+    together = rollout(policies, spec, rngs)
+
+    lengths = [len(e.rewards) for e in together]
+    assert spec.max_steps in lengths and min(lengths) < spec.max_steps
+    assert len(set(lengths)) > 2
+    for a, b in zip(together, alone):
+        assert_same_episode(a, b)
+    for rng, alone_rng in zip(rngs, alone_rngs):
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+    assert len(calls) == sum(lengths)
+
+
+@pytest.mark.parametrize("head,env_kind", HEADS)
+def test_lockstep_collection_matches_sequential_episodes(head, env_kind):
+    spec = EnvSpec(env_kind, max_steps=30)
+    agents = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
+    replicas = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
+    collected = collect_trajectories(agents)
+    for episodes, agent, replica in zip(collected, agents, replicas):
+        assert len(episodes) == 2
+        for episode in episodes:
+            assert_same_episode(episode, play_episode(replica.policy, spec, replica.rng))
+        assert agent.rng.bit_generator.state == replica.rng.bit_generator.state
+
+
+def run_configs(seeds, interval=None, rounds=6, **agent_knobs):
+    lineup = [AgentConfig(f"a{k}", hidden, lr, **agent_knobs) for k, (hidden, lr) in
+              enumerate([([(8, "tanh")], 1e-3), ([(6, "relu"), (6, "relu")], 2e-3)])]
+    return [FedRunConfig("cartpole-discrete", rounds, interval, lineup, seed, max_steps=60)
+            for seed in seeds]
+
+
+@pytest.mark.parametrize("knobs", [{}, {"episodes_per_round": 2, "reward_to_go": True}])
+def test_lockstep_run_matches_the_sequential_oracle(knobs):
+    configs = run_configs([3, 4, 5], **knobs)
+    results = run(configs, None, trace_params=True)
+    for config, result in zip(configs, results):
+        agents = [Agent(c, config.spec, np.random.SeedSequence([config.seed, k]))
+                  for k, c in enumerate(config.agent_configs)]
+        alone = train_independent(agents, config.rounds, trace_params=True)
+        for got, want in zip(result.param_traces, alone["param_traces"]):
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        for got, want in zip(result.round_stats, alone["round_stats"]):
+            for a, b in zip(got, want):
+                assert a.episode_returns == b.episode_returns
+                assert a.discounted_returns == b.discounted_returns
+                assert a.grad_norm == b.grad_norm
+
+
+def blow_up(policy):
+    """Finite parameters whose network output overflows on any state."""
+    policy.set_params(np.full(policy.num_params, 1e308))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("head,env_kind,message", [
+    ("categorical", "cartpole-discrete", "non-finite policy logits"),
+    ("gaussian", "cartpole-continuous", "non-finite policy mean"),
+])
+def test_non_finite_row_fails_only_its_policy(head, env_kind, message):
+    spec = EnvSpec(env_kind, max_steps=40)
+    policies = [make_agent(spec, seed).policy for seed in range(4)]
+    blow_up(policies[2])
+    with pytest.raises(NumericError, match=message):
+        policies[2].sample_action(np.zeros(4), np.random.default_rng(0))
+    alone = [rollout([p], spec, [np.random.default_rng(i)])[0]
+             for i, p in enumerate(policies)]
+    together = rollout(policies, spec, [np.random.default_rng(i) for i in range(4)])
+    for i in (0, 1, 3):
+        assert_same_episode(together[i], alone[i])
+    for failed in (together[2], alone[2]):
+        assert isinstance(failed, NumericError) and str(failed) == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_cell_fails_alone_in_a_group(monkeypatch):
+    configs = run_configs([3, 4, 5])
+    clean = run(configs[0::2], None, trace_params=True)
+    original = federation.make_agents
+
+    def make_agents(agent_configs, spec, seed):
+        agents = original(agent_configs, spec, seed)
+        if seed == 4:
+            blow_up(agents[1].policy)
+        return agents
+
+    monkeypatch.setattr(federation, "make_agents", make_agents)
+    results = run(configs, None, trace_params=True)
+    assert isinstance(results[1], NumericError)
+    assert str(results[1]) == "non-finite policy logits"
+    for got, want in zip(results[0::2], clean):
+        for a, b in zip(got.param_traces, want.param_traces):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert got.final_snapshots == want.final_snapshots
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_group_whose_cells_all_fail_reports_each(monkeypatch):
+    original = federation.make_agents
+
+    def make_agents(agent_configs, spec, seed):
+        agents = original(agent_configs, spec, seed)
+        blow_up(agents[seed % 2].policy)
+        return agents
+
+    monkeypatch.setattr(federation, "make_agents", make_agents)
+    results = run(run_configs([3, 4]), None)
+    assert [str(r) for r in results] == ["non-finite policy logits"] * 2
+
+
+GRID = """
+env.kind = "cartpole-discrete"
+run.rounds = 8
+run.seeds = 20, 25
+agents.spec = "8:tanh@1e-3; 6x6:relu@2e-3"
+states.size = 16
+states.warmup_rounds = 0
+states.rollouts = 2
+"""
+
+
+def test_failing_cell_fails_alone_in_a_grid(tmp_path, monkeypatch):
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID)
+    assert main(["train", "--config", str(path), "--output-dir", str(tmp_path / "clean"),
+                 "--set", "fed.d = 3"]) == 0
+
+    original = federation.distillation_round
+
+    def distillation_round(agents, states, round_index=0):
+        if round_index == 4:  # only d = 5 distils on round 4 of 8
+            raise NumericError("non-finite gradient in adam_step")
+        return original(agents, states, round_index)
+
+    monkeypatch.setattr(federation, "distillation_round", distillation_round)
+    failing = tmp_path / "failing"
+    assert main(["train", "--config", str(path), "--output-dir", str(failing),
+                 "--set", "fed.d = 3, 5"]) == 3
+    assert (failing / "failures.txt").read_text() == "".join(
+        f"run-fedhpd-d5-seed{seed}.csv: NumericError: non-finite gradient in adam_step\n"
+        for seed in (20, 25))
+    assert not list(failing.glob("run-fedhpd-d5-*.csv"))
+    clean_files = sorted(p.relative_to(tmp_path / "clean")
+                         for p in (tmp_path / "clean").rglob("*")
+                         if p.is_file() and p.suffix in (".csv", ".fhpd")
+                         and p.name != "summary.csv")
+    assert clean_files
+    for rel in clean_files:
+        assert (failing / rel).read_bytes() == (tmp_path / "clean" / rel).read_bytes()

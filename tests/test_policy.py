@@ -15,12 +15,11 @@ from fedhpd.policy import (
     CategoricalPolicy,
     DistributionBatch,
     GaussianPolicy,
-    kl_categorical,
-    kl_gaussian,
     load_policy,
     make_policy,
     softmax,
 )
+from oracles import kl_categorical, kl_gaussian
 
 
 def make_categorical(hidden=(6,), actions=2, in_dim=4, seed=0, activation="tanh"):

@@ -16,8 +16,9 @@ from fedhpd.reinforce import (
     local_update,
     make_agents,
     policy_gradient,
+    raise_failures,
     rollout,
-    train_independent,
+    train_round,
 )
 
 SPEC = EnvSpec("cartpole-discrete")
@@ -37,8 +38,8 @@ def test_collect_is_deterministic_given_seed():
     cfg = agent_config(episodes_per_round=3)
     a = Agent(cfg, SPEC, np.random.SeedSequence(5))
     b = Agent(cfg, SPEC, np.random.SeedSequence(5))
-    ta = collect_trajectories(a.policy, SPEC, cfg, a.rng)
-    tb = collect_trajectories(b.policy, SPEC, cfg, b.rng)
+    ta, = collect_trajectories([a])
+    tb, = collect_trajectories([b])
     assert len(ta) == len(tb) == 3
     for x, y in zip(ta, tb):
         assert np.array_equal(x.states, y.states)
@@ -48,7 +49,7 @@ def test_collect_is_deterministic_given_seed():
 def test_trajectory_lengths_within_horizon():
     cfg = agent_config(episodes_per_round=5)
     agent = Agent(cfg, SPEC, np.random.SeedSequence(6))
-    for episode in collect_trajectories(agent.policy, SPEC, cfg, agent.rng):
+    for episode in collect_trajectories([agent])[0]:
         assert 1 <= len(episode.rewards) <= SPEC.max_steps
         for t in range(len(episode.rewards) - 1):
             nxt, _, _ = step(SPEC, episode.states[t], int(episode.actions[t]))
@@ -65,7 +66,7 @@ def test_rollout_consumes_reset_then_one_sample_per_step(head, env_kind):
     assert agent.policy.kind == head
     rng = np.random.default_rng(8)
     replay = np.random.default_rng(8)
-    episode = rollout(agent.policy, spec, rng)
+    episode, = rollout([agent.policy], spec, [rng])
     assert np.array_equal(reset(spec, replay), episode.states[0])
     for state, action in zip(episode.states, episode.actions):
         assert np.array_equal(agent.policy.sample_action(state, replay), action)
@@ -80,9 +81,8 @@ def test_near_deterministic_policy_matches_scripted_replay():
     params[-2:] = [80.0, -80.0]  # bias dominates: always action 0
     net.set_params(params)
     policy = CategoricalPolicy(net)
-    cfg = agent_config()
     rng = np.random.default_rng(9)
-    episode = collect_trajectories(policy, SPEC, cfg, rng)[0]
+    episode, = rollout([policy], SPEC, [rng])
     assert set(episode.actions.tolist()) == {0}
     state = episode.states[0]
     for t, reward in enumerate(episode.rewards):
@@ -128,7 +128,7 @@ def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         assert agent.policy.kind == head
-        trajectories = collect_trajectories(agent.policy, spec, cfg, agent.rng)
+        trajectories, = collect_trajectories([agent])
         got = policy_gradient(agent.policy, trajectories, cfg.gamma, cfg.reward_to_go)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
@@ -154,7 +154,7 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     cfg = agent_config()
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
-        traj = collect_trajectories(agent.policy, SPEC, cfg, agent.rng)[0]
+        traj = collect_trajectories([agent])[0][0]
         grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
         log_lik_dir = np.zeros(agent.policy.num_params)
         for state, action in zip(traj.states, traj.actions):
@@ -222,9 +222,8 @@ def test_bandit_gradient_estimate_is_unbiased():
 
 def test_round_stats_returns_nonnegative():
     agents = make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20)
-    result = train_independent(agents, rounds=5)
-    for per_round in result["round_stats"]:
-        for stats in per_round:
+    for _ in range(5):
+        for stats in raise_failures(train_round(agents)):
             assert stats.mean_episode_return >= 1.0
             assert stats.grad_norm >= 0.0
 
