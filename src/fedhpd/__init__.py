@@ -53,7 +53,6 @@ from .reinforce import (
     Agent,
     AgentConfig,
     Episode,
-    RoundStats,
     collect_trajectories,
     local_update,
     make_agents,

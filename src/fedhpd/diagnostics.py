@@ -32,7 +32,7 @@ import numpy as np
 
 from .env import EnvSpec
 from .errors import ConfigurationError
-from .policy import DistributionBatch
+from .policy import DistributionBatch, PolicyStack
 from .reinforce import policy_gradient, raise_failures, rollout
 
 
@@ -135,9 +135,10 @@ def sample_trajectory_gradients(
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples")
     samples = np.empty((n_samples, policy.num_params))
+    stack = PolicyStack([policy])
     for i in range(n_samples):
-        episodes = raise_failures(rollout([policy], spec, [rng]))
-        samples[i] = policy_gradient(policy, episodes, gamma, reward_to_go)
+        episodes = raise_failures(rollout(stack, spec, [rng]))
+        samples[i] = policy_gradient(stack, [episodes], gamma, reward_to_go)[0]
     return samples
 
 

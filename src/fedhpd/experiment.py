@@ -223,6 +223,11 @@ class ExperimentConfig:
         ds = _as_list(v["fed.d"])
         if not all(_is_int(d) and d >= 1 for d in ds):
             self._fail("fed.d", "intervals must be integers >= 1")
+        for key, values in (("run.seeds", seeds), ("fed.d", ds)):
+            repeated = sorted({x for x in values if values.count(x) > 1})
+            if repeated:
+                self._fail(key, f"duplicate entries {', '.join(map(str, repeated))}; "
+                                "each cell would run and write its files more than once")
         if any(d > v["run.rounds"] for d in ds):
             self._fail("fed.d", "intervals beyond run.rounds never fire; drop them "
                                 "or use fed.include_nofed")
@@ -274,8 +279,8 @@ def load_experiment_config(path=None, overrides: list[str] | None = None) -> Exp
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         values.update(parse_config_text(text))
     for item in overrides or []:
@@ -337,38 +342,31 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
     rows = []
     d_text = "" if cell.interval is None else str(cell.interval)
     records = {record.round_index: record for record in result.consensus_records}
-    for i, per_agent in enumerate(result.round_stats):
+    system_returns = result.system_returns().tolist()
+    system_discs = result.discounted_return.mean(axis=1).tolist()
+    for i, (returns, discs, norms) in enumerate(zip(
+            result.episode_return.tolist(), result.discounted_return.tolist(),
+            result.grad_norm.tolist())):
         record = records.get(i)
-        for k, stats in enumerate(per_agent):
+        for k, agent_id in enumerate(result.agent_ids):
             kl_loss = record.kl_losses[k] if record else None
             kl_norm = record.kl_grad_norms[k] if record else None
             rows.append([
-                cell.run_id, str(cell.seed), cell.mode, d_text, str(i),
-                stats.agent_id,
-                fmt(stats.mean_episode_return), fmt(stats.mean_discounted_return),
-                fmt(kl_loss), fmt(stats.grad_norm), fmt(kl_norm), "",
+                cell.run_id, str(cell.seed), cell.mode, d_text, str(i), agent_id,
+                fmt(returns[k]), fmt(discs[k]), fmt(kl_loss), fmt(norms[k]), fmt(kl_norm), "",
             ])
-        system_return = float(np.mean([s.mean_episode_return for s in per_agent]))
-        system_disc = float(np.mean([s.mean_discounted_return for s in per_agent]))
         system_kl = float(np.mean(record.kl_losses)) if record else None
         rows.append([
             cell.run_id, str(cell.seed), cell.mode, d_text, str(i), "system",
-            fmt(system_return), fmt(system_disc), fmt(system_kl), "", "",
+            fmt(system_returns[i]), fmt(system_discs[i]), fmt(system_kl), "", "",
             str(result.bytes_per_round[i]),
         ])
     return rows
 
 
-def _system_returns(result: RunResult) -> np.ndarray:
-    return np.array([
-        np.mean([s.mean_episode_return for s in per_agent])
-        for per_agent in result.round_stats
-    ])
-
-
 def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
     """Format one finished cell: metrics CSV text, summary scalars, snapshots."""
-    system = _system_returns(result)
+    system = result.system_returns()
     window = min(FINAL_WINDOW, system.size)
     lines = [",".join(METRICS_COLUMNS)]
     lines.extend(",".join(row) for row in metrics_rows(cell, result))
@@ -381,7 +379,7 @@ def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
             [a.agent_id for a in config.agent_configs()], result.final_snapshots
         )),
         "consensus_dumps": [
-            (record.round_index, record.consensus.to_bytes())
+            (record.round_index, record.broadcast)
             for record in result.consensus_records
         ] if config["run.dump_consensus"] else [],
     }
@@ -414,7 +412,8 @@ def run_group(args) -> list[dict]:
                 max_steps=config["env.max_steps"],
             )
             for cell in cells
-        ], PublicStateSet(states_rows) if states_rows is not None else None)
+        ], PublicStateSet(states_rows) if states_rows is not None else None,
+            keep_broadcasts=config["run.dump_consensus"])
     except Exception as exc:  # a failure before the cells part fails them all
         results = [exc] * len(cells)
     outcomes = []
@@ -480,6 +479,7 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         outcomes[g::workers] = group
 
     summary_rows = []
+    pooled: dict = {}
     failures = []
     written = []
     for outcome in outcomes:
@@ -496,25 +496,17 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         for round_index, blob in outcome["consensus_dumps"]:
             name = f"{cell.run_id}-seed{cell.seed}-round{round_index}.bin"
             write_file(output_dir / "consensus" / name, blob)
+        means = (outcome["final_window_mean"], outcome["overall_mean"])
         summary_rows.append([
             cell.mode, "" if cell.interval is None else str(cell.interval),
-            str(cell.seed), fmt(outcome["final_window_mean"]), fmt(outcome["overall_mean"]),
+            str(cell.seed), fmt(means[0]), fmt(means[1]),
         ])
+        pooled.setdefault((cell.mode, cell.interval or -1), []).append(means)
 
-    pooled = {}
-    for row in summary_rows:
-        pooled.setdefault((row[0], row[1]), []).append(
-            (float(row[3]), float(row[4]))
-        )
-    def pooled_key(item):
-        mode, d_text = item[0]
-        return (mode, int(d_text) if d_text else -1)
-
-    for (mode, d_text), entries in sorted(pooled.items(), key=pooled_key):
-        finals = [e[0] for e in entries]
-        overalls = [e[1] for e in entries]
+    for (mode, d), entries in sorted(pooled.items()):
+        finals, overalls = zip(*entries)
         summary_rows.append([
-            mode, d_text, "pooled",
+            mode, "" if d < 0 else str(d), "pooled",
             fmt(float(np.mean(finals))), fmt(float(np.mean(overalls))),
         ])
     summary_path = output_dir / "summary.csv"

@@ -33,7 +33,7 @@ from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
 from .nn_core import adam_step
 from .policy import DistributionBatch
-from .reinforce import Agent, AgentConfig, RoundStats, make_agents, train_round
+from .reinforce import Agent, AgentConfig, make_agents, train_round
 
 
 @dataclass
@@ -63,7 +63,7 @@ class FedRunConfig:
 @dataclass
 class ConsensusRecord:
     round_index: int
-    consensus: DistributionBatch
+    broadcast: bytes | None  # the consensus on the wire; `run` keeps it only on request
     kl_losses: list[float]
     kl_grad_norms: list[float]
     bytes_communicated: int
@@ -71,11 +71,21 @@ class ConsensusRecord:
 
 @dataclass
 class RunResult:
-    round_stats: list[list[RoundStats]]  # [round][agent]
-    consensus_records: list[ConsensusRecord]
-    bytes_per_round: list[int]
+    """One cell's run. Per round i and agent k: the mean episode return, the
+    mean discounted return and the policy-gradient norm of its local round."""
+
+    agent_ids: list[str]
+    episode_return: np.ndarray  # [rounds, K]
+    discounted_return: np.ndarray  # [rounds, K]
+    grad_norm: np.ndarray  # [rounds, K]
+    consensus_records: list[ConsensusRecord] = field(default_factory=list)
+    bytes_per_round: list[int] = field(default_factory=list)
     param_traces: list[list[np.ndarray]] = field(default_factory=list)
     final_snapshots: list[bytes] = field(default_factory=list)  # per agent
+
+    def system_returns(self) -> np.ndarray:
+        """Per round, the mean over agents of the mean episode return."""
+        return self.episode_return.mean(axis=1)
 
 
 def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
@@ -121,11 +131,10 @@ def distillation_round(agents: list[Agent], states: PublicStateSet,
         # an exactly-zero KL gradient is the self-consensus fixed point;
         # feeding it to Adam would still move parameters via stale momentum
         if np.any(grad != 0.0):
-            params, agent.adam = adam_step(
-                agent.policy.get_params(), grad, agent.adam, agent.config.learning_rate
-            )
-            agent.policy.set_params(params)
-    return ConsensusRecord(round_index, consensus, kl_losses, kl_grad_norms, total_bytes)
+            policy = agent.policy
+            adam_step(policy.params, grad, agent.adam, agent.config.learning_rate)
+            policy.set_params(policy.params)  # check and clamp what was written
+    return ConsensusRecord(round_index, broadcast, kl_losses, kl_grad_norms, total_bytes)
 
 
 def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
@@ -136,7 +145,7 @@ def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
 
 
 def run(configs: list[FedRunConfig], states: PublicStateSet | None,
-        trace_params: bool = False) -> list:
+        trace_params: bool = False, keep_broadcasts: bool = False) -> list:
     """Execute the full protocol for the cells of one grid, in lockstep.
 
     The cells share the env, the rounds and the lineup, and differ only in
@@ -144,7 +153,8 @@ def run(configs: list[FedRunConfig], states: PublicStateSet | None,
     in one lockstep `train_round`; then each cell runs its own distillation
     if its interval fires. A cell whose code raises stops there: its slot
     holds the exception instead of a `RunResult`, and the others run on with
-    exactly the numbers they would have had alone.
+    exactly the numbers they would have had alone. Each consensus record
+    keeps its broadcast bytes only with `keep_broadcasts`.
     """
     first = configs[0]
     shared = (first.env_kind, first.max_steps, first.rounds, first.agent_configs)
@@ -154,30 +164,35 @@ def run(configs: list[FedRunConfig], states: PublicStateSet | None,
         raise ConfigurationError("federated runs need a public state set")
     cells = [make_agents(c.agent_configs, c.spec, c.seed) for c in configs]
     fires = [set(distillation_rounds(c.rounds, c.interval)) for c in configs]
-    results: list = [RunResult(round_stats=[], consensus_records=[], bytes_per_round=[])
-                     for _ in configs]
+    shape = (first.rounds, len(first.agent_configs))
+    results: list = [RunResult([a.agent_id for a in first.agent_configs],
+                               *(np.full(shape, np.nan) for _ in range(3))) for _ in configs]
 
     def running() -> list[int]:
         return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
 
     for i in range(first.rounds):
-        round_stats = {c: [] for c in running()}
         for k in range(len(first.agent_configs)):
             live = running()
+            if not live:
+                break
             for c, stats in zip(live, train_round([cells[c][k] for c in live])):
                 if isinstance(stats, Exception):
                     results[c] = stats
                 else:
-                    round_stats[c].append(stats)
+                    result = results[c]
+                    (result.episode_return[i, k], result.discounted_return[i, k],
+                     result.grad_norm[i, k]) = stats
         for c in running():
             result = results[c]
-            result.round_stats.append(round_stats[c])
             if i in fires[c]:
                 try:
                     record = distillation_round(cells[c], states, i)
                 except Exception as exc:
                     results[c] = exc
                     continue
+                if not keep_broadcasts:
+                    record.broadcast = None
                 result.consensus_records.append(record)
                 result.bytes_per_round.append(record.bytes_communicated)
             else:

@@ -67,11 +67,37 @@ class LayerSpec:
         return self.input_dim * self.output_dim + self.output_dim
 
 
+def _layer_views(layers, params: np.ndarray) -> list:
+    """(weights, bias) views of each layer in a flat parameter vector, shaped
+    [in, out] and [out], or in a [B, P] stack of them, shaped [B, in, out]
+    and [B, 1, out]; nothing is copied."""
+    lead = params.shape[:-1]
+    views = []
+    offset = 0
+    for spec in layers:
+        w_end = offset + spec.input_dim * spec.output_dim
+        w = params[..., offset:w_end].reshape(lead + (spec.input_dim, spec.output_dim))
+        b = params[..., w_end : w_end + spec.output_dim]
+        views.append((w, b[..., None, :] if lead else b))
+        offset = w_end + spec.output_dim
+    return views
+
+
 class MlpNetwork:
-    """Dense MLP over a flat float64 parameter vector.
+    """Dense MLP over a flat float64 parameter vector, or a stack of B
+    same-shape networks over the rows of a [B, P] array.
 
     Layout: for each layer in order, the weight matrix flattened row-major
-    (shape input_dim x output_dim), followed by the bias vector.
+    (shape input_dim x output_dim), followed by the bias vector. `params` is
+    the array the network reads and writes: its own, or one that `bind`
+    gives it, such as a row of a stack or the rows of a stack.
+
+    A stack runs one block of input rows per network (`bounds`): one matmul
+    per block and layer, and every elementwise step once over all blocks, so
+    each block's result is bit-identical to its network's own pass. Padding
+    the blocks to one length would batch the matmuls too, but the BLAS
+    kernels round a matrix's last rows and long sums differently with the
+    row count.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], params: np.ndarray | None = None):
@@ -87,9 +113,15 @@ class MlpNetwork:
         self.input_dim = layers[0].input_dim
         self.output_dim = layers[-1].output_dim
         self.num_params = sum(l.param_count for l in layers)
-        if params is None:
-            params = np.zeros(self.num_params, dtype=np.float64)
-        self.set_params(params)
+        self.bind(np.zeros(self.num_params))
+        if params is not None:
+            self.set_params(params)
+
+    def bind(self, params: np.ndarray) -> None:
+        """Read and write `params` ([P], or [B, P] for a stack) from now on,
+        as it stands: nothing is copied."""
+        self.params = params
+        self._views = _layer_views(self.layers, params)
 
     def set_params(self, params: np.ndarray) -> None:
         params = np.asarray(params, dtype=np.float64)
@@ -99,21 +131,14 @@ class MlpNetwork:
             )
         if not np.all(np.isfinite(params)):
             raise NumericError("non-finite network parameters")
-        self._params = params.copy()
-        self._views = []
-        offset = 0
-        for spec in self.layers:
-            w_end = offset + spec.input_dim * spec.output_dim
-            w = self._params[offset:w_end].reshape(spec.input_dim, spec.output_dim)
-            b = self._params[w_end : w_end + spec.output_dim]
-            self._views.append((w, b))
-            offset = w_end + spec.output_dim
+        self.params[...] = params
 
     def get_params(self) -> np.ndarray:
-        return self._params.copy()
+        return self.params.copy()
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Run the network on a vector or a batch of row vectors.
+    def forward(self, x: np.ndarray, bounds: list[int] | None = None) -> tuple[np.ndarray, list]:
+        """Run the network on a vector or a batch of row vectors; a stack runs
+        rows bounds[i]:bounds[i+1] through network i.
 
         Returns the output plus a cache of per-layer (input, pre-activation)
         pairs sufficient for `backward` without recomputation.
@@ -125,23 +150,31 @@ class MlpNetwork:
             raise ConfigurationError(
                 f"input dim {h.shape[1]} does not match network input {self.input_dim}"
             )
+        if bounds is not None:
+            blocks = list(enumerate(zip(bounds, bounds[1:])))
+            owner = np.repeat(np.arange(len(blocks)), np.diff(bounds))
         cache = []
         for spec, (w, b) in zip(self.layers, self._views):
-            z = h @ w + b
+            if bounds is None:
+                z = h @ w + b
+            else:
+                z = np.empty((h.shape[0], spec.output_dim))
+                for i, (start, end) in blocks:
+                    np.matmul(h[start:end], w[i], out=z[start:end])
+                z += b[owner, 0]
             cache.append((h, z))
             h = _apply_activation(spec.activation, z)
         out = h[0] if single else h
         return out, cache
 
-    def output(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass when the backward cache is not needed."""
-        return self.forward(x)[0]
-
-    def backward(self, cache: list, output_grad: np.ndarray) -> np.ndarray:
+    def backward(self, cache: list, output_grad: np.ndarray,
+                 bounds: list[int] | None = None) -> np.ndarray:
         """Parameter gradient of `sum(output * output_grad)` over the batch.
 
         `output_grad` rows are d(loss)/d(output) per batch row; the returned
-        flat vector shares the layout of the parameter vector.
+        flat vector shares the layout of the parameter vector. With the
+        `bounds` of `forward`, row i of the [B, P] result is network i's
+        gradient over its block.
         """
         g = np.asarray(output_grad, dtype=np.float64)
         if g.ndim == 1:
@@ -153,7 +186,11 @@ class MlpNetwork:
                 f"output_grad shape {g.shape} does not match forward batch "
                 f"{cache[-1][1].shape}"
             )
-        grad = np.zeros(self.num_params, dtype=np.float64)
+        if bounds is None:
+            grad = np.zeros(self.num_params, dtype=np.float64)
+        else:
+            blocks = list(enumerate(zip(bounds, bounds[1:])))
+            grad = np.empty((len(blocks), self.num_params))
         d_post = g
         offset = self.num_params
         for spec, (w, _), (x_in, z) in zip(
@@ -162,42 +199,35 @@ class MlpNetwork:
             dz = d_post * _activation_deriv(spec.activation, z)
             b_start = offset - spec.output_dim
             w_start = b_start - spec.input_dim * spec.output_dim
-            grad[b_start:offset] = dz.sum(axis=0)
-            grad[w_start:b_start] = (x_in.T @ dz).ravel()
-            d_post = dz @ w.T
+            if bounds is None:
+                grad[b_start:offset] = dz.sum(axis=0)
+                grad[w_start:b_start] = (x_in.T @ dz).ravel()
+                d_post = dz @ w.T
+            else:
+                for i, (start, end) in blocks:
+                    grad[i, b_start:offset] = dz[start:end].sum(axis=0)
+                    np.matmul(x_in[start:end].T, dz[start:end],
+                              out=grad[i, w_start:b_start].reshape(spec.input_dim, -1))
+                if w_start:
+                    d_post = np.empty_like(x_in)
+                    for i, (start, end) in blocks:
+                        np.matmul(dz[start:end], w[i].T, out=d_post[start:end])
             offset = w_start
         return grad
 
-
-class NetworkStack:
-    """Same-shape networks evaluated side by side, one input row per network.
-
-    Each layer's weights are stacked once as [n, in, out] (biases [n, 1, out]),
-    so a step of n rows is one `(n, 1, in) @ (n, in, out)` matmul per layer.
-    Row i's output is bit-identical to network i's own 1-D forward pass:
-    every row goes through the same per-matrix product and elementwise ops.
-    """
-
-    def __init__(self, nets: Sequence[MlpNetwork]):
-        layers = nets[0].layers
-        if any(net.layers != layers for net in nets):
-            raise ConfigurationError("stacked networks must share one layer table")
-        self.activations = [spec.activation for spec in layers]
-        per_layer = list(zip(*(net._views for net in nets)))  # [layer][net] -> (w, b)
-        self.weights = [np.stack([w for w, _ in layer]) for layer in per_layer]
-        self.biases = [np.stack([b for _, b in layer])[:, None, :] for layer in per_layer]
-
-    def keep(self, rows: list[int]) -> None:
-        """Drop every network but those at `rows`, in that order."""
-        self.weights = [w[rows] for w in self.weights]
-        self.biases = [b[rows] for b in self.biases]
-
-    def output(self, x: np.ndarray) -> np.ndarray:
-        """Row i of `x` [n, in] through network i; returns [n, out]."""
+    def step_rows(self, x: np.ndarray) -> np.ndarray:
+        """For a stack: row i of `x` [B, in] through network i, one
+        `(B, 1, in) @ (B, in, out)` matmul per layer; returns [B, out]."""
         h = x[:, None, :]
-        for w, b, activation in zip(self.weights, self.biases, self.activations):
-            h = _apply_activation(activation, h @ w + b)
+        for spec, (w, b) in zip(self.layers, self._views):
+            h = _apply_activation(spec.activation, h @ w + b)
         return h[:, 0, :]
+
+    def keep(self, rows: list[int]) -> "MlpNetwork":
+        """For a stack: a stack of the networks at `rows` only (a copy)."""
+        narrowed = MlpNetwork(self.layers)
+        narrowed.bind(self.params[rows])
+        return narrowed
 
 
 def glorot_init(layers: Sequence[LayerSpec], rng: np.random.Generator) -> MlpNetwork:
@@ -214,11 +244,12 @@ def glorot_init(layers: Sequence[LayerSpec], rng: np.random.Generator) -> MlpNet
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one flat parameter vector."""
+    """First/second moment accumulators for one flat parameter vector, or for
+    the rows of a [B, P] stack with one step count per row."""
 
     m: np.ndarray
     v: np.ndarray
-    step_count: int = 0
+    step_count: int | list[int] = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -228,27 +259,32 @@ class AdamState:
         return cls(m=np.zeros(num_params), v=np.zeros(num_params))
 
 
-def adam_step(
-    params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam descent step. Pure: inputs are not mutated.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam descent step, in place on `params` and `state`.
 
+    `params`, `grad` and the moments are one [P] vector, or [B, P] stacks
+    whose row i is corrected with its own `1 - beta**t` from step count i:
+    the same arithmetic, element for element, as B separate calls.
     The step moves against `grad`; callers doing ascent negate their gradient.
     """
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ConfigurationError("adam_step shape mismatch")
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in adam_step")
-    t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(
-        m=m, v=v, step_count=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
-    return new_params, new_state
+    if params.ndim == 1:
+        state.step_count += 1
+        c1 = 1.0 - state.beta1**state.step_count
+        c2 = 1.0 - state.beta2**state.step_count
+    else:
+        state.step_count = [t + 1 for t in state.step_count]
+        c1 = np.array([[1.0 - state.beta1**t] for t in state.step_count])
+        c2 = np.array([[1.0 - state.beta2**t] for t in state.step_count])
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 def network_to_bytes(net: MlpNetwork, extra_params: np.ndarray | None = None) -> bytes:

@@ -9,8 +9,10 @@ Two heads cover the two action-space regimes:
   log-std vector (clamped to [-5, 2]) supplies the scale. Its flat parameter
   vector is the network parameters followed by the log-std entries.
 
-Each head's `score_grad` is the one place its score function d log pi(a|s)
-lives: `log_prob_grad` calls it on one state, REINFORCE on a weighted batch.
+Each head's `score_seed` is the one place its score function d log pi(a|s)
+lives: its `score_grad` runs it through the network on one state or a
+weighted batch, and REINFORCE's stacked pass (`PolicyStack.score_grad`) on
+weighted blocks of states, one block per stacked policy.
 
 The environment's action space decides the head: `make_policy` maps an
 `EnvSpec` to one, `snapshot` writes a head and `load_policy` restores it.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .env import EnvSpec
 from .errors import ArtifactIOError, ConfigurationError, NumericError
-from .nn_core import MlpNetwork, NetworkStack, load_network, network_to_bytes
+from .nn_core import MlpNetwork, load_network, network_to_bytes
 
 # Floor applied inside logarithms so a near-zero consensus entry cannot
 # produce -inf; softmax outputs themselves are always strictly positive.
@@ -151,7 +153,56 @@ def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) ->
     return mu + std * rng.standard_normal(mu.size)
 
 
-class CategoricalPolicy:
+class _Head:
+    """What both heads share. The flat parameter array `params` holds the
+    network's parameters, then the head's own entries (`log_std`: one per
+    action dimension for a Gaussian head, none for a categorical one),
+    clamped to [-5, 2] on every parameter write."""
+
+    def __init__(self, net: MlpNetwork, log_std: np.ndarray):
+        self.net = net
+        self.num_params = net.num_params + log_std.size
+        params = np.empty(self.num_params)
+        params[: net.num_params] = net.params
+        params[net.num_params :] = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+        self.bind(params)
+
+    def bind(self, params: np.ndarray) -> None:
+        """Read and write `params` (e.g. a row of a `PolicyStack`) from now on."""
+        self.params = params
+        self.net.bind(params[: self.net.num_params])
+        self.log_std = params[self.net.num_params :]
+
+    def get_params(self) -> np.ndarray:
+        return self.params.copy()
+
+    def set_params(self, params: np.ndarray) -> None:
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (self.num_params,):
+            raise ConfigurationError(
+                f"expected {self.num_params} parameters, got shape {params.shape}"
+            )
+        self.net.set_params(params[: self.net.num_params])
+        np.clip(params[self.net.num_params :], LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
+
+    def snapshot(self) -> bytes:
+        """The network snapshot, with the log-std entries (if any) as its tail."""
+        return network_to_bytes(self.net, self.log_std if self.log_std.size else None)
+
+    def _outputs(self, states: np.ndarray) -> np.ndarray:
+        outputs = self.net.forward(states)[0]
+        if not np.all(np.isfinite(outputs)):
+            raise NumericError(self.nonfinite)
+        return outputs
+
+    def _check_consensus(self, states: np.ndarray, consensus: DistributionBatch) -> None:
+        if consensus.kind != self.kind:
+            raise ConfigurationError("consensus kind does not match policy")
+        if consensus.n_states != states.shape[0] or consensus.dim != self.net.output_dim:
+            raise ConfigurationError("consensus shape does not match state set")
+
+
+class CategoricalPolicy(_Head):
     """Softmax policy for discrete actions: probs(s) = softmax(net(s))."""
 
     kind = "categorical"
@@ -160,24 +211,11 @@ class CategoricalPolicy:
     def __init__(self, net: MlpNetwork):
         if net.output_dim < 2:
             raise ConfigurationError("categorical policy needs at least 2 actions")
-        self.net = net
+        super().__init__(net, np.empty(0))
         self.action_count = net.output_dim
-        self.num_params = net.num_params
-
-    def get_params(self) -> np.ndarray:
-        return self.net.get_params()
-
-    def set_params(self, params: np.ndarray) -> None:
-        self.net.set_params(params)
-
-    def snapshot(self) -> bytes:
-        return network_to_bytes(self.net)
 
     def action_distribution(self, state: np.ndarray) -> np.ndarray:
-        logits = self.net.output(state)
-        if not np.all(np.isfinite(logits)):
-            raise NumericError(self.nonfinite)
-        return softmax(logits)
+        return softmax(self._outputs(state))
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
         return _draw_categorical(self.action_distribution(state).tolist(), rng)
@@ -190,18 +228,26 @@ class CategoricalPolicy:
         """`sample_action` for rows of finite logits, row i from rngs[i]."""
         return [_draw_categorical(row, rng) for row, rng in zip(softmax(logits).tolist(), rngs)]
 
-    def score_grad(self, states: np.ndarray, actions,
-                   weights: np.ndarray | None = None) -> np.ndarray:
-        """d log pi(a|s) from the seed onehot(a) - probs: one state and action,
-        or the sum over a batch of rows, each scaled by its weight."""
-        logits, cache = self.net.forward(states)
+    @staticmethod
+    def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,
+                   log_std: None = None) -> tuple[np.ndarray, None]:
+        """d log pi(a|s) with respect to the logits, onehot(a) - probs: for one
+        state and action, or for rows of them, each row scaled by its weight.
+        The head has no parameters beyond the network, hence the None."""
         seed = -softmax(logits)
         if weights is None:
             seed[actions] += 1.0
         else:
             seed[np.arange(seed.shape[0]), actions] += 1.0
             seed *= weights[:, None]
-        return self.net.backward(cache, seed)
+        return seed, None
+
+    def score_grad(self, states: np.ndarray, actions,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+        """d log pi(a|s) through the network: for one state and action, or
+        the sum over rows of them, each scaled by its weight."""
+        logits, cache = self.net.forward(states)
+        return self.net.backward(cache, self.score_seed(logits, actions, weights)[0])
 
     def log_prob_grad(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= action < self.action_count:
@@ -209,10 +255,7 @@ class CategoricalPolicy:
         return self.score_grad(state, action)
 
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
-        logits, _ = self.net.forward(np.asarray(states, dtype=np.float64))
-        if not np.all(np.isfinite(logits)):
-            raise NumericError(self.nonfinite)
-        return DistributionBatch("categorical", probs=softmax(logits))
+        return DistributionBatch("categorical", probs=softmax(self._outputs(states)))
 
     def kl_batch_loss(
         self, states: np.ndarray, consensus: DistributionBatch
@@ -224,10 +267,7 @@ class CategoricalPolicy:
         from the softmax Jacobian applied to the KL sum.
         """
         states = np.asarray(states, dtype=np.float64)
-        if consensus.kind != self.kind:
-            raise ConfigurationError("consensus kind does not match policy")
-        if consensus.n_states != states.shape[0] or consensus.dim != self.action_count:
-            raise ConfigurationError("consensus shape does not match state set")
+        self._check_consensus(states, consensus)
         logits, cache = self.net.forward(states)
         p = softmax(logits)
         logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(
@@ -239,45 +279,21 @@ class CategoricalPolicy:
         return loss, self.net.backward(cache, seeds)
 
 
-class GaussianPolicy:
-    """Diagonal Gaussian policy: mean from the network, learnable log-std.
-
-    Flat parameter layout: network parameters, then one log-std per action
-    dimension. The log-std is clamped to [-5, 2] on every parameter write.
-    """
+class GaussianPolicy(_Head):
+    """Diagonal Gaussian policy: mean from the network, learnable log-std
+    (zero unless given), one per action dimension."""
 
     kind = "gaussian"
     nonfinite = "non-finite policy mean"
 
     def __init__(self, net: MlpNetwork, log_std: np.ndarray | None = None):
-        self.net = net
         self.action_dim = net.output_dim
         if log_std is None:
             log_std = np.zeros(self.action_dim)
-        self.log_std = np.clip(np.asarray(log_std, dtype=np.float64), LOG_STD_MIN, LOG_STD_MAX)
-        self.num_params = net.num_params + self.action_dim
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.net.get_params(), self.log_std])
-
-    def set_params(self, params: np.ndarray) -> None:
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.num_params,):
-            raise ConfigurationError(
-                f"expected {self.num_params} parameters, got shape {params.shape}"
-            )
-        self.net.set_params(params[: self.net.num_params])
-        self.log_std = np.clip(params[self.net.num_params :], LOG_STD_MIN, LOG_STD_MAX)
-
-    def snapshot(self) -> bytes:
-        """The network snapshot with the log-std entries as its tail."""
-        return network_to_bytes(self.net, self.log_std)
+        super().__init__(net, np.asarray(log_std, dtype=np.float64))
 
     def action_distribution(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu = self.net.output(state)
-        if not np.all(np.isfinite(mu)):
-            raise NumericError(self.nonfinite)
-        return mu, np.exp(2.0 * self.log_std)
+        return self._outputs(state), np.exp(2.0 * self.log_std)
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         mu, var = self.action_distribution(state)
@@ -292,26 +308,34 @@ class GaussianPolicy:
         `noise_scale` from rngs[i]."""
         return [_draw_gaussian(m, std, rng) for m, std, rng in zip(mu, scales, rngs)]
 
-    def score_grad(self, states: np.ndarray, actions: np.ndarray,
-                   weights: np.ndarray | None = None) -> np.ndarray:
-        """d log pi(a|s): (a - mu)/var through the network, then the log-std
-        term (a - mu)^2/var - 1. Weights work as in `CategoricalPolicy`."""
-        mu, cache = self.net.forward(states)
-        var = np.exp(2.0 * self.log_std)
+    @staticmethod
+    def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray | None = None,
+                   log_std: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """d log pi(a|s): (a - mu)/var with respect to the mean, and the log-std
+        term (a - mu)^2/var - 1. `log_std` is the policy's vector, or one row
+        per state; weights work as in `CategoricalPolicy.score_seed`."""
+        var = np.exp(2.0 * log_std)
         seed = (actions - mu) / var
         log_std_grad = (actions - mu) ** 2 / var - 1.0
         if weights is not None:
             seed = seed * weights[:, None]
-            log_std_grad = (log_std_grad * weights[:, None]).sum(axis=0)
+            log_std_grad = log_std_grad * weights[:, None]
+        return seed, log_std_grad
+
+    def score_grad(self, states: np.ndarray, actions: np.ndarray,
+                   weights: np.ndarray | None = None) -> np.ndarray:
+        """As `CategoricalPolicy.score_grad`, with the log-std terms last."""
+        mu, cache = self.net.forward(states)
+        seed, log_std_grad = self.score_seed(mu, actions, weights, self.log_std)
+        if weights is not None:
+            log_std_grad = log_std_grad.sum(axis=0)
         return np.concatenate([self.net.backward(cache, seed), log_std_grad])
 
     def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         return self.score_grad(state, np.asarray(action, dtype=np.float64))
 
     def extract_batch(self, states: np.ndarray) -> DistributionBatch:
-        mu, _ = self.net.forward(np.asarray(states, dtype=np.float64))
-        if not np.all(np.isfinite(mu)):
-            raise NumericError(self.nonfinite)
+        mu = self._outputs(states)
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
@@ -324,10 +348,7 @@ class GaussianPolicy:
         gradient is var1/var2 - 1 per dimension, averaged over states.
         """
         states = np.asarray(states, dtype=np.float64)
-        if consensus.kind != self.kind:
-            raise ConfigurationError("consensus kind does not match policy")
-        if consensus.n_states != states.shape[0] or consensus.dim != self.action_dim:
-            raise ConfigurationError("consensus shape does not match state set")
+        self._check_consensus(states, consensus)
         mu, cache = self.net.forward(states)
         var = np.exp(2.0 * self.log_std)
         n = states.shape[0]
@@ -343,38 +364,71 @@ class GaussianPolicy:
 
 
 class PolicyStack:
-    """Same-head, same-shape policies sampled together, one state row each.
+    """Same-head, same-shape policies whose flat parameters are the rows of one
+    [B, P] array, `params`, read in place by one stacked network, `net`.
 
-    The networks are stacked once (`NetworkStack`); each step runs one stacked
-    forward pass, then policy i draws from its own generator through its
-    head's `draw_rows`, the draw its `sample_action` makes. Its action and its
-    generator's state are therefore those of `sample_action` on its own.
+    Stacking several policies copies their parameters into the rows once and
+    binds each policy to its row, so later writes through either side are
+    seen by both (a policy reads only the last stack of several that bound
+    it); a stack of one is a view of its policy's own array.
+    `sample` draws as each policy's `sample_action` would, from one stacked
+    forward pass; `score_grad` is REINFORCE's stacked score pass.
     """
 
     def __init__(self, policies: list):
         self.head = type(policies[0])
         if any(type(policy) is not self.head for policy in policies):
             raise ConfigurationError("stacked policies must share one head")
-        self.net = NetworkStack([policy.net for policy in policies])
-        self.scales = [policy.noise_scale() for policy in policies]
+        if len(policies) == 1:
+            self.params = policies[0].params[None]
+        else:
+            self.params = np.stack([policy.params for policy in policies])
+            for policy, row in zip(policies, self.params):
+                policy.bind(row)
+        self.policies = list(policies)
+        self.net = MlpNetwork(policies[0].net.layers)
+        self.net.bind(self.params[:, : self.net.num_params])
 
-    def keep(self, rows: list[int]) -> None:
-        """Drop every policy but those at `rows`, in that order."""
-        self.net.keep(rows)
-        self.scales = [self.scales[row] for row in rows]
-
-    def sample(self, states: np.ndarray, rngs: list) -> list:
-        """One action per state row; a row whose network output is not finite
-        gets the `NumericError` its policy's `sample_action` raises, and its
-        generator is not drawn from."""
-        outputs = self.net.output(states)
+    def sample(self, net: MlpNetwork, states: np.ndarray, scales: list, rngs: list) -> list:
+        """One action per state row through `net` (this stack or rows of it),
+        row i with `noise_scale` scales[i] from rngs[i]: the action and
+        generator state of that policy's `sample_action`. A row whose network
+        output is not finite gets the `NumericError` `sample_action` raises,
+        and its generator is not drawn from."""
+        outputs = net.step_rows(states)
         finite = np.isfinite(outputs).all(axis=1)
         if finite.all():
-            return self.head.draw_rows(outputs, self.scales, rngs)
+            return self.head.draw_rows(outputs, scales, rngs)
         rows = np.flatnonzero(finite).tolist()
-        drawn = iter(self.head.draw_rows(outputs[rows], [self.scales[r] for r in rows],
+        drawn = iter(self.head.draw_rows(outputs[rows], [scales[r] for r in rows],
                                          [rngs[r] for r in rows]))
         return [next(drawn) if ok else NumericError(self.head.nonfinite) for ok in finite]
+
+    def score_grad(self, states: np.ndarray, actions: np.ndarray, weights: np.ndarray,
+                   bounds: list[int]) -> np.ndarray:
+        """Row i: the sum over states bounds[i]:bounds[i+1] of weight times
+        d log pi_i(a|s), through the head's `score_seed`; [B, P]. A stack of
+        one runs its policy's own `score_grad`."""
+        if len(self.policies) == 1:
+            return self.policies[0].score_grad(states, actions, weights)[None]
+        outputs, cache = self.net.forward(states, bounds)
+        n = self.net.num_params
+        log_std = np.repeat(self.params[:, n:], np.diff(bounds), axis=0)
+        seed, tail = self.head.score_seed(outputs, actions, weights, log_std)
+        grad = self.net.backward(cache, seed, bounds)
+        if tail is None:
+            return grad
+        return np.concatenate([grad, [tail[start:end].sum(axis=0)
+                                      for start, end in zip(bounds, bounds[1:])]], axis=1)
+
+    def settle(self) -> np.ndarray:
+        """After an in-place write to `params`, what `set_params` does, for
+        every row: clamp a Gaussian log-std. Returns the mask of rows whose
+        network parameters are not all finite."""
+        n = self.net.num_params
+        if self.params.shape[1] > n:
+            np.clip(self.params[:, n:], LOG_STD_MIN, LOG_STD_MAX, out=self.params[:, n:])
+        return ~np.isfinite(self.params[:, :n]).all(axis=1)
 
 
 def make_policy(spec: EnvSpec, net: MlpNetwork, log_std: np.ndarray | None = None):

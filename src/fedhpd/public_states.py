@@ -13,6 +13,7 @@ import numpy as np
 
 from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
+from .policy import PolicyStack
 from .reinforce import Agent, AgentConfig, raise_failures, rollout, train_round
 
 VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
@@ -47,7 +48,8 @@ def generate_public_states(
     for _ in range(warmup_rounds):
         raise_failures(train_round([agent]))
 
-    pool = np.concatenate([raise_failures(rollout([agent.policy], spec, [agent.rng]))[0].states
+    stack = PolicyStack([agent.policy])
+    pool = np.concatenate([raise_failures(rollout(stack, spec, [agent.rng]))[0].states
                            for _ in range(rollouts)])
     if pool.shape[0] >= n:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)

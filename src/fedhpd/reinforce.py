@@ -9,22 +9,25 @@ score-function gradient estimate
 with R(tau) the episode's discounted return - no baseline, no advantage,
 no normalization. The ascent step runs through Adam on the negated estimate.
 
-The per-step gradient sum is evaluated as one batched backward pass over the
-episode's states (gradients are additive over batch rows), which is what
-keeps desk-scale sweeps fast; `policy_gradient` is verified against the
-term-by-term sum in the tests. The other half of that speed is `rollout`
-stepping many same-shape policies in lockstep: `train_round` runs one round
-for agent k of every cell of a grid at once.
+`train_round` runs one round for agent k of every cell of a grid at once,
+a `Cohort` whose parameters and Adam moments are the rows of [B, P] arrays:
+`rollout` steps its episodes in lockstep through one stacked forward pass,
+`policy_gradient` sums each agent's per-step score gradients in one stacked
+forward and backward pass over all agents' episodes (gradients are additive
+over rows), and one Adam step updates every row. Each agent's numbers are
+bit-identical to training alone; the tests check them against one network
+pass per episode and against the term-by-term sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import env as envmod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .nn_core import AdamState, LayerSpec, adam_step, glorot_init
 from .policy import PolicyStack, make_policy
 
@@ -50,22 +53,6 @@ class AgentConfig:
             raise ConfigurationError(f"agent {self.agent_id}: gamma must be in (0, 1)")
 
 
-@dataclass(slots=True)
-class RoundStats:
-    agent_id: str
-    episode_returns: list[float]
-    discounted_returns: list[float]
-    grad_norm: float
-
-    @property
-    def mean_episode_return(self) -> float:
-        return float(np.mean(self.episode_returns))
-
-    @property
-    def mean_discounted_return(self) -> float:
-        return float(np.mean(self.discounted_returns))
-
-
 def build_policy(config: AgentConfig, spec: envmod.EnvSpec, rng: np.random.Generator):
     """Instantiate the agent's policy for the given environment."""
     layers = []
@@ -86,18 +73,20 @@ class Episode:
     rewards: np.ndarray
 
 
-def rollout(policies: list, spec: envmod.EnvSpec, rngs: list) -> list:
-    """Run one episode for each policy, policy i on generator i, in lockstep.
+def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
+    """Run one episode for each policy of the stack, policy i on generator i,
+    in lockstep.
 
-    The policies share one head and one network shape. Each step samples
-    every running episode through one stacked forward pass (`PolicyStack`),
-    or through `sample_action` once a single episode is left, then advances
-    each state through `env.step`; an episode leaves the stack when it
-    terminates or reaches the horizon. Generator i is consumed as one `reset`
-    then one draw per step, so each episode is exactly the one policy i would
-    run alone. An episode that raises ends there: its slot holds the
-    exception instead of an `Episode`, and the other episodes run on.
+    Each step samples every running episode through one stacked forward pass
+    over the stack's parameter rows (`PolicyStack.sample`), or through
+    `sample_action` once a single episode is left, then advances each state
+    through `env.step`; an episode leaves the stack when it terminates or
+    reaches the horizon. Generator i is consumed as one `reset` then one draw
+    per step, so each episode is exactly the one policy i would run alone.
+    An episode that raises ends there: its slot holds the exception instead
+    of an `Episode`, and the other episodes run on.
     """
+    policies = stack.policies
     n = len(policies)
     horizon = spec.max_steps
     states = np.empty((n, horizon + 1, envmod.STATE_DIM))
@@ -106,13 +95,15 @@ def rollout(policies: list, spec: envmod.EnvSpec, rngs: list) -> list:
     results: list = [None] * n
     for i, rng in enumerate(rngs):
         states[i, 0] = envmod.reset(spec, rng)
-    stack = PolicyStack(policies) if n > 1 else None
+    net = stack.net
+    scales = [policy.noise_scale() for policy in policies] if n > 1 else None
     live = list(range(n))
     for t in range(horizon):
         if not live:
             break
         if len(live) > 1:
-            drawn = stack.sample(states[live, t], [rngs[i] for i in live])
+            drawn = stack.sample(net, states[live, t], [scales[i] for i in live],
+                                 [rngs[i] for i in live])
         else:
             drawn = [_sample_one(policies[live[0]], states[live[0], t], rngs[live[0]])]
         kept = []
@@ -135,7 +126,7 @@ def rollout(policies: list, spec: envmod.EnvSpec, rngs: list) -> list:
         if len(kept) < len(live):
             live = [live[row] for row in kept]
             if len(live) > 1:
-                stack.keep(kept)
+                net = net.keep(kept)
     return results
 
 
@@ -159,22 +150,19 @@ def collect_trajectories(agents: list["Agent"]) -> list:
     """`episodes_per_round` episodes from each agent, stepped in lockstep.
 
     The agents share one network shape and `episodes_per_round`; an agent
-    whose episode failed gets that exception instead of its episode list.
+    whose episode failed gets that exception instead of its episode list
+    (its later episodes still run, and are dropped).
     """
     counts = {agent.config.episodes_per_round for agent in agents}
     if len(counts) > 1:
         raise ConfigurationError("lockstep agents must share episodes_per_round")
+    stack = Cohort.of(agents).policies
     collected: list = [[] for _ in agents]
-    for _ in range(max(counts, default=0)):
-        live = [j for j, episodes in enumerate(collected) if isinstance(episodes, list)]
-        if not live:
-            break
-        episodes = rollout([agents[j].policy for j in live], agents[0].spec,
-                           [agents[j].rng for j in live])
-        for j, episode in zip(live, episodes):
-            if isinstance(episode, Exception):
+    for _ in range(max(counts)):
+        for j, episode in enumerate(rollout(stack, agents[0].spec, [a.rng for a in agents])):
+            if isinstance(episode, Exception) and isinstance(collected[j], list):
                 collected[j] = episode
-            else:
+            elif isinstance(collected[j], list):
                 collected[j].append(episode)
     return collected
 
@@ -187,24 +175,48 @@ def _step_weights(rewards: np.ndarray, gamma: float, reward_to_go: bool) -> np.n
     return np.full(rewards.size, float(np.sum(discounts * rewards)))
 
 
-def policy_gradient(policy, episodes: list[Episode], gamma: float,
+def policy_gradient(stack: PolicyStack, episodes: list[list[Episode]], gamma: float,
                     reward_to_go: bool) -> np.ndarray:
-    """Ascent-direction estimate of grad J from whole episodes."""
-    if not episodes:
+    """Ascent-direction estimate of grad J for each policy of the stack from
+    its own whole episodes, episodes[i] for row i (none: zeros); [B, P].
+    Episode e of every row goes through one stacked pass."""
+    count = max(map(len, episodes))
+    if count == 0:
         raise ConfigurationError("policy_gradient needs at least one episode")
-    total = np.zeros(policy.num_params)
-    for episode in episodes:
-        weights = _step_weights(episode.rewards, gamma, reward_to_go)
-        total += policy.score_grad(episode.states, episode.actions, weights)
-    return total / len(episodes)
+    total = np.zeros(stack.params.shape)
+    for e in range(count):
+        batch = [row[e] for row in episodes if row]
+        bounds = list(accumulate([len(row[e].rewards) if row else 0 for row in episodes],
+                                 initial=0))
+        parts = [(ep.states, ep.actions, _step_weights(ep.rewards, gamma, reward_to_go))
+                 for ep in batch]
+        joined = [np.concatenate(arrays) for arrays in zip(*parts)] if len(parts) > 1 else parts[0]
+        total += stack.score_grad(*joined, bounds)
+    return total / count
 
 
-def local_update(policy, adam_state: AdamState, ascent_grad: np.ndarray,
-                 lr: float) -> AdamState:
-    """Adam ascent step: descend on the negated gradient estimate."""
-    params, new_state = adam_step(policy.get_params(), -ascent_grad, adam_state, lr)
-    policy.set_params(params)
-    return new_state
+def local_update(stack: PolicyStack, adam: AdamState, ascent_grads: np.ndarray,
+                 lr: float) -> list:
+    """Adam ascent step on every row of the stack, in place: descend on the
+    negated estimates. Per row, None or the `NumericError` the row's policy
+    would raise alone: a row whose gradient is not finite is stepped with a
+    zero gradient instead and fails as in `adam_step`, and a row whose new
+    network parameters are not finite fails as in `set_params`."""
+    finite = np.isfinite(ascent_grads).all(axis=1)
+    failures = [None if ok else NumericError("non-finite gradient in adam_step")
+                for ok in finite]
+    if not finite.all():
+        ascent_grads = np.where(finite[:, None], ascent_grads, 0.0)
+    adam_step(stack.params, -ascent_grads, adam, lr)
+    for row, bad in enumerate(stack.settle().tolist()):
+        if bad and failures[row] is None:
+            failures[row] = NumericError("non-finite network parameters")
+    return failures
+
+
+def _mean(values: list[float]) -> float:
+    # np.mean of one value is that value; one episode per round is the common case
+    return values[0] if len(values) == 1 else float(np.mean(values))
 
 
 class Agent:
@@ -217,35 +229,69 @@ class Agent:
         self.rng = np.random.Generator(np.random.PCG64(seed_seq))
         self.policy = build_policy(config, spec, self.rng)
         self.adam = AdamState.zeros(self.policy.num_params)
+        self.cohort: Cohort | None = None
 
-    def local_round(self, episodes: list[Episode]) -> RoundStats:
-        """Gradient and Adam step from this round's episodes."""
-        config = self.config
-        grad = policy_gradient(self.policy, episodes, config.gamma, config.reward_to_go)
-        self.adam = local_update(self.policy, self.adam, grad, config.learning_rate)
-        return RoundStats(
-            agent_id=config.agent_id,
-            episode_returns=[float(e.rewards.sum()) for e in episodes],
-            discounted_returns=[
-                envmod.discounted_return(e.rewards, config.gamma) for e in episodes
-            ],
-            grad_norm=float(np.linalg.norm(grad)),
-        )
+    @classmethod
+    def local_round(cls, agents: list["Agent"], episodes: list) -> list:
+        """Gradient and Adam step for a cohort from this round's episodes,
+        episodes[i] for agents[i] (an empty list leaves agent i out). Per
+        agent, (mean episode return, mean discounted return, gradient norm)
+        or the exception it raised."""
+        cohort = Cohort.of(agents)
+        config = agents[0].config
+        grads = policy_gradient(cohort.policies, episodes, config.gamma, config.reward_to_go)
+        adam = AdamState(cohort.m, cohort.v, [agent.adam.step_count for agent in agents])
+        failures = local_update(cohort.policies, adam, grads, config.learning_rate)
+        outcomes = []
+        for agent, step_count, rows, grad, failure in zip(
+                agents, adam.step_count, episodes, grads, failures):
+            agent.adam.step_count = step_count
+            if failure is None and rows:
+                failure = (
+                    _mean([float(e.rewards.sum()) for e in rows]),
+                    _mean([envmod.discounted_return(e.rewards, config.gamma) for e in rows]),
+                    float(np.linalg.norm(grad)),
+                )
+            outcomes.append(failure)
+        return outcomes
+
+
+class Cohort:
+    """Agent k of every cell of a lockstep group. Their parameters
+    (`policies`) and Adam moments (`m`, `v`) are the rows of [B, P] arrays,
+    and each agent's policy and moments are views of its row, so stacked
+    steps and per-agent writes (distillation) land in the same place."""
+
+    def __init__(self, agents: list[Agent]):
+        self.agents = list(agents)
+        self.policies = PolicyStack([agent.policy for agent in agents])
+        self.m = np.stack([agent.adam.m for agent in agents])
+        self.v = np.stack([agent.adam.v for agent in agents])
+        for agent, m, v in zip(agents, self.m, self.v):
+            agent.adam = AdamState(m, v, agent.adam.step_count)
+            agent.cohort = self
+
+    @classmethod
+    def of(cls, agents: list[Agent]) -> "Cohort":
+        """The cohort of exactly these agents, in this order, else a new one."""
+        cohort = agents[0].cohort
+        if cohort is not None and cohort.agents == agents and all(
+                agent.cohort is cohort for agent in agents):
+            return cohort
+        return cls(agents)
 
 
 def train_round(agents: list[Agent]) -> list:
-    """One local round for agents of one shape: their episodes are collected
-    in lockstep, then each agent takes its own gradient and Adam step. Each
-    slot holds that agent's `RoundStats`, or the exception it raised."""
-    outcomes = []
-    for agent, episodes in zip(agents, collect_trajectories(agents)):
-        if not isinstance(episodes, Exception):
-            try:
-                episodes = agent.local_round(episodes)
-            except Exception as exc:
-                episodes = exc
-        outcomes.append(episodes)
-    return outcomes
+    """One local round for a cohort: lockstep episodes, then one stacked
+    gradient and Adam step (`Agent.local_round`). Per agent, its
+    `local_round` outcome or the exception it raised."""
+    collected = collect_trajectories(agents)
+    learned = [[] if isinstance(episodes, Exception) else episodes for episodes in collected]
+    if not any(learned):
+        return collected
+    outcomes = Agent.local_round(agents, learned)
+    return [episodes if isinstance(episodes, Exception) else outcome
+            for episodes, outcome in zip(collected, outcomes)]
 
 
 def make_agents(configs: list[AgentConfig], spec: envmod.EnvSpec, seed: int) -> list[Agent]:

@@ -3,9 +3,13 @@
 Each is written independently of the program path it checks:
 
 * `train_independent` trains every agent alone, one episode at a time, with
-  its own `reset` / `sample_action` / `step` loop. It is the NoFed baseline
+  its own `reset` / `sample_action` / `step` loop, and learns through
+  `episode_gradient` and a one-vector `adam_step`. It is the NoFed baseline
   of acceptance criterion 6 and the sequential oracle for the lockstep
-  runner (`federation.run`, `reinforce.rollout`).
+  runner (`federation.run`, `reinforce.rollout`, `Agent.local_round`).
+* `episode_gradient` is REINFORCE for one policy: one `MlpNetwork` forward
+  and backward pass per episode through the head's `score_seed`, the
+  per-policy form the stacked pass (`PolicyStack.score_grad`) must match.
 * `kl_categorical` and `kl_gaussian` are the closed-form divergences of
   criterion 2, evaluated one row at a time; `kl_batch_loss` is checked
   against them.
@@ -17,7 +21,8 @@ import numpy as np
 
 from fedhpd.env import discounted_return, reset, step
 from fedhpd.errors import ConfigurationError
-from fedhpd.reinforce import Episode, RoundStats, local_update, policy_gradient
+from fedhpd.nn_core import adam_step
+from fedhpd.reinforce import Episode, _step_weights
 
 # floor inside the logarithms, as in the package's categorical KL loss
 PROB_FLOOR = 1e-12
@@ -39,9 +44,32 @@ def play_episode(policy, spec, rng: np.random.Generator) -> Episode:
     return Episode(np.array(states), np.array(actions), np.array(rewards))
 
 
+def episode_gradient(policy, episodes, gamma: float, reward_to_go: bool) -> np.ndarray:
+    """Ascent-direction REINFORCE estimate for one policy: per episode, one
+    forward and one backward pass of its own network, summed, then averaged."""
+    total = np.zeros(policy.num_params)
+    for episode in episodes:
+        weights = _step_weights(episode.rewards, gamma, reward_to_go)
+        outputs, cache = policy.net.forward(episode.states)
+        seed, tail = policy.score_seed(outputs, episode.actions, weights, policy.log_std)
+        grad = policy.net.backward(cache, seed)
+        total += grad if tail is None else np.concatenate([grad, tail.sum(axis=0)])
+    return total / len(episodes)
+
+
+def adam_ascent(policy, adam, ascent_grad: np.ndarray, lr: float) -> None:
+    """One Adam ascent step on a copy of the policy's parameters, written back
+    through `set_params`."""
+    params = policy.get_params()
+    adam_step(params, -ascent_grad, adam, lr)
+    policy.set_params(params)
+
+
 def train_independent(agents, rounds: int, trace_params: bool = False) -> dict:
-    """The NoFed baseline: every agent trains alone for `rounds` rounds."""
-    stats: list[list[RoundStats]] = []
+    """The NoFed baseline: every agent trains alone for `rounds` rounds.
+    `stats[i][k]` is agent k's (mean episode return, mean discounted return,
+    gradient norm) in round i."""
+    stats: list[list[tuple]] = []
     traces: list[list[np.ndarray]] = []
     for _ in range(rounds):
         per_agent = []
@@ -49,19 +77,24 @@ def train_independent(agents, rounds: int, trace_params: bool = False) -> dict:
             config = agent.config
             episodes = [play_episode(agent.policy, agent.spec, agent.rng)
                         for _ in range(config.episodes_per_round)]
-            grad = policy_gradient(agent.policy, episodes, config.gamma, config.reward_to_go)
-            agent.adam = local_update(agent.policy, agent.adam, grad, config.learning_rate)
-            per_agent.append(RoundStats(
-                agent_id=config.agent_id,
-                episode_returns=[float(e.rewards.sum()) for e in episodes],
-                discounted_returns=[discounted_return(e.rewards, config.gamma)
-                                    for e in episodes],
-                grad_norm=float(np.linalg.norm(grad)),
+            grad = episode_gradient(agent.policy, episodes, config.gamma, config.reward_to_go)
+            adam_ascent(agent.policy, agent.adam, grad, config.learning_rate)
+            per_agent.append((
+                float(np.mean([float(e.rewards.sum()) for e in episodes])),
+                float(np.mean([discounted_return(e.rewards, config.gamma) for e in episodes])),
+                float(np.linalg.norm(grad)),
             ))
         stats.append(per_agent)
         if trace_params:
             traces.append([agent.policy.get_params() for agent in agents])
-    return {"round_stats": stats, "param_traces": traces}
+    return {"stats": stats, "param_traces": traces}
+
+
+def run_stats(result) -> list[list[tuple]]:
+    """A `RunResult`'s per-round, per-agent numbers in `train_independent`'s form."""
+    return [list(zip(*rows)) for rows in zip(result.episode_return.tolist(),
+                                             result.discounted_return.tolist(),
+                                             result.grad_norm.tolist())]
 
 
 def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:

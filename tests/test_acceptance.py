@@ -85,11 +85,7 @@ def final_window_system_means(env_kind, preset, interval, states, rounds=600,
         for seed in seeds
     ]
     for result in raise_failures(run(configs, states)):
-        system = np.array([
-            np.mean([s.mean_episode_return for s in per])
-            for per in result.round_stats
-        ])
-        values.append(float(system[-window:].mean()))
+        values.append(float(result.system_returns()[-window:].mean()))
     return np.array(values)
 
 

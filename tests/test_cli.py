@@ -279,6 +279,17 @@ def test_cli_exit_codes(tmp_path):
         assert main(["train", "--config", str(path), "--output-dir", str(out),
                      "--set", f"agents.spec = {spec}"]) == 2
         assert not (out / "states.txt").exists()
+    # a repeated seed or interval would train and write the same cell twice
+    for argv in (["train", "--set", "run.seeds = 20, 20"], ["train", "--set", "fed.d = 5, 5"],
+                 ["sweep", "--seeds", "20,25,20"], ["sweep", "--d", "5,10,5"]):
+        out = tmp_path / f"repeat-{argv[-1].replace(' ', '')}"
+        assert main([*argv, "--config", str(path), "--output-dir", str(out)]) == 2
+        assert not out.exists()
+    # a config file that is not UTF-8 text is a config error, not a traceback
+    utf16 = tmp_path / "utf16.cfg"
+    utf16.write_bytes("run.rounds = 2\n".encode("utf-16"))
+    assert utf16.read_bytes()[:2] == b"\xff\xfe"
+    assert main(["train", "--config", str(utf16), "--output-dir", str(tmp_path / "u")]) == 2
 
 
 def test_cli_diagnose_uses_configured_gamma(tmp_path):

@@ -16,7 +16,7 @@ from fedhpd.diagnostics import (
 from fedhpd.env import EnvSpec, step
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
-from fedhpd.policy import CategoricalPolicy, DistributionBatch, GaussianPolicy
+from fedhpd.policy import CategoricalPolicy, DistributionBatch, GaussianPolicy, PolicyStack
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import Episode, policy_gradient
 
@@ -88,7 +88,7 @@ def test_deterministic_policy_and_start_state_give_zero_variance():
             if done:
                 break
         episode = Episode(np.array(states), np.zeros(len(states), dtype=int), np.array(rewards))
-        samples.append(policy_gradient(policy, [episode], 0.99, False))
+        samples.append(policy_gradient(PolicyStack([policy]), [[episode]], 0.99, False)[0])
     report = variance_report_from_samples(np.array(samples), np.zeros(policy.num_params))
     assert report.var_j_trace == 0.0
     assert report.var_jprime_direct == 0.0

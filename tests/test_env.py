@@ -16,7 +16,7 @@ from fedhpd.env import (
 )
 from fedhpd.errors import ArtifactIOError, ConfigurationError
 from fedhpd.nn_core import LayerSpec, glorot_init
-from fedhpd.policy import CategoricalPolicy
+from fedhpd.policy import CategoricalPolicy, PolicyStack
 from fedhpd.reinforce import rollout
 
 DISCRETE = EnvSpec("cartpole-discrete")
@@ -106,7 +106,7 @@ def test_trajectory_contiguity_guard():
         [LayerSpec(4, 8, "tanh"), LayerSpec(8, 2, "identity")], np.random.default_rng(1)))
     for spec in (DISCRETE, EnvSpec("cartpole-discrete", max_steps=7)):
         for seed in range(5):
-            episode, = rollout([policy], spec, [np.random.default_rng(seed)])
+            episode, = rollout(PolicyStack([policy]), spec, [np.random.default_rng(seed)])
             states, actions, rewards = episode.states, episode.actions, episode.rewards
             assert len(states) == len(actions) == len(rewards) >= 1
             for t in range(len(states)):

@@ -1,5 +1,6 @@
-"""Lockstep rollouts and grid groups: every policy and every cell gets exactly
-the numbers it would have on its own, and a failure stays with its owner."""
+"""Lockstep rollouts, the stacked learner and grid groups: every policy and
+every cell gets exactly the numbers it would have on its own, and a failure
+stays with its owner."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import fedhpd.federation as federation
 from fedhpd.cli import main
 from fedhpd.env import EnvSpec
 from fedhpd.errors import NumericError
-from fedhpd.federation import FedRunConfig, run
-from fedhpd.reinforce import Agent, AgentConfig, collect_trajectories, rollout
-from oracles import play_episode, train_independent
+from fedhpd.federation import FedRunConfig, distillation_round, run
+from fedhpd.policy import PolicyStack
+from fedhpd.public_states import generate_public_states
+from fedhpd.reinforce import Agent, AgentConfig, Episode, collect_trajectories, rollout
+from oracles import adam_ascent, episode_gradient, play_episode, run_stats, train_independent
 
 HEADS = [("categorical", "cartpole-discrete"), ("gaussian", "cartpole-continuous")]
 
@@ -49,11 +52,11 @@ def test_lockstep_rollout_matches_single_policy_runs(head, env_kind, horizon, mo
     policies = [make_agent(spec, seed).policy for seed in range(8)]
     assert policies[0].kind == head
     alone_rngs = [np.random.default_rng(100 + i) for i in range(8)]
-    alone = [rollout([p], spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
+    alone = [rollout(PolicyStack([p]), spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
 
     calls = count_env_steps(monkeypatch)
     rngs = [np.random.default_rng(100 + i) for i in range(8)]
-    together = rollout(policies, spec, rngs)
+    together = rollout(PolicyStack(policies), spec, rngs)
 
     lengths = [len(e.rewards) for e in together]
     assert spec.max_steps in lengths and min(lengths) < spec.max_steps
@@ -78,6 +81,98 @@ def test_lockstep_collection_matches_sequential_episodes(head, env_kind):
         assert agent.rng.bit_generator.state == replica.rng.bit_generator.state
 
 
+# episode lengths per cell; 500 is the default env's max_steps
+LEARNER_LENGTHS = {
+    "one-step": [1, 1, 1],
+    "mixed": [1, 7, 30, 3, 60, 2],
+    "max-steps": [500, 1, 257, 500],
+}
+
+
+def learner_pair(spec, n, **knobs):
+    """n agents of one lineup slot, and independent replicas of them."""
+    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-2, **knobs)
+    return tuple([Agent(config, spec, np.random.SeedSequence([seed, 4])) for seed in range(n)]
+                 for _ in range(2))
+
+
+def synthetic_episode(rng, spec, length, reward=1.0):
+    states = rng.normal(size=(length, envmod.STATE_DIM)) * 0.1
+    if spec.discrete:
+        actions = rng.integers(0, spec.action_count, size=length)
+    else:
+        actions = rng.normal(size=(length, spec.action_count))
+    return Episode(states, actions, np.full(length, reward))
+
+
+def assert_learner_matches_per_cell(agents, replicas, episodes):
+    """One stacked `Agent.local_round` equals, bit for bit, each replica's own
+    gradient (one network pass per episode) and one-vector Adam step."""
+    outcomes = Agent.local_round(agents, episodes)
+    for agent, replica, rows, outcome in zip(agents, replicas, episodes, outcomes):
+        config = replica.config
+        grad = episode_gradient(replica.policy, rows, config.gamma, config.reward_to_go)
+        try:
+            adam_ascent(replica.policy, replica.adam, grad, config.learning_rate)
+        except NumericError as exc:
+            assert isinstance(outcome, NumericError) and str(outcome) == str(exc)
+            continue
+        assert outcome[2] == float(np.linalg.norm(grad))
+        assert outcome[:2] == (float(np.mean([e.rewards.sum() for e in rows])),
+                               float(np.mean([envmod.discounted_return(e.rewards, config.gamma)
+                                              for e in rows])))
+        assert np.array_equal(agent.policy.get_params(), replica.policy.get_params())
+        assert np.array_equal(agent.adam.m, replica.adam.m)
+        assert np.array_equal(agent.adam.v, replica.adam.v)
+        assert agent.adam.step_count == replica.adam.step_count
+    return outcomes
+
+
+@pytest.mark.parametrize("head,env_kind", HEADS)
+@pytest.mark.parametrize("case", sorted(LEARNER_LENGTHS))
+@pytest.mark.parametrize("knobs", [{}, {"episodes_per_round": 2, "reward_to_go": True}])
+def test_stacked_learner_matches_per_cell_steps(head, env_kind, case, knobs):
+    spec = EnvSpec(env_kind)
+    lengths = LEARNER_LENGTHS[case]
+    agents, replicas = learner_pair(spec, len(lengths), **knobs)
+    assert agents[0].policy.kind == head
+    rng = np.random.default_rng(len(lengths))
+    count = knobs.get("episodes_per_round", 1)
+    for _ in range(3):  # later rounds start from warm Adam moments
+        episodes = [[synthetic_episode(rng, spec, lengths[(i + e) % len(lengths)])
+                     for e in range(count)] for i in range(len(lengths))]
+        assert_learner_matches_per_cell(agents, replicas, episodes)
+
+
+@pytest.mark.parametrize("head,env_kind", HEADS)
+def test_stacked_learner_after_digestion_with_different_step_counts(head, env_kind):
+    spec = EnvSpec(env_kind, max_steps=40)
+    states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=16, seed=3)
+    agents, replicas = learner_pair(spec, 4)
+    rng = np.random.default_rng(5)
+    for round_index in range(3):
+        episodes = [[synthetic_episode(rng, spec, length)] for length in (1, 12, 40, 5)]
+        assert_learner_matches_per_cell(agents, replicas, episodes)
+        # cells 0 and 2 digest (as one cell would) into the same stacked rows
+        for group in ((agents[0], agents[2]), (replicas[0], replicas[2])):
+            distillation_round(list(group), states, round_index)
+    assert [a.adam.step_count for a in agents] == [6, 3, 6, 3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("head,env_kind", HEADS)
+def test_non_finite_gradient_row_fails_only_its_cell(head, env_kind):
+    spec = EnvSpec(env_kind)
+    agents, replicas = learner_pair(spec, 4)
+    rng = np.random.default_rng(6)
+    episodes = [[synthetic_episode(rng, spec, 9, reward=1e308 if i == 1 else 1.0)]
+                for i in range(4)]
+    outcomes = assert_learner_matches_per_cell(agents, replicas, episodes)
+    assert str(outcomes[1]) == "non-finite gradient in adam_step"
+    assert all(isinstance(outcomes[i], tuple) for i in (0, 2, 3))
+
+
 def run_configs(seeds, interval=None, rounds=6, **agent_knobs):
     lineup = [AgentConfig(f"a{k}", hidden, lr, **agent_knobs) for k, (hidden, lr) in
               enumerate([([(8, "tanh")], 1e-3), ([(6, "relu"), (6, "relu")], 2e-3)])]
@@ -95,11 +190,7 @@ def test_lockstep_run_matches_the_sequential_oracle(knobs):
         alone = train_independent(agents, config.rounds, trace_params=True)
         for got, want in zip(result.param_traces, alone["param_traces"]):
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
-        for got, want in zip(result.round_stats, alone["round_stats"]):
-            for a, b in zip(got, want):
-                assert a.episode_returns == b.episode_returns
-                assert a.discounted_returns == b.discounted_returns
-                assert a.grad_norm == b.grad_norm
+        assert run_stats(result) == alone["stats"]
 
 
 def blow_up(policy):
@@ -118,9 +209,10 @@ def test_non_finite_row_fails_only_its_policy(head, env_kind, message):
     blow_up(policies[2])
     with pytest.raises(NumericError, match=message):
         policies[2].sample_action(np.zeros(4), np.random.default_rng(0))
-    alone = [rollout([p], spec, [np.random.default_rng(i)])[0]
+    alone = [rollout(PolicyStack([p]), spec, [np.random.default_rng(i)])[0]
              for i, p in enumerate(policies)]
-    together = rollout(policies, spec, [np.random.default_rng(i) for i in range(4)])
+    together = rollout(PolicyStack(policies), spec,
+                       [np.random.default_rng(i) for i in range(4)])
     for i in (0, 1, 3):
         assert_same_episode(together[i], alone[i])
     for failed in (together[2], alone[2]):

@@ -50,7 +50,14 @@ def build_layers(hidden, out_dim, in_dim=4):
 def straight_line_eval(net, x):
     """Scalar re-evaluation of the network, unit by unit, with math.* only."""
     h = [float(v) for v in x]
-    for spec, (w, b) in zip(net.layers, net._views):
+    flat = net.get_params().tolist()
+    offset = 0
+    for spec in net.layers:
+        # documented layout: row-major weights, then biases
+        w_end = offset + spec.input_dim * spec.output_dim
+        w = np.array(flat[offset:w_end]).reshape(spec.input_dim, spec.output_dim)
+        b = flat[w_end : w_end + spec.output_dim]
+        offset = w_end + spec.output_dim
         out = []
         for j in range(spec.output_dim):
             acc = float(b[j])
@@ -197,9 +204,10 @@ def test_dimension_mismatch_raises():
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros(3)
-    new_params, new_state = adam_step(params, np.zeros(3), state, lr=0.1)
-    assert np.array_equal(new_params, params)
-    assert new_state.step_count == 1
+    before = params.copy()
+    adam_step(params, np.zeros(3), state, lr=0.1)
+    assert np.array_equal(params, before)
+    assert state.step_count == 1
 
 
 def test_adam_moves_against_constant_gradient():
@@ -207,7 +215,7 @@ def test_adam_moves_against_constant_gradient():
     state = AdamState.zeros(2)
     grad = np.array([1.0, -3.0])
     for _ in range(50):
-        params, state = adam_step(params, grad, state, lr=0.01)
+        adam_step(params, grad, state, lr=0.01)
     assert params[0] < 0.0
     assert params[1] > 0.0
 
@@ -232,7 +240,7 @@ def test_adam_three_step_trace_matches_scalar_reference():
     params = np.zeros(1)
     state = AdamState.zeros(1)
     for g, want in zip(grads, expected):
-        params, state = adam_step(params, np.array([g]), state, lr=0.02)
+        adam_step(params, np.array([g]), state, lr=0.02)
         assert abs(params[0] - want) < 1e-15
     assert state.step_count == 3
 

@@ -6,7 +6,7 @@ import pytest
 from fedhpd.env import EnvSpec, THETA_THRESHOLD, X_THRESHOLD, reset, step
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import AdamState, LayerSpec, MlpNetwork
-from fedhpd.policy import CategoricalPolicy
+from fedhpd.policy import CategoricalPolicy, PolicyStack
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import (
     Agent,
@@ -22,6 +22,16 @@ from fedhpd.reinforce import (
 )
 
 SPEC = EnvSpec("cartpole-discrete")
+
+
+def gradient(policy, episodes, cfg):
+    """`policy_gradient` for one policy."""
+    return policy_gradient(PolicyStack([policy]), [episodes], cfg.gamma, cfg.reward_to_go)[0]
+
+
+def stacked_adam(policy):
+    """Zero Adam moments for a stack of one policy."""
+    return AdamState(np.zeros((1, policy.num_params)), np.zeros((1, policy.num_params)), [0])
 
 
 def agent_config(**overrides):
@@ -66,7 +76,7 @@ def test_rollout_consumes_reset_then_one_sample_per_step(head, env_kind):
     assert agent.policy.kind == head
     rng = np.random.default_rng(8)
     replay = np.random.default_rng(8)
-    episode, = rollout([agent.policy], spec, [rng])
+    episode, = rollout(PolicyStack([agent.policy]), spec, [rng])
     assert np.array_equal(reset(spec, replay), episode.states[0])
     for state, action in zip(episode.states, episode.actions):
         assert np.array_equal(agent.policy.sample_action(state, replay), action)
@@ -82,7 +92,7 @@ def test_near_deterministic_policy_matches_scripted_replay():
     net.set_params(params)
     policy = CategoricalPolicy(net)
     rng = np.random.default_rng(9)
-    episode, = rollout([policy], SPEC, [rng])
+    episode, = rollout(PolicyStack([policy]), SPEC, [rng])
     assert set(episode.actions.tolist()) == {0}
     state = episode.states[0]
     for t, reward in enumerate(episode.rewards):
@@ -103,7 +113,7 @@ def test_zero_rewards_give_zero_gradient():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(10))
     traj = synthetic_trajectory(rng, agent.policy, 6, rewards=[0.0] * 6)
-    grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
+    grad = gradient(agent.policy, [traj], cfg)
     assert np.array_equal(grad, np.zeros(agent.policy.num_params))
 
 
@@ -112,7 +122,7 @@ def test_one_step_trajectory_is_scaled_log_prob_grad():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(11))
     traj = synthetic_trajectory(rng, agent.policy, 1, rewards=[2.5])
-    grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
+    grad = gradient(agent.policy, [traj], cfg)
     expected = 2.5 * agent.policy.log_prob_grad(traj.states[0], int(traj.actions[0]))
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-14)
 
@@ -129,7 +139,7 @@ def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         assert agent.policy.kind == head
         trajectories, = collect_trajectories([agent])
-        got = policy_gradient(agent.policy, trajectories, cfg.gamma, cfg.reward_to_go)
+        got = gradient(agent.policy, trajectories, cfg)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
         expected = np.zeros(agent.policy.num_params)
@@ -155,7 +165,7 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
         traj = collect_trajectories([agent])[0][0]
-        grad = policy_gradient(agent.policy, [traj], cfg.gamma, cfg.reward_to_go)
+        grad = gradient(agent.policy, [traj], cfg)
         log_lik_dir = np.zeros(agent.policy.num_params)
         for state, action in zip(traj.states, traj.actions):
             log_lik_dir += agent.policy.log_prob_grad(state, action)
@@ -165,10 +175,12 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
 def test_local_update_zero_gradient_keeps_params():
     agent = Agent(agent_config(), SPEC, np.random.SeedSequence(13))
     before = agent.policy.get_params()
-    state = local_update(agent.policy, AdamState.zeros(agent.policy.num_params),
-                         np.zeros(agent.policy.num_params), 1e-2)
+    state = stacked_adam(agent.policy)
+    failures = local_update(PolicyStack([agent.policy]), state,
+                            np.zeros((1, agent.policy.num_params)), 1e-2)
+    assert failures == [None]
     assert np.array_equal(agent.policy.get_params(), before)
-    assert state.step_count == 1
+    assert state.step_count == [1]
 
 
 def test_local_update_is_deterministic():
@@ -176,8 +188,9 @@ def test_local_update_is_deterministic():
     a = Agent(agent_config(), SPEC, np.random.SeedSequence(14))
     b = Agent(agent_config(), SPEC, np.random.SeedSequence(14))
     grad = rng.normal(size=a.policy.num_params)
-    sa = local_update(a.policy, AdamState.zeros(a.policy.num_params), grad, 1e-3)
-    sb = local_update(b.policy, AdamState.zeros(b.policy.num_params), grad, 1e-3)
+    sa, sb = stacked_adam(a.policy), stacked_adam(b.policy)
+    local_update(PolicyStack([a.policy]), sa, grad[None], 1e-3)
+    local_update(PolicyStack([b.policy]), sb, grad[None], 1e-3)
     assert np.array_equal(a.policy.get_params(), b.policy.get_params())
     assert np.array_equal(sa.m, sb.m)
 
@@ -186,17 +199,18 @@ def bandit_round(policy, adam, arm_rewards, rng, lr):
     state = np.zeros(4)
     action = policy.sample_action(state, rng)
     grad = arm_rewards[action] * policy.log_prob_grad(state, action)
-    return local_update(policy, adam, grad, lr), action
+    local_update(PolicyStack([policy]), adam, grad[None], lr)
+    return action
 
 
 def test_bandit_reinforce_prefers_the_rewarding_arm():
     net = MlpNetwork([LayerSpec(4, 2, "identity")])
     policy = CategoricalPolicy(net)
     rng = np.random.default_rng(15)
-    adam = AdamState.zeros(policy.num_params)
+    adam = stacked_adam(policy)
     rewards = [1.0, 0.0]
     for _ in range(500):
-        adam, _ = bandit_round(policy, adam, rewards, rng, lr=0.05)
+        bandit_round(policy, adam, rewards, rng, lr=0.05)
     probs = policy.action_distribution(np.zeros(4))
     assert probs[0] > 0.9
 
@@ -223,9 +237,9 @@ def test_bandit_gradient_estimate_is_unbiased():
 def test_round_stats_returns_nonnegative():
     agents = make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20)
     for _ in range(5):
-        for stats in raise_failures(train_round(agents)):
-            assert stats.mean_episode_return >= 1.0
-            assert stats.grad_norm >= 0.0
+        for episode_return, _, grad_norm in raise_failures(train_round(agents)):
+            assert episode_return >= 1.0
+            assert grad_norm >= 0.0
 
 
 def test_config_validation():
