@@ -8,8 +8,9 @@ at 20 ms) and the alive-bonus reward; they differ only in the action space:
   the Gaussian policy path without a physics-engine dependency.
 
 State is (cart position, cart velocity, pole angle, pole angular velocity).
-`step` is a pure function of (state, action); episode horizons are enforced
-by the rollout loop (`reinforce.rollout`), not the dynamics.
+`step` is a pure function of (state, action) on a tuple of four floats;
+episode horizons are enforced by the rollout loop (`reinforce.rollout`), not
+the dynamics.
 """
 
 from __future__ import annotations
@@ -71,16 +72,20 @@ def is_terminal(state: np.ndarray) -> bool:
     return _out_of_bounds(state[0], state[2])
 
 
-def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, bool]:
+def step(spec: EnvSpec, state, action) -> tuple[tuple[float, float, float, float], float, bool]:
     """Advance the dynamics one 20 ms tick.
 
+    `state` is a tuple of four Python floats (an array of four is accepted
+    too) and the next state comes back as one, with the reward and `done`.
     Velocities are integrated first, positions with the updated velocities
     (semi-implicit Euler). Reward is 1.0 unless the incoming state was already
     terminal; `done` reflects the outgoing state only - the horizon is the
     caller's business. The arithmetic runs on Python floats, one state at a
     time: this is the inner loop of every rollout.
     """
-    x, x_dot, theta, theta_dot = np.asarray(state, dtype=np.float64).tolist()
+    if not isinstance(state, tuple):
+        state = np.asarray(state, dtype=np.float64).tolist()
+    x, x_dot, theta, theta_dot = state
     if not (math.isfinite(x) and math.isfinite(x_dot)
             and math.isfinite(theta) and math.isfinite(theta_dot)):
         raise NumericError("non-finite environment state")
@@ -106,19 +111,19 @@ def step(spec: EnvSpec, state: np.ndarray, action) -> tuple[np.ndarray, float, b
     theta_dot += TIMESTEP * theta_acc
     theta += TIMESTEP * theta_dot
 
-    return np.array([x, x_dot, theta, theta_dot]), reward, _out_of_bounds(x, theta)
+    return (x, x_dot, theta, theta_dot), reward, _out_of_bounds(x, theta)
 
 
 def discounted_return(rewards: np.ndarray, gamma: float) -> float:
-    """sum_t gamma^t r_t over one episode's rewards, accumulated step by step."""
+    """sum_t gamma^t r_t over one episode's rewards. The weights are running
+    products and the terms a running sum, both strictly in step order, so
+    the result is the float a step-by-step loop accumulates."""
     if len(rewards) == 0:
         raise ConfigurationError("discounted_return needs a non-empty episode")
-    total = 0.0
-    weight = 1.0
-    for reward in rewards.tolist():
-        total += weight * reward
-        weight *= gamma
-    return total
+    weights = np.empty(len(rewards))
+    weights[0] = 1.0
+    weights[1:] = gamma
+    return float(np.cumsum(np.cumprod(weights) * rewards)[-1])
 
 
 @dataclass

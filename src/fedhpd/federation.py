@@ -114,8 +114,12 @@ def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
 
 def distillation_round(agents: list[Agent], states: PublicStateSet,
                        round_index: int = 0) -> ConsensusRecord:
-    """One extract / aggregate / digest cycle over all agents."""
-    uploads = [agent.policy.extract_batch(states.states).to_bytes() for agent in agents]
+    """One extract / aggregate / digest cycle over all agents. No agent's
+    parameters change before every upload is made, so each agent's
+    extraction and digestion share one forward pass on the state set."""
+    passes = [agent.policy.net.forward(states.states) for agent in agents]
+    uploads = [agent.policy.extract_batch(states.states, forward).to_bytes()
+               for agent, forward in zip(agents, passes)]
     received = [DistributionBatch.from_bytes(blob) for blob in uploads]
     consensus = aggregate(received)
     broadcast = consensus.to_bytes()
@@ -125,7 +129,8 @@ def distillation_round(agents: list[Agent], states: PublicStateSet,
     kl_losses = []
     kl_grad_norms = []
     for agent in agents:
-        loss, grad = agent.policy.kl_batch_loss(states.states, consensus)
+        # popped, so each forward pass is freed once its agent has digested
+        loss, grad = agent.policy.kl_batch_loss(states.states, consensus, passes.pop(0))
         kl_losses.append(loss)
         kl_grad_norms.append(float(np.linalg.norm(grad)))
         # an exactly-zero KL gradient is the self-consensus fixed point;

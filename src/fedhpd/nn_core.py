@@ -223,12 +223,6 @@ class MlpNetwork:
             h = _apply_activation(spec.activation, h @ w + b)
         return h[:, 0, :]
 
-    def keep(self, rows: list[int]) -> "MlpNetwork":
-        """For a stack: a stack of the networks at `rows` only (a copy)."""
-        narrowed = MlpNetwork(self.layers)
-        narrowed.bind(self.params[rows])
-        return narrowed
-
 
 def glorot_init(layers: Sequence[LayerSpec], rng: np.random.Generator) -> MlpNetwork:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""

@@ -132,9 +132,9 @@ def _reject_nonfinite_rows(matrix: np.ndarray, what: str) -> None:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _draw_categorical(probs: list[float], rng: np.random.Generator) -> int:
@@ -149,8 +149,64 @@ def _draw_categorical(probs: list[float], rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
+def draw_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`_draw_categorical` for each row of `probs`, row i with uniform u[i]:
+    the number of cumulative-probability edges at or below u[i]. The edges
+    are the same running sums, and they never decrease, so that count is the
+    first action whose edge exceeds u[i], else the last. With two actions
+    the one edge is p0, and the action is u >= p0."""
+    if probs.shape[1] == 2:
+        return (probs[:, 0] <= u).view(np.int8)
+    return (np.cumsum(probs[:, :-1], axis=1) <= u[:, None]).sum(axis=1)
+
+
 def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return mu + std * rng.standard_normal(mu.size)
+
+
+class _UniformDraws:
+    """Categorical actions for the rows of a stack stepped in lockstep, row i
+    from rngs[i], each the action `sample_action` would draw at that step of
+    the row's episode. A categorical draw takes exactly one `random()` per
+    step, so the `horizon` uniforms of every row are drawn up front, its
+    generator's state saved first, and one step's actions are one vector
+    compare. `release(i, count)` then leaves generator i as `count` scalar
+    draws would: it restores the saved state and draws `count` again.
+    (`bit_generator.advance` would also drop a buffered uint32, which scalar
+    draws keep.)"""
+
+    def __init__(self, policies: list, rngs: list, horizon: int):
+        self.rngs = rngs
+        self.horizon = horizon
+        self.saved = [rng.bit_generator.state for rng in rngs]
+        self.uniforms = np.stack([rng.random(horizon) for rng in rngs], axis=1)
+
+    def __call__(self, logits: np.ndarray, t: int, rows: list[int]) -> list[int]:
+        actions = draw_categorical_rows(softmax(logits), self.uniforms[t]).tolist()
+        return [actions[i] for i in rows]
+
+    def release(self, row: int, count: int) -> None:
+        if count < self.horizon:  # else the draws up front were exactly the ones used
+            rng = self.rngs[row]
+            rng.bit_generator.state = self.saved[row]
+            rng.random(count)
+
+
+class _NormalDraws:
+    """Gaussian actions for the rows of a stack stepped in lockstep: row i's
+    `sample_action` draw from rngs[i], step by step. The normal sampler takes
+    a varying number of raw draws, so its stream cannot be drawn ahead and
+    rewound by count, and `release` has nothing to do."""
+
+    def __init__(self, policies: list, rngs: list, horizon: int):
+        self.scales = [np.sqrt(np.exp(2.0 * policy.log_std)) for policy in policies]
+        self.rngs = rngs
+
+    def __call__(self, mu: np.ndarray, t: int, rows: list[int]) -> list[np.ndarray]:
+        return [_draw_gaussian(mu[i], self.scales[i], self.rngs[i]) for i in rows]
+
+    def release(self, row: int, count: int) -> None:
+        pass
 
 
 class _Head:
@@ -189,8 +245,8 @@ class _Head:
         """The network snapshot, with the log-std entries (if any) as its tail."""
         return network_to_bytes(self.net, self.log_std if self.log_std.size else None)
 
-    def _outputs(self, states: np.ndarray) -> np.ndarray:
-        outputs = self.net.forward(states)[0]
+    def _outputs(self, states: np.ndarray, forward: tuple | None = None) -> np.ndarray:
+        outputs = (self.net.forward(states) if forward is None else forward)[0]
         if not np.all(np.isfinite(outputs)):
             raise NumericError(self.nonfinite)
         return outputs
@@ -207,6 +263,7 @@ class CategoricalPolicy(_Head):
 
     kind = "categorical"
     nonfinite = "non-finite policy logits"
+    draws = _UniformDraws
 
     def __init__(self, net: MlpNetwork):
         if net.output_dim < 2:
@@ -219,14 +276,6 @@ class CategoricalPolicy(_Head):
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
         return _draw_categorical(self.action_distribution(state).tolist(), rng)
-
-    def noise_scale(self) -> None:
-        return None  # a categorical draw needs nothing beyond the logits
-
-    @staticmethod
-    def draw_rows(logits: np.ndarray, scales: list, rngs: list) -> list[int]:
-        """`sample_action` for rows of finite logits, row i from rngs[i]."""
-        return [_draw_categorical(row, rng) for row, rng in zip(softmax(logits).tolist(), rngs)]
 
     @staticmethod
     def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,
@@ -254,13 +303,16 @@ class CategoricalPolicy(_Head):
             raise ConfigurationError(f"action {action} out of range")
         return self.score_grad(state, action)
 
-    def extract_batch(self, states: np.ndarray) -> DistributionBatch:
-        return DistributionBatch("categorical", probs=softmax(self._outputs(states)))
+    def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
+        """The action distribution of every state row. `forward`, if given, is
+        `net.forward(states)` at the current parameters, already run."""
+        return DistributionBatch("categorical", probs=softmax(self._outputs(states, forward)))
 
     def kl_batch_loss(
-        self, states: np.ndarray, consensus: DistributionBatch
+        self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
     ) -> tuple[float, np.ndarray]:
-        """Mean over states of KL(local row || consensus row), with gradient.
+        """Mean over states of KL(local row || consensus row), with gradient;
+        `forward` as in `extract_batch`.
 
         The consensus is treated as broadcast data: no gradient flows into it.
         Per state the logit-space seed is p * (ln(p/q) - KL), which follows
@@ -268,7 +320,7 @@ class CategoricalPolicy(_Head):
         """
         states = np.asarray(states, dtype=np.float64)
         self._check_consensus(states, consensus)
-        logits, cache = self.net.forward(states)
+        logits, cache = self.net.forward(states) if forward is None else forward
         p = softmax(logits)
         logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(
             np.maximum(consensus.probs, PROB_FLOOR)
@@ -285,6 +337,7 @@ class GaussianPolicy(_Head):
 
     kind = "gaussian"
     nonfinite = "non-finite policy mean"
+    draws = _NormalDraws
 
     def __init__(self, net: MlpNetwork, log_std: np.ndarray | None = None):
         self.action_dim = net.output_dim
@@ -298,15 +351,6 @@ class GaussianPolicy(_Head):
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         mu, var = self.action_distribution(state)
         return _draw_gaussian(mu, np.sqrt(var), rng)
-
-    def noise_scale(self) -> np.ndarray:
-        return np.sqrt(np.exp(2.0 * self.log_std))
-
-    @staticmethod
-    def draw_rows(mu: np.ndarray, scales: list, rngs: list) -> list[np.ndarray]:
-        """`sample_action` for rows of finite means, row i with policy i's
-        `noise_scale` from rngs[i]."""
-        return [_draw_gaussian(m, std, rng) for m, std, rng in zip(mu, scales, rngs)]
 
     @staticmethod
     def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray | None = None,
@@ -334,22 +378,23 @@ class GaussianPolicy(_Head):
     def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         return self.score_grad(state, np.asarray(action, dtype=np.float64))
 
-    def extract_batch(self, states: np.ndarray) -> DistributionBatch:
-        mu = self._outputs(states)
+    def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
+        mu = self._outputs(states, forward)
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
     def kl_batch_loss(
-        self, states: np.ndarray, consensus: DistributionBatch
+        self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
     ) -> tuple[float, np.ndarray]:
-        """Mean over states of the closed-form Gaussian KL, with gradient.
+        """Mean over states of the closed-form Gaussian KL, with gradient;
+        `forward` as in `extract_batch`.
 
         d/dmu1 = (mu1 - mu2)/var2 chains through the network; the log-std
         gradient is var1/var2 - 1 per dimension, averaged over states.
         """
         states = np.asarray(states, dtype=np.float64)
         self._check_consensus(states, consensus)
-        mu, cache = self.net.forward(states)
+        mu, cache = self.net.forward(states) if forward is None else forward
         var = np.exp(2.0 * self.log_std)
         n = states.shape[0]
         # log computed on the variance ratio so a bit-identical consensus
@@ -372,7 +417,8 @@ class PolicyStack:
     seen by both (a policy reads only the last stack of several that bound
     it); a stack of one is a view of its policy's own array.
     `sample` draws as each policy's `sample_action` would, from one stacked
-    forward pass; `score_grad` is REINFORCE's stacked score pass.
+    forward pass over every row; `score_grad` is REINFORCE's stacked score
+    pass.
     """
 
     def __init__(self, policies: list):
@@ -389,20 +435,20 @@ class PolicyStack:
         self.net = MlpNetwork(policies[0].net.layers)
         self.net.bind(self.params[:, : self.net.num_params])
 
-    def sample(self, net: MlpNetwork, states: np.ndarray, scales: list, rngs: list) -> list:
-        """One action per state row through `net` (this stack or rows of it),
-        row i with `noise_scale` scales[i] from rngs[i]: the action and
-        generator state of that policy's `sample_action`. A row whose network
-        output is not finite gets the `NumericError` `sample_action` raises,
-        and its generator is not drawn from."""
-        outputs = net.step_rows(states)
+    def sample(self, states: np.ndarray, draws, t: int, rows: list[int]) -> list:
+        """Step t's action for each of `rows`, from one forward pass of every
+        policy i on states[i] ([B, in]; the other rows only need to be
+        finite) and the head's `draws`: the action of policy i's
+        `sample_action`. A row whose network output is not finite gets the
+        `NumericError` `sample_action` raises instead, and is not drawn for."""
+        outputs = self.net.step_rows(states)
+        if np.isfinite(outputs).all():
+            return draws(outputs, t, rows)
         finite = np.isfinite(outputs).all(axis=1)
-        if finite.all():
-            return self.head.draw_rows(outputs, scales, rngs)
-        rows = np.flatnonzero(finite).tolist()
-        drawn = iter(self.head.draw_rows(outputs[rows], [scales[r] for r in rows],
-                                         [rngs[r] for r in rows]))
-        return [next(drawn) if ok else NumericError(self.head.nonfinite) for ok in finite]
+        ok = finite.tolist()
+        drawn = iter(draws(np.where(finite[:, None], outputs, 0.0), t,
+                           [i for i in rows if ok[i]]))
+        return [next(drawn) if ok[i] else NumericError(self.head.nonfinite) for i in rows]
 
     def score_grad(self, states: np.ndarray, actions: np.ndarray, weights: np.ndarray,
                    bounds: list[int]) -> np.ndarray:

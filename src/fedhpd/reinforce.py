@@ -11,7 +11,9 @@ no normalization. The ascent step runs through Adam on the negated estimate.
 
 `train_round` runs one round for agent k of every cell of a grid at once,
 a `Cohort` whose parameters and Adam moments are the rows of [B, P] arrays:
-`rollout` steps its episodes in lockstep through one stacked forward pass,
+`rollout` steps its episodes in lockstep, one forward pass over every row
+and one `env.step` per running episode a step (categorical actions come
+from uniforms drawn ahead and rewound at the episode's end),
 `policy_gradient` sums each agent's per-step score gradients in one stacked
 forward and backward pass over all agents' episodes (gradients are additive
 over rows), and one Adam step updates every row. Each agent's numbers are
@@ -73,64 +75,76 @@ class Episode:
     rewards: np.ndarray
 
 
+# the state a row of the stacked forward pass holds once its episode has left
+_PLACEHOLDER = (0.0,) * envmod.STATE_DIM
+
+
 def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
     """Run one episode for each policy of the stack, policy i on generator i,
     in lockstep.
 
-    Each step samples every running episode through one stacked forward pass
-    over the stack's parameter rows (`PolicyStack.sample`), or through
-    `sample_action` once a single episode is left, then advances each state
-    through `env.step`; an episode leaves the stack when it terminates or
-    reaches the horizon. Generator i is consumed as one `reset` then one draw
-    per step, so each episode is exactly the one policy i would run alone.
+    Each step samples every running episode through one forward pass over
+    all rows of the stack (`PolicyStack.sample`; a row whose episode has
+    left holds a finite placeholder state and its output is ignored), or
+    through `sample_action` once a single episode is left, then advances
+    each running state, a tuple of floats, through one `env.step`; an
+    episode leaves when it terminates or reaches the horizon, and its arrays
+    are built then. A categorical stack draws each generator's `horizon`
+    uniforms right after `reset` and, when the episode leaves or goes on
+    alone, rewinds the generator to the draws it used (`policy._UniformDraws`).
+    Either way generator i is left as one `reset` then one draw per step
+    leaves it, so each episode is exactly the one policy i would run alone.
     An episode that raises ends there: its slot holds the exception instead
     of an `Episode`, and the other episodes run on.
     """
     policies = stack.policies
     n = len(policies)
     horizon = spec.max_steps
-    states = np.empty((n, horizon + 1, envmod.STATE_DIM))
-    rewards = np.empty((n, horizon))
+    visited = [[tuple(envmod.reset(spec, rng).tolist())] for rng in rngs]
     actions: list[list] = [[] for _ in range(n)]
+    rewards: list[list] = [[] for _ in range(n)]
     results: list = [None] * n
-    for i, rng in enumerate(rngs):
-        states[i, 0] = envmod.reset(spec, rng)
-    net = stack.net
-    scales = [policy.noise_scale() for policy in policies] if n > 1 else None
+    inputs = [states[-1] for states in visited]  # the stacked forward's rows
+    draws = stack.head.draws(policies, rngs, horizon) if n > 1 else None
     live = list(range(n))
     for t in range(horizon):
-        if not live:
-            break
-        if len(live) > 1:
-            drawn = stack.sample(net, states[live, t], [scales[i] for i in live],
-                                 [rngs[i] for i in live])
+        if draws is not None and len(live) == 1:  # the last episode goes on alone
+            draws.release(live[0], t)
+            draws = None
+        if draws is None:
+            drawn = [_sample_one(policies[live[0]], inputs[live[0]], rngs[live[0]])]
         else:
-            drawn = [_sample_one(policies[live[0]], states[live[0], t], rngs[live[0]])]
+            drawn = stack.sample(np.array(inputs), draws, t, live)
         kept = []
-        for row, (i, action) in enumerate(zip(live, drawn)):
-            if not isinstance(action, Exception):
+        for i, action in zip(live, drawn):
+            drew = not isinstance(action, Exception)
+            if drew:
                 try:
-                    states[i, t + 1], rewards[i, t], done = envmod.step(spec, states[i, t], action)
+                    state, reward, done = envmod.step(spec, inputs[i], action)
                 except Exception as exc:
                     action = exc
             if isinstance(action, Exception):
                 results[i] = action
-                continue
-            actions[i].append(action)
-            if done or t + 1 == horizon:
-                end = t + 1
-                results[i] = Episode(states[i, :end].copy(), np.array(actions[i]),
-                                     rewards[i, :end].copy())
             else:
-                kept.append(row)
-        if len(kept) < len(live):
-            live = [live[row] for row in kept]
-            if len(live) > 1:
-                net = net.keep(kept)
+                actions[i].append(action)
+                rewards[i].append(reward)
+                if not done and t + 1 < horizon:
+                    visited[i].append(state)
+                    inputs[i] = state
+                    kept.append(i)
+                    continue
+                results[i] = Episode(np.array(visited[i]), np.array(actions[i]),
+                                     np.array(rewards[i]))
+            if draws is not None:  # non-finite outputs drew nothing this step
+                draws.release(i, t + drew)
+                inputs[i] = _PLACEHOLDER
+        live = kept
+        if not live:
+            break
     return results
 
 
-def _sample_one(policy, state: np.ndarray, rng: np.random.Generator):
+def _sample_one(policy, state: tuple, rng: np.random.Generator):
     try:
         return policy.sample_action(state, rng)
     except Exception as exc:

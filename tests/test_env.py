@@ -99,6 +99,18 @@ def test_discounted_return_values():
         assert abs(got - geometric) < 1e-9
 
 
+def test_discounted_return_equals_the_step_by_step_sum():
+    rng = np.random.default_rng(17)
+    for gamma in (0.5, 0.95, 0.99, 0.999):
+        for length in range(1, 501):
+            rewards = rng.uniform(-1.0, 2.0, size=length)
+            total, weight = 0.0, 1.0
+            for reward in rewards.tolist():
+                total += weight * reward
+                weight *= gamma
+            assert discounted_return(rewards, gamma) == total
+
+
 def test_trajectory_contiguity_guard():
     # every recorded state is the dynamics applied to the one before it, and
     # the episode stops exactly at termination or at the horizon

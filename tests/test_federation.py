@@ -12,6 +12,7 @@ from fedhpd.federation import (
     distillation_rounds,
     run,
 )
+from fedhpd.nn_core import adam_step
 from fedhpd.policy import DistributionBatch
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import AgentConfig, make_agents, raise_failures, train_round
@@ -138,6 +139,29 @@ def test_extraction_happens_before_any_digestion():
     assert any(
         not np.array_equal(a.policy.get_params(), p) for a, p in zip(agents, pre_params)
     )
+
+
+@pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
+def test_digestion_equals_a_fresh_kl_step_per_agent(env_kind):
+    # distillation_round digests through the forward pass its extraction ran;
+    # each agent must end exactly where its own kl_batch_loss (a fresh
+    # forward pass) and one Adam step take a replica
+    spec = EnvSpec(env_kind)
+    states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=16, seed=12)
+    configs = [agent_config(i, lr=5e-2, hidden=hidden)
+               for i, hidden in enumerate([((8, "tanh"),), ((6, "relu"), (5, "tanh"))])]
+    agents = make_agents(configs, spec, seed=88)
+    replicas = make_agents(configs, spec, seed=88)
+    record = distillation_round(agents, states, round_index=0)
+    consensus = DistributionBatch.from_bytes(record.broadcast)
+    for agent, replica, loss in zip(agents, replicas, record.kl_losses):
+        want_loss, grad = replica.policy.kl_batch_loss(states.states, consensus)
+        params = replica.policy.get_params()
+        adam_step(params, grad, replica.adam, replica.config.learning_rate)
+        assert loss == want_loss
+        replica.policy.set_params(params)
+        assert np.array_equal(agent.policy.get_params(), replica.policy.get_params())
+        assert np.array_equal(agent.adam.m, replica.adam.m)
 
 
 def test_distillation_byte_volume_matches_wire_format():

@@ -2,6 +2,8 @@
 every cell gets exactly the numbers it would have on its own, and a failure
 stays with its owner."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fedhpd.cli import main
 from fedhpd.env import EnvSpec
 from fedhpd.errors import NumericError
 from fedhpd.federation import FedRunConfig, distillation_round, run
-from fedhpd.policy import PolicyStack
+from fedhpd.policy import PolicyStack, _draw_categorical, draw_categorical_rows
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import Agent, AgentConfig, Episode, collect_trajectories, rollout
 from oracles import adam_ascent, episode_gradient, play_episode, run_stats, train_independent
@@ -66,6 +68,89 @@ def test_lockstep_rollout_matches_single_policy_runs(head, env_kind, horizon, mo
     for rng, alone_rng in zip(rngs, alone_rngs):
         assert rng.bit_generator.state == alone_rng.bit_generator.state
     assert len(calls) == sum(lengths)
+
+
+class FixedUniform:
+    """A generator stand-in whose one `random()` draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_vector_draw_equals_the_scalar_inverse_cdf(k):
+    rng = np.random.default_rng(k)
+    probs = rng.dirichlet(np.ones(k), size=24)
+    for row, zero in zip(probs[::3], itertools.cycle(range(k))):
+        row[zero] = 0.0  # includes a zero first probability: p0 = 0 is an edge at 0
+        row /= row.sum()
+    rows, uniforms = [], []
+    for row in probs:
+        edges, edge = [], 0.0
+        for p in row[:-1].tolist():  # the running sums `_draw_categorical` forms
+            edge += p
+            edges.append(edge)
+        for u in [rng.random(), 0.0, *edges, *np.nextafter(edges, -np.inf)]:
+            if 0.0 <= u < 1.0:
+                rows.append(row)
+                uniforms.append(u)
+    rows, uniforms = np.array(rows), np.array(uniforms)
+    want = [_draw_categorical(row.tolist(), FixedUniform(u))
+            for row, u in zip(rows, uniforms.tolist())]
+    assert draw_categorical_rows(rows, uniforms).tolist() == want
+    assert set(want) == set(range(k))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("horizon,tail", [(25, False), (40, True)])
+def test_lockstep_rewinds_each_generator_to_its_single_policy_state(horizon, tail, monkeypatch):
+    # categorical draws are taken ahead of time; every generator must still
+    # end as its own episode leaves it: with a buffered uint32, after an
+    # env.step that raises, after non-finite logits, at the horizon in
+    # lockstep and as the last running row
+    spec = EnvSpec("cartpole-discrete", max_steps=horizon)
+    policies = [make_agent(spec, seed).policy for seed in range(8)]
+    blow_up(policies[5])
+    buffered = (0, 2, 3, 5, 6)
+
+    def generators():
+        rngs = [np.random.default_rng(300 + i) for i in range(8)]
+        for i in buffered:
+            rngs[i].integers(0, 10, dtype=np.uint32)  # keeps half a 64-bit draw
+        return rngs
+
+    probe, = rollout(PolicyStack([policies[3]]), spec, [generators()[3]])
+    assert len(probe.rewards) > 5
+    target = tuple(probe.states[4].tolist())
+    original = envmod.step
+
+    def step(spec, state, action):
+        if tuple(state) == target:  # row 3's fifth step
+            raise NumericError("injected env failure")
+        return original(spec, state, action)
+
+    monkeypatch.setattr(envmod, "step", step)
+    alone_rngs = generators()
+    alone = [rollout(PolicyStack([p]), spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
+    rngs = generators()
+    assert all(rngs[i].bit_generator.state["has_uint32"] == 1 for i in buffered)
+    together = rollout(PolicyStack(policies), spec, rngs)
+
+    for rng, alone_rng in zip(rngs, alone_rngs):
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+    for failed in (together[3], alone[3]):
+        assert isinstance(failed, NumericError) and str(failed) == "injected env failure"
+    for failed in (together[5], alone[5]):
+        assert isinstance(failed, NumericError) and str(failed) == "non-finite policy logits"
+    ran = [i for i in range(8) if i not in (3, 5)]
+    for i in ran:
+        assert_same_episode(together[i], alone[i])
+    lengths = sorted(len(together[i].rewards) for i in ran)
+    assert lengths[-1] == spec.max_steps and lengths[0] < spec.max_steps
+    assert (lengths[-2] < lengths[-1]) == tail  # the longest ran its last steps alone
 
 
 @pytest.mark.parametrize("head,env_kind", HEADS)
