@@ -38,6 +38,8 @@ RESET_BOUND = 0.05
 
 STATE_DIM = 4
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -94,7 +96,10 @@ def step(spec: EnvSpec, state, action) -> tuple[tuple[float, float, float, float
             raise ConfigurationError(f"discrete action must be 0 or 1, got {action!r}")
         force = FORCE_MAG if action == 1 else -FORCE_MAG
     else:
-        force = float(np.asarray(action, dtype=np.float64).reshape(-1)[0])
+        if type(action) is np.ndarray and action.dtype is _FLOAT64 and action.shape == (1,):
+            force = float(action[0])  # a Gaussian head's action, the step's hot case
+        else:
+            force = float(np.asarray(action, dtype=np.float64).reshape(-1)[0])
         force = min(max(force, -FORCE_MAG), FORCE_MAG)
     reward = 0.0 if _out_of_bounds(x, theta) else 1.0
 

@@ -129,7 +129,7 @@ class MlpNetwork:
             raise ConfigurationError(
                 f"expected {self.num_params} parameters, got shape {params.shape}"
             )
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise NumericError("non-finite network parameters")
         self.params[...] = params
 
@@ -137,8 +137,12 @@ class MlpNetwork:
         return self.params.copy()
 
     def forward(self, x: np.ndarray, bounds: list[int] | None = None) -> tuple[np.ndarray, list]:
-        """Run the network on a vector or a batch of row vectors; a stack runs
-        rows bounds[i]:bounds[i+1] through network i.
+        """Run the network on a vector, a batch of row vectors, or [N, 1, in]
+        single rows; a stack runs rows bounds[i]:bounds[i+1] through network i.
+
+        Single rows go through one `(N, 1, in) @ (in, out)` matmul per layer,
+        whose slices round as a lone vector's `(1, in) @ (in, out)` does; a
+        2-D batch's matmul need not (BLAS blocks its rows).
 
         Returns the output plus a cache of per-layer (input, pre-activation)
         pairs sufficient for `backward` without recomputation.
@@ -146,9 +150,9 @@ class MlpNetwork:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x.reshape(1, -1) if single else x
-        if h.shape[1] != self.input_dim:
+        if h.shape[-1] != self.input_dim:
             raise ConfigurationError(
-                f"input dim {h.shape[1]} does not match network input {self.input_dim}"
+                f"input dim {h.shape[-1]} does not match network input {self.input_dim}"
             )
         if bounds is not None:
             blocks = list(enumerate(zip(bounds, bounds[1:])))
@@ -174,7 +178,9 @@ class MlpNetwork:
         `output_grad` rows are d(loss)/d(output) per batch row; the returned
         flat vector shares the layout of the parameter vector. With the
         `bounds` of `forward`, row i of the [B, P] result is network i's
-        gradient over its block.
+        gradient over its block. After a forward pass of [N, 1, in] single
+        rows, `output_grad` is [N, 1, out] and row i of the [N, P] result is
+        the gradient of row i alone, bit-identical to a one-vector pass.
         """
         g = np.asarray(output_grad, dtype=np.float64)
         if g.ndim == 1:
@@ -187,7 +193,7 @@ class MlpNetwork:
                 f"{cache[-1][1].shape}"
             )
         if bounds is None:
-            grad = np.zeros(self.num_params, dtype=np.float64)
+            grad = np.zeros(g.shape[:-2] + (self.num_params,))
         else:
             blocks = list(enumerate(zip(bounds, bounds[1:])))
             grad = np.empty((len(blocks), self.num_params))
@@ -200,9 +206,11 @@ class MlpNetwork:
             b_start = offset - spec.output_dim
             w_start = b_start - spec.input_dim * spec.output_dim
             if bounds is None:
-                grad[b_start:offset] = dz.sum(axis=0)
-                grad[w_start:b_start] = (x_in.T @ dz).ravel()
-                d_post = dz @ w.T
+                grad[..., b_start:offset] = dz.sum(axis=-2)
+                grad[..., w_start:b_start] = (x_in.swapaxes(-1, -2) @ dz).reshape(
+                    grad.shape[:-1] + (-1,))
+                if w_start:
+                    d_post = dz @ w.T
             else:
                 for i, (start, end) in blocks:
                     grad[i, b_start:offset] = dz[start:end].sum(axis=0)
@@ -263,7 +271,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     """
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ConfigurationError("adam_step shape mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient in adam_step")
     if params.ndim == 1:
         state.step_count += 1
@@ -318,7 +326,7 @@ def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
         if (len(blob) - offset) % 8:
             raise ArtifactIOError("snapshot payload is not a whole number of f64 values")
         flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise ArtifactIOError("non-finite value in snapshot payload")
         net_count = sum(l.param_count for l in layers)
         if flat.size < net_count:

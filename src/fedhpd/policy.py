@@ -11,8 +11,9 @@ Two heads cover the two action-space regimes:
 
 Each head's `score_seed` is the one place its score function d log pi(a|s)
 lives: its `score_grad` runs it through the network on one state or a
-weighted batch, and REINFORCE's stacked pass (`PolicyStack.score_grad`) on
-weighted blocks of states, one block per stacked policy.
+weighted batch, `score_grads` on single rows, one gradient per row, and
+REINFORCE's stacked pass (`PolicyStack.score_grad`) on weighted blocks of
+states, one block per stacked policy.
 
 The environment's action space decides the head: `make_policy` maps an
 `EnvSpec` to one, `snapshot` writes a head and `load_policy` restores it.
@@ -247,9 +248,18 @@ class _Head:
 
     def _outputs(self, states: np.ndarray, forward: tuple | None = None) -> np.ndarray:
         outputs = (self.net.forward(states) if forward is None else forward)[0]
-        if not np.all(np.isfinite(outputs)):
+        if not np.isfinite(outputs).all():
             raise NumericError(self.nonfinite)
         return outputs
+
+    def score_grads(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
+        through the network as a single row, so row i is bit-identical to
+        `log_prob_grad(states[i], actions[i])`."""
+        outputs, cache = self.net.forward(states[:, None, :])
+        seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
+        grads = self.net.backward(cache, seed[:, None])
+        return grads if tail is None else np.concatenate([grads, tail], axis=1)
 
     def _check_consensus(self, states: np.ndarray, consensus: DistributionBatch) -> None:
         if consensus.kind != self.kind:
@@ -281,13 +291,15 @@ class CategoricalPolicy(_Head):
     def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,
                    log_std: None = None) -> tuple[np.ndarray, None]:
         """d log pi(a|s) with respect to the logits, onehot(a) - probs: for one
-        state and action, or for rows of them, each row scaled by its weight.
-        The head has no parameters beyond the network, hence the None."""
+        state and action, or for rows of them, each row scaled by its weight
+        if `weights` is given. The head has no parameters beyond the network,
+        hence the None."""
         seed = -softmax(logits)
-        if weights is None:
+        if seed.ndim == 1:
             seed[actions] += 1.0
         else:
             seed[np.arange(seed.shape[0]), actions] += 1.0
+        if weights is not None:
             seed *= weights[:, None]
         return seed, None
 
@@ -302,6 +314,17 @@ class CategoricalPolicy(_Head):
         if not 0 <= action < self.action_count:
             raise ConfigurationError(f"action {action} out of range")
         return self.score_grad(state, action)
+
+    def probe_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
+        """An action for a smoothness probe at `state`: uniform over the actions."""
+        return int(rng.integers(0, self.action_count))
+
+    def probe_pairs(self, states: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The (state, action) rows the probe's score-norm sweep covers: every
+        action of every state, in (state, action) order; nothing is drawn."""
+        actions = np.tile(np.arange(self.action_count), states.shape[0])
+        return np.repeat(states, self.action_count, axis=0), actions
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         """The action distribution of every state row. `forward`, if given, is
@@ -377,6 +400,21 @@ class GaussianPolicy(_Head):
 
     def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         return self.score_grad(state, np.asarray(action, dtype=np.float64))
+
+    def probe_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """An action for a smoothness probe at `state`: one `sample_action` draw."""
+        return self.sample_action(state, rng)
+
+    def probe_pairs(self, states: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The (state, action) rows the probe's score-norm sweep covers: two
+        `sample_action` draws per state, in (state, draw) order. The draws
+        are one `standard_normal` call, which yields the normals of the
+        per-state calls in the same order."""
+        mu = self._outputs(states[:, None, :])[:, 0]
+        noise = rng.standard_normal((states.shape[0], 2, self.action_dim))
+        actions = mu[:, None, :] + np.sqrt(np.exp(2.0 * self.log_std)) * noise
+        return np.repeat(states, 2, axis=0), actions.reshape(-1, self.action_dim)
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         mu = self._outputs(states, forward)

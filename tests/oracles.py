@@ -13,6 +13,10 @@ Each is written independently of the program path it checks:
 * `kl_categorical` and `kl_gaussian` are the closed-form divergences of
   criterion 2, evaluated one row at a time; `kl_batch_loss` is checked
   against them.
+* `grad_log_prob_max` is the smoothness probe's G sweep one state and one
+  action at a time, through `log_prob_grad` and `np.linalg.norm`; the
+  stacked sweep (`diagnostics._grad_log_prob_max`) must match it bit for
+  bit and leave the generator as it does.
 """
 
 from __future__ import annotations
@@ -121,3 +125,20 @@ def kl_gaussian(mu1, var1, mu2, var2) -> float:
         raise ConfigurationError("gaussian KL needs positive variances")
     terms = var1 / var2 + (mu2 - mu1) ** 2 / var2 - 1.0 + np.log(var2 / var1)
     return float(0.5 * np.sum(terms))
+
+
+def grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:
+    """The largest ||grad log pi(a|s)||: every action of every state for a
+    categorical head, two `sample_action` draws per state for a Gaussian one,
+    in (state, action) order."""
+    best = 0.0
+    if policy.kind == "categorical":
+        for s in states:
+            for a in range(policy.action_count):
+                best = max(best, float(np.linalg.norm(policy.log_prob_grad(s, a))))
+    else:
+        for s in states:
+            for _ in range(2):
+                a = policy.sample_action(s, rng)
+                best = max(best, float(np.linalg.norm(policy.log_prob_grad(s, a))))
+    return best

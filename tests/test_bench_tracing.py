@@ -2,14 +2,21 @@
 
 `bench/tracing.py` patches the fedhpd functions listed in its `TARGETS` by
 name; a rename in the package would otherwise surface only as an
-`AttributeError` in `bench/run.py --trace 1`, not as a failing test.
+`AttributeError` in `bench/run.py --trace 1`, not as a failing test. The
+`diagnose` workload also expects the single-state score spans to record
+calls, which only the smoothness probe's Hessian probes make.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fedhpd import diagnostics
+from fedhpd.nn_core import LayerSpec, glorot_init
+from fedhpd.policy import CategoricalPolicy
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,3 +44,19 @@ def test_trace_targets_install_and_restore():
     with tracing.Tracer().installed():
         pass
     assert {name: getattr(package, name) for name in dir(package)} == before
+
+
+def test_lipschitz_probe_records_single_state_score_spans():
+    layers = [LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")]
+
+    def factory(rng):
+        return CategoricalPolicy(glorot_init(layers, rng))
+
+    states = np.random.default_rng(0).normal(scale=0.5, size=(6, 4))
+    consensus = factory(np.random.default_rng(1)).extract_batch(states)
+    with load_tracing().Tracer().installed() as tracer:
+        diagnostics.lipschitz_probe(factory, states, consensus, n_pairs=1, radius=0.05,
+                                    rng=np.random.default_rng(2))
+    assert tracer.count("diagnostics.lipschitz_probe") == 1
+    assert tracer.count("policy.log_prob_grad") > 0
+    assert tracer.count("nn_core.backward.single") > 0

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fedhpd import diagnostics
 from fedhpd.diagnostics import (
     SmoothnessProbe,
+    _grad_log_prob_max,
     chebyshev_samples,
     gradient_variance,
     lipschitz_probe,
@@ -15,10 +17,11 @@ from fedhpd.diagnostics import (
 )
 from fedhpd.env import EnvSpec, step
 from fedhpd.errors import ConfigurationError
-from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
+from fedhpd.nn_core import ACTIVATIONS, LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import CategoricalPolicy, DistributionBatch, GaussianPolicy, PolicyStack
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import Episode, policy_gradient
+from oracles import grad_log_prob_max
 
 SPEC = EnvSpec("cartpole-discrete")
 
@@ -214,3 +217,87 @@ def test_lipschitz_probe_gaussian_head_reports_without_asserting():
     assert isinstance(probe, SmoothnessProbe)
     assert np.isfinite(probe.lipschitz_estimate)
     assert np.isfinite(probe.theory_bound)
+
+
+# ------------------------------------------------------- stacked score sweep
+
+
+def sweep_policy(kind, activation, seed):
+    """Two hidden layers of `activation`; three actions or a 2-D Gaussian,
+    so the rows' (state, action) order matters."""
+    rng = np.random.default_rng(seed)
+    out = 3 if kind == "categorical" else 2
+    layers = [LayerSpec(4, 7, activation), LayerSpec(7, 5, activation),
+              LayerSpec(5, out, "identity")]
+    net = glorot_init(layers, rng)
+    if kind == "categorical":
+        return CategoricalPolicy(net)
+    return GaussianPolicy(net, rng.normal(scale=0.5, size=out))
+
+
+def sweep_states(n, seed):
+    return np.random.default_rng(seed).normal(scale=0.8, size=(n, 4))
+
+
+# 1 and 31 states fit in one chunk of the sweep (32 states); 65 spans three
+SWEEP_CASES = pytest.mark.parametrize("n_states", [1, 31, 65])
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@SWEEP_CASES
+def test_stacked_sweep_matches_the_per_state_oracle(kind, activation, n_states):
+    policy = sweep_policy(kind, activation, seed=n_states)
+    states = sweep_states(n_states, seed=n_states + 1)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    g = _grad_log_prob_max(policy, states, rng)
+    assert g > 0.0
+    assert g == grad_log_prob_max(policy, states, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@SWEEP_CASES
+def test_score_grads_rows_equal_log_prob_grad(kind, activation, n_states):
+    policy = sweep_policy(kind, activation, seed=n_states + 7)
+    rows, actions = policy.probe_pairs(sweep_states(n_states, seed=3),
+                                       np.random.default_rng(4))
+    grads = policy.score_grads(rows, actions)
+    assert grads.shape == (rows.shape[0], policy.num_params)
+    for state, action, grad in zip(rows, actions, grads):
+        assert np.array_equal(grad, policy.log_prob_grad(state, action))
+
+
+@SWEEP_CASES
+def test_probe_pairs_cover_every_action_or_two_sample_action_draws(n_states):
+    states = sweep_states(n_states, seed=8)
+    categorical = sweep_policy("categorical", "tanh", seed=9)
+    rows, actions = categorical.probe_pairs(states, None)
+    assert np.array_equal(rows, np.repeat(states, 3, axis=0))
+    assert actions.tolist() == [0, 1, 2] * n_states
+
+    gaussian = sweep_policy("gaussian", "tanh", seed=10)
+    rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rows, actions = gaussian.probe_pairs(states, rng)
+    expected = [gaussian.sample_action(s, oracle_rng) for s in states for _ in range(2)]
+    assert np.array_equal(rows, np.repeat(states, 2, axis=0))
+    assert np.array_equal(actions, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_lipschitz_probe_is_unchanged_by_the_stacked_sweep(kind, monkeypatch):
+    states = sweep_states(40, seed=12)
+
+    def factory(rng):
+        return sweep_policy(kind, "relu", seed=int(rng.integers(1 << 30)))
+
+    consensus = factory(np.random.default_rng(13)).extract_batch(states)
+    rng, oracle_rng = np.random.default_rng(14), np.random.default_rng(14)
+    probe = lipschitz_probe(factory, states, consensus, n_pairs=3, radius=0.05, rng=rng)
+    monkeypatch.setattr(diagnostics, "_grad_log_prob_max", grad_log_prob_max)
+    oracle = lipschitz_probe(factory, states, consensus, n_pairs=3, radius=0.05,
+                             rng=oracle_rng)
+    assert probe == oracle
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

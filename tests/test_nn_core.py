@@ -193,6 +193,23 @@ def test_backward_batch_equals_sum_of_singles():
     np.testing.assert_allclose(batched, summed, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("hidden,out_dim", SCALED_ARCHITECTURES)
+def test_single_rows_pass_matches_one_vector_passes(hidden, out_dim):
+    # [N, 1, in] rows: row i of the output and of the [N, P] gradient is
+    # bit-identical to a forward and backward pass of row i alone
+    rng = np.random.default_rng(len(hidden) * 10 + out_dim)
+    net = glorot_init(build_layers(hidden, out_dim), rng)
+    xs = rng.normal(size=(9, 4))
+    seeds = rng.normal(size=(9, out_dim))
+    out, cache = net.forward(xs[:, None, :])
+    grads = net.backward(cache, seeds[:, None, :])
+    assert out.shape == (9, 1, out_dim) and grads.shape == (9, net.num_params)
+    for x, s, row_out, row_grad in zip(xs, seeds, out, grads):
+        single_out, single_cache = net.forward(x)
+        assert np.array_equal(row_out[0], single_out)
+        assert np.array_equal(row_grad, net.backward(single_cache, s))
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ConfigurationError):
         MlpNetwork([LayerSpec(4, 3, "relu"), LayerSpec(2, 1, "identity")])
