@@ -38,8 +38,6 @@ RESET_BOUND = 0.05
 
 STATE_DIM = 4
 
-_FLOAT64 = np.dtype(np.float64)
-
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -79,11 +77,13 @@ def step(spec: EnvSpec, state, action) -> tuple[tuple[float, float, float, float
 
     `state` is a tuple of four Python floats (an array of four is accepted
     too) and the next state comes back as one, with the reward and `done`.
-    Velocities are integrated first, positions with the updated velocities
-    (semi-implicit Euler). Reward is 1.0 unless the incoming state was already
-    terminal; `done` reflects the outgoing state only - the horizon is the
-    caller's business. The arithmetic runs on Python floats, one state at a
-    time: this is the inner loop of every rollout.
+    A discrete action is 0 or 1; a continuous one is a one-element sequence
+    or array, as a Gaussian head draws it, whose force is clipped to
+    +-FORCE_MAG. Velocities are integrated first, positions with the updated
+    velocities (semi-implicit Euler). Reward is 1.0 unless the incoming state
+    was already terminal; `done` reflects the outgoing state only - the
+    horizon is the caller's business. The arithmetic runs on Python floats,
+    one state at a time: this is the inner loop of every rollout.
     """
     if not isinstance(state, tuple):
         state = np.asarray(state, dtype=np.float64).tolist()
@@ -96,10 +96,7 @@ def step(spec: EnvSpec, state, action) -> tuple[tuple[float, float, float, float
             raise ConfigurationError(f"discrete action must be 0 or 1, got {action!r}")
         force = FORCE_MAG if action == 1 else -FORCE_MAG
     else:
-        if type(action) is np.ndarray and action.dtype is _FLOAT64 and action.shape == (1,):
-            force = float(action[0])  # a Gaussian head's action, the step's hot case
-        else:
-            force = float(np.asarray(action, dtype=np.float64).reshape(-1)[0])
+        force = float(action[0])
         force = min(max(force, -FORCE_MAG), FORCE_MAG)
     reward = 0.0 if _out_of_bounds(x, theta) else 1.0
 

@@ -162,7 +162,10 @@ def draw_categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return mu + std * rng.standard_normal(mu.size)
+    """One action per row of `mu` (or one for a single mean vector): the
+    normals come from one `standard_normal` call in row order, so rows drawn
+    together equal rows drawn one call at a time."""
+    return mu + std * rng.standard_normal(mu.shape)
 
 
 class _UniformDraws:
@@ -200,7 +203,7 @@ class _NormalDraws:
     rewound by count, and `release` has nothing to do."""
 
     def __init__(self, policies: list, rngs: list, horizon: int):
-        self.scales = [np.sqrt(np.exp(2.0 * policy.log_std)) for policy in policies]
+        self.scales = [policy.std() for policy in policies]
         self.rngs = rngs
 
     def __call__(self, mu: np.ndarray, t: int, rows: list[int]) -> list[np.ndarray]:
@@ -252,11 +255,13 @@ class _Head:
             raise NumericError(self.nonfinite)
         return outputs
 
-    def score_grads(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def score_grads(self, states: np.ndarray, actions: np.ndarray,
+                    forward: tuple | None = None) -> np.ndarray:
         """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
         through the network as a single row, so row i is bit-identical to
-        `log_prob_grad(states[i], actions[i])`."""
-        outputs, cache = self.net.forward(states[:, None, :])
+        `log_prob_grad(states[i], actions[i])`. `forward`, if given, is
+        `net.forward(states[:, None, :])`, already run."""
+        outputs, cache = self.net.forward(states[:, None, :]) if forward is None else forward
         seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
         grads = self.net.backward(cache, seed[:, None])
         return grads if tail is None else np.concatenate([grads, tail], axis=1)
@@ -320,11 +325,12 @@ class CategoricalPolicy(_Head):
         return int(rng.integers(0, self.action_count))
 
     def probe_pairs(self, states: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """The (state, action) rows the probe's score-norm sweep covers: every
-        action of every state, in (state, action) order; nothing is drawn."""
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, None]:
+        """The (state, action) rows the probe's score-norm sweep covers, as
+        `score_grads` arguments: every action of every state, in (state,
+        action) order. Nothing is drawn, so no forward pass is run here."""
         actions = np.tile(np.arange(self.action_count), states.shape[0])
-        return np.repeat(states, self.action_count, axis=0), actions
+        return np.repeat(states, self.action_count, axis=0), actions, None
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         """The action distribution of every state row. `forward`, if given, is
@@ -371,9 +377,12 @@ class GaussianPolicy(_Head):
     def action_distribution(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._outputs(state), np.exp(2.0 * self.log_std)
 
+    def std(self) -> np.ndarray:
+        """The action standard deviation every draw scales its normals by."""
+        return np.sqrt(np.exp(2.0 * self.log_std))
+
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mu, var = self.action_distribution(state)
-        return _draw_gaussian(mu, np.sqrt(var), rng)
+        return _draw_gaussian(self._outputs(state), self.std(), rng)
 
     @staticmethod
     def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray | None = None,
@@ -406,15 +415,16 @@ class GaussianPolicy(_Head):
         return self.sample_action(state, rng)
 
     def probe_pairs(self, states: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """The (state, action) rows the probe's score-norm sweep covers: two
-        `sample_action` draws per state, in (state, draw) order. The draws
-        are one `standard_normal` call, which yields the normals of the
-        per-state calls in the same order."""
-        mu = self._outputs(states[:, None, :])[:, 0]
-        noise = rng.standard_normal((states.shape[0], 2, self.action_dim))
-        actions = mu[:, None, :] + np.sqrt(np.exp(2.0 * self.log_std)) * noise
-        return np.repeat(states, 2, axis=0), actions.reshape(-1, self.action_dim)
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The (state, action) rows the probe's score-norm sweep covers, as
+        `score_grads` arguments: two `sample_action` draws per state, in
+        (state, draw) order, with the rows' forward pass. Each state's row
+        appears twice, so its two means are the same bits and the draws are
+        one `_draw_gaussian` call over the rows."""
+        rows = np.repeat(states, 2, axis=0)
+        forward = self.net.forward(rows[:, None, :])
+        actions = _draw_gaussian(self._outputs(rows, forward)[:, 0], self.std(), rng)
+        return rows, actions, forward
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         mu = self._outputs(states, forward)

@@ -261,10 +261,11 @@ def test_stacked_sweep_matches_the_per_state_oracle(kind, activation, n_states):
 @SWEEP_CASES
 def test_score_grads_rows_equal_log_prob_grad(kind, activation, n_states):
     policy = sweep_policy(kind, activation, seed=n_states + 7)
-    rows, actions = policy.probe_pairs(sweep_states(n_states, seed=3),
-                                       np.random.default_rng(4))
-    grads = policy.score_grads(rows, actions)
+    rows, actions, forward = policy.probe_pairs(sweep_states(n_states, seed=3),
+                                                np.random.default_rng(4))
+    grads = policy.score_grads(rows, actions, forward)
     assert grads.shape == (rows.shape[0], policy.num_params)
+    assert np.array_equal(grads, policy.score_grads(rows, actions))
     for state, action, grad in zip(rows, actions, grads):
         assert np.array_equal(grad, policy.log_prob_grad(state, action))
 
@@ -273,13 +274,14 @@ def test_score_grads_rows_equal_log_prob_grad(kind, activation, n_states):
 def test_probe_pairs_cover_every_action_or_two_sample_action_draws(n_states):
     states = sweep_states(n_states, seed=8)
     categorical = sweep_policy("categorical", "tanh", seed=9)
-    rows, actions = categorical.probe_pairs(states, None)
+    rows, actions, forward = categorical.probe_pairs(states, None)
+    assert forward is None
     assert np.array_equal(rows, np.repeat(states, 3, axis=0))
     assert actions.tolist() == [0, 1, 2] * n_states
 
     gaussian = sweep_policy("gaussian", "tanh", seed=10)
     rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
-    rows, actions = gaussian.probe_pairs(states, rng)
+    rows, actions, _ = gaussian.probe_pairs(states, rng)
     expected = [gaussian.sample_action(s, oracle_rng) for s in states for _ in range(2)]
     assert np.array_equal(rows, np.repeat(states, 2, axis=0))
     assert np.array_equal(actions, expected)
