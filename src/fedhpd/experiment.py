@@ -359,7 +359,7 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
         rows.append([
             cell.run_id, str(cell.seed), cell.mode, d_text, str(i), "system",
             fmt(system_returns[i]), fmt(system_discs[i]), fmt(system_kl), "", "",
-            str(result.bytes_per_round[i]),
+            str(record.bytes_communicated if record else 0),
         ])
     return rows
 
@@ -375,9 +375,7 @@ def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
         "csv": "\n".join(lines) + "\n",
         "final_window_mean": float(system[-window:].mean()),
         "overall_mean": float(system.mean()),
-        "snapshots": list(zip(
-            [a.agent_id for a in config.agent_configs()], result.final_snapshots
-        )),
+        "snapshots": list(zip(result.agent_ids, result.final_snapshots)),
         "consensus_dumps": [
             (record.round_index, record.broadcast)
             for record in result.consensus_records
@@ -402,17 +400,15 @@ def run_group(args) -> list[dict]:
     config_values, cells, states_rows = args
     config = ExperimentConfig(dict(config_values))
     try:
-        results = run([
+        results = run(
             FedRunConfig(
                 env_kind=config["env.kind"],
                 rounds=config["run.rounds"],
-                interval=cell.interval,
                 agent_configs=config.agent_configs(),
-                seed=cell.seed,
                 max_steps=config["env.max_steps"],
-            )
-            for cell in cells
-        ], PublicStateSet(states_rows) if states_rows is not None else None,
+            ),
+            [(cell.interval, cell.seed) for cell in cells],
+            PublicStateSet(states_rows) if states_rows is not None else None,
             keep_broadcasts=config["run.dump_consensus"])
     except Exception as exc:  # a failure before the cells part fails them all
         results = [exc] * len(cells)

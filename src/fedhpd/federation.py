@@ -15,8 +15,10 @@ All extraction happens before any digestion, so every uploaded batch is a
 function of pre-digestion parameters. Communication is simulated through the
 actual wire format so byte volumes are real, not estimated.
 
-Setting the interval to None disables the collaborative phase entirely and
-reproduces independent training bit for bit.
+`run` trains the cells of one group together: one `FedRunConfig` (env,
+rounds, lineup) and one (interval, seed) pair per cell. Setting a cell's
+interval to None disables its collaborative phase entirely and reproduces
+independent training bit for bit.
 
 Every agent's head follows the environment's action space, so all uploads of
 a run share one batch kind. The server takes the plain elementwise mean, and
@@ -38,20 +40,17 @@ from .reinforce import Agent, AgentConfig, make_agents, train_round
 
 @dataclass
 class FedRunConfig:
-    """One training run: K agents, T rounds, interval d (None = no federation)."""
+    """What the cells of a lockstep group share: the env, T rounds and the
+    lineup of K agents."""
 
     env_kind: str
     rounds: int
-    interval: int | None
     agent_configs: list[AgentConfig]
-    seed: int
     max_steps: int = 500
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
-        if self.interval is not None and self.interval < 1:
-            raise ConfigurationError("distillation interval must be >= 1 or None")
         if not self.agent_configs:
             raise ConfigurationError("a run needs at least one agent")
 
@@ -79,7 +78,6 @@ class RunResult:
     discounted_return: np.ndarray  # [rounds, K]
     grad_norm: np.ndarray  # [rounds, K]
     consensus_records: list[ConsensusRecord] = field(default_factory=list)
-    bytes_per_round: list[int] = field(default_factory=list)
     param_traces: list[list[np.ndarray]] = field(default_factory=list)
     final_snapshots: list[bytes] = field(default_factory=list)  # per agent
 
@@ -149,39 +147,40 @@ def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
     return [i for i in range(rounds) if (i + 1) % interval == 0]
 
 
-def run(configs: list[FedRunConfig], states: PublicStateSet | None,
-        trace_params: bool = False, keep_broadcasts: bool = False) -> list:
-    """Execute the full protocol for the cells of one grid, in lockstep.
+def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
+        states: PublicStateSet | None, trace_params: bool = False,
+        keep_broadcasts: bool = False) -> list:
+    """Execute the full protocol for the cells of one group, in lockstep.
 
-    The cells share the env, the rounds and the lineup, and differ only in
-    interval and seed. Each round agent k of every cell collects its episodes
-    in one lockstep `train_round`; then each cell runs its own distillation
-    if its interval fires. A cell whose code raises stops there: its slot
-    holds the exception instead of a `RunResult`, and the others run on with
-    exactly the numbers they would have had alone. Each consensus record
-    keeps its broadcast bytes only with `keep_broadcasts`.
+    Each cell is an (interval, seed) pair, interval None for no federation;
+    everything else is `config`'s. Each round agent k of every cell collects
+    its episodes in one lockstep `train_round`; then each cell runs its own
+    distillation if its interval fires. A cell whose code raises stops
+    there: its slot holds the exception instead of a `RunResult`, and the
+    others run on with exactly the numbers they would have had alone. Each
+    consensus record keeps its broadcast bytes only with `keep_broadcasts`.
     """
-    first = configs[0]
-    shared = (first.env_kind, first.max_steps, first.rounds, first.agent_configs)
-    if any((c.env_kind, c.max_steps, c.rounds, c.agent_configs) != shared for c in configs):
-        raise ConfigurationError("lockstep cells must share env, rounds and lineup")
-    if states is None and any(c.interval is not None for c in configs):
+    intervals = [interval for interval, _ in cells]
+    if any(d is not None and d < 1 for d in intervals):
+        raise ConfigurationError("distillation interval must be >= 1 or None")
+    if states is None and any(d is not None for d in intervals):
         raise ConfigurationError("federated runs need a public state set")
-    cells = [make_agents(c.agent_configs, c.spec, c.seed) for c in configs]
-    fires = [set(distillation_rounds(c.rounds, c.interval)) for c in configs]
-    shape = (first.rounds, len(first.agent_configs))
-    results: list = [RunResult([a.agent_id for a in first.agent_configs],
-                               *(np.full(shape, np.nan) for _ in range(3))) for _ in configs]
+    lineup = config.agent_configs
+    agents = [make_agents(lineup, config.spec, seed) for _, seed in cells]
+    fires = [set(distillation_rounds(config.rounds, d)) for d in intervals]
+    shape = (config.rounds, len(lineup))
+    results: list = [RunResult([a.agent_id for a in lineup],
+                               *(np.full(shape, np.nan) for _ in range(3))) for _ in cells]
 
     def running() -> list[int]:
         return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
 
-    for i in range(first.rounds):
-        for k in range(len(first.agent_configs)):
+    for i in range(config.rounds):
+        for k in range(len(lineup)):
             live = running()
             if not live:
                 break
-            for c, stats in zip(live, train_round([cells[c][k] for c in live])):
+            for c, stats in zip(live, train_round([agents[c][k] for c in live])):
                 if isinstance(stats, Exception):
                     results[c] = stats
                 else:
@@ -192,18 +191,15 @@ def run(configs: list[FedRunConfig], states: PublicStateSet | None,
             result = results[c]
             if i in fires[c]:
                 try:
-                    record = distillation_round(cells[c], states, i)
+                    record = distillation_round(agents[c], states, i)
                 except Exception as exc:
                     results[c] = exc
                     continue
                 if not keep_broadcasts:
                     record.broadcast = None
                 result.consensus_records.append(record)
-                result.bytes_per_round.append(record.bytes_communicated)
-            else:
-                result.bytes_per_round.append(0)
             if trace_params:
-                result.param_traces.append([agent.policy.get_params() for agent in cells[c]])
+                result.param_traces.append([agent.policy.get_params() for agent in agents[c]])
     for c in running():
-        results[c].final_snapshots = [agent.policy.snapshot() for agent in cells[c]]
+        results[c].final_snapshots = [agent.policy.snapshot() for agent in agents[c]]
     return results

@@ -10,9 +10,9 @@ Two heads cover the two action-space regimes:
   vector is the network parameters followed by the log-std entries.
 
 Each head's `score_seed` is the one place its score function d log pi(a|s)
-lives: its `score_grad` runs it through the network on one state or a
-weighted batch, `score_grads` on single rows, one gradient per row, and
-REINFORCE's stacked pass (`PolicyStack.score_grad`) on weighted blocks of
+lives: `log_prob_grad` runs it through the network on one state,
+`score_grads` on single rows, one gradient per row, and REINFORCE's stacked
+pass (`PolicyStack.score_grad`, at every stack size) on weighted blocks of
 states, one block per stacked policy.
 
 The environment's action space decides the head: `make_policy` maps an
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvSpec
+from .env import STATE_DIM, EnvSpec
 from .errors import ArtifactIOError, ConfigurationError, NumericError
 from .nn_core import MlpNetwork, load_network, network_to_bytes
 
@@ -255,6 +255,14 @@ class _Head:
             raise NumericError(self.nonfinite)
         return outputs
 
+    def _log_prob_grad(self, state: np.ndarray, action) -> np.ndarray:
+        """d log pi(action | state) for one state vector: one single-row
+        forward and backward pass, the head's own entries last."""
+        outputs, cache = self.net.forward(state)
+        seed, tail = self.score_seed(outputs, action, log_std=self.log_std)
+        grad = self.net.backward(cache, seed)
+        return grad if tail is None else np.concatenate([grad, tail])
+
     def score_grads(self, states: np.ndarray, actions: np.ndarray,
                     forward: tuple | None = None) -> np.ndarray:
         """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
@@ -308,17 +316,10 @@ class CategoricalPolicy(_Head):
             seed *= weights[:, None]
         return seed, None
 
-    def score_grad(self, states: np.ndarray, actions,
-                   weights: np.ndarray | None = None) -> np.ndarray:
-        """d log pi(a|s) through the network: for one state and action, or
-        the sum over rows of them, each scaled by its weight."""
-        logits, cache = self.net.forward(states)
-        return self.net.backward(cache, self.score_seed(logits, actions, weights)[0])
-
     def log_prob_grad(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= action < self.action_count:
             raise ConfigurationError(f"action {action} out of range")
-        return self.score_grad(state, action)
+        return self._log_prob_grad(state, action)
 
     def probe_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
         """An action for a smoothness probe at `state`: uniform over the actions."""
@@ -398,17 +399,8 @@ class GaussianPolicy(_Head):
             log_std_grad = log_std_grad * weights[:, None]
         return seed, log_std_grad
 
-    def score_grad(self, states: np.ndarray, actions: np.ndarray,
-                   weights: np.ndarray | None = None) -> np.ndarray:
-        """As `CategoricalPolicy.score_grad`, with the log-std terms last."""
-        mu, cache = self.net.forward(states)
-        seed, log_std_grad = self.score_seed(mu, actions, weights, self.log_std)
-        if weights is not None:
-            log_std_grad = log_std_grad.sum(axis=0)
-        return np.concatenate([self.net.backward(cache, seed), log_std_grad])
-
     def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return self.score_grad(state, np.asarray(action, dtype=np.float64))
+        return self._log_prob_grad(state, np.asarray(action, dtype=np.float64))
 
     def probe_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """An action for a smoothness probe at `state`: one `sample_action` draw."""
@@ -457,22 +449,24 @@ class GaussianPolicy(_Head):
 
 
 class PolicyStack:
-    """Same-head, same-shape policies whose flat parameters are the rows of one
-    [B, P] array, `params`, read in place by one stacked network, `net`.
+    """Policies of one head and one layer stack (widths and activations) whose
+    flat parameters are the rows of one [B, P] array, `params`, read in place
+    by one stacked network, `net`.
 
     Stacking several policies copies their parameters into the rows once and
     binds each policy to its row, so later writes through either side are
     seen by both (a policy reads only the last stack of several that bound
     it); a stack of one is a view of its policy's own array.
     `sample` draws as each policy's `sample_action` would, from one stacked
-    forward pass over every row; `score_grad` is REINFORCE's stacked score
-    pass.
+    forward pass over every row; `score_grad` is REINFORCE's score pass, for
+    a stack of any size.
     """
 
     def __init__(self, policies: list):
         self.head = type(policies[0])
-        if any(type(policy) is not self.head for policy in policies):
-            raise ConfigurationError("stacked policies must share one head")
+        layers = policies[0].net.layers
+        if any((type(p), p.net.layers) != (self.head, layers) for p in policies):
+            raise ConfigurationError("stacked policies must share one head and layer stack")
         if len(policies) == 1:
             self.params = policies[0].params[None]
         else:
@@ -480,7 +474,7 @@ class PolicyStack:
             for policy, row in zip(policies, self.params):
                 policy.bind(row)
         self.policies = list(policies)
-        self.net = MlpNetwork(policies[0].net.layers)
+        self.net = MlpNetwork(layers)
         self.net.bind(self.params[:, : self.net.num_params])
 
     def sample(self, states: np.ndarray, draws, t: int, rows: list[int]) -> list:
@@ -501,10 +495,7 @@ class PolicyStack:
     def score_grad(self, states: np.ndarray, actions: np.ndarray, weights: np.ndarray,
                    bounds: list[int]) -> np.ndarray:
         """Row i: the sum over states bounds[i]:bounds[i+1] of weight times
-        d log pi_i(a|s), through the head's `score_seed`; [B, P]. A stack of
-        one runs its policy's own `score_grad`."""
-        if len(self.policies) == 1:
-            return self.policies[0].score_grad(states, actions, weights)[None]
+        d log pi_i(a|s), through the head's `score_seed`; [B, P]."""
         outputs, cache = self.net.forward(states, bounds)
         n = self.net.num_params
         log_std = np.repeat(self.params[:, n:], np.diff(bounds), axis=0)
@@ -537,12 +528,22 @@ def make_policy(spec: EnvSpec, net: MlpNetwork, log_std: np.ndarray | None = Non
 
 def load_policy(path, spec: EnvSpec):
     """Restore the head for `spec` from a snapshot file; a Gaussian snapshot
-    ends in one log-std entry per action dimension, a categorical one in none."""
+    ends in one log-std entry per action dimension, a categorical one in none.
+    A network that does not fit `spec`'s states or actions is rejected with
+    the file's name."""
     net, tail = load_network(path)
+    if net.input_dim != STATE_DIM:
+        raise ConfigurationError(
+            f"snapshot {path}: network input dim {net.input_dim} does not fit "
+            f"{spec.kind} states of dim {STATE_DIM}"
+        )
     expected = 0 if spec.discrete else net.output_dim
     if tail.size != expected:
         raise ConfigurationError(
             f"snapshot {path}: log-std tail has {tail.size} entries, "
             f"{spec.kind} needs {expected}"
         )
-    return make_policy(spec, net, tail)
+    try:
+        return make_policy(spec, net, tail)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"snapshot {path}: {exc}") from exc

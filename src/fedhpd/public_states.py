@@ -18,18 +18,10 @@ from .reinforce import Agent, AgentConfig, raise_failures, rollout, train_round
 
 VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
 VIRTUAL_AGENT_LR = 1e-3
-DEFAULT_WARMUP_ROUNDS = 200
-DEFAULT_ROLLOUTS = 20
-DEFAULT_SET_SIZE = 512
 
 
-def generate_public_states(
-    spec: EnvSpec,
-    warmup_rounds: int = DEFAULT_WARMUP_ROUNDS,
-    rollouts: int = DEFAULT_ROLLOUTS,
-    n: int = DEFAULT_SET_SIZE,
-    seed: int = 0,
-) -> PublicStateSet:
+def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: int,
+                           seed: int) -> PublicStateSet:
     """Train the virtual agent, roll it out, subsample n visited states.
 
     Subsampling is uniform without replacement; if fewer than n states were

@@ -23,7 +23,7 @@ pass per episode and against the term-by-term sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -161,18 +161,13 @@ def raise_failures(results: list) -> list:
 
 
 def collect_trajectories(agents: list["Agent"]) -> list:
-    """`episodes_per_round` episodes from each agent, stepped in lockstep.
-
-    The agents share one network shape and `episodes_per_round`; an agent
-    whose episode failed gets that exception instead of its episode list
-    (its later episodes still run, and are dropped).
+    """`episodes_per_round` episodes from each agent of a cohort, stepped in
+    lockstep. An agent whose episode failed gets that exception instead of
+    its episode list (its later episodes still run, and are dropped).
     """
-    counts = {agent.config.episodes_per_round for agent in agents}
-    if len(counts) > 1:
-        raise ConfigurationError("lockstep agents must share episodes_per_round")
     stack = Cohort.of(agents).policies
     collected: list = [[] for _ in agents]
-    for _ in range(max(counts)):
+    for _ in range(agents[0].config.episodes_per_round):
         for j, episode in enumerate(rollout(stack, agents[0].spec, [a.rng for a in agents])):
             if isinstance(episode, Exception) and isinstance(collected[j], list):
                 collected[j] = episode
@@ -204,8 +199,7 @@ def policy_gradient(stack: PolicyStack, episodes: list[list[Episode]], gamma: fl
                                  initial=0))
         parts = [(ep.states, ep.actions, _step_weights(ep.rewards, gamma, reward_to_go))
                  for ep in batch]
-        joined = [np.concatenate(arrays) for arrays in zip(*parts)] if len(parts) > 1 else parts[0]
-        total += stack.score_grad(*joined, bounds)
+        total += stack.score_grad(*[np.concatenate(arrays) for arrays in zip(*parts)], bounds)
     return total / count
 
 
@@ -271,12 +265,20 @@ class Agent:
 
 
 class Cohort:
-    """Agent k of every cell of a lockstep group. Their parameters
-    (`policies`) and Adam moments (`m`, `v`) are the rows of [B, P] arrays,
-    and each agent's policy and moments are views of its row, so stacked
-    steps and per-agent writes (distillation) land in the same place."""
+    """Agent k of every cell of a lockstep group: one lineup slot, so one env
+    and one `AgentConfig` but for `agent_id`. Their parameters (`policies`)
+    and Adam moments (`m`, `v`) are the rows of [B, P] arrays, and each
+    agent's policy and moments are views of its row, so stacked steps and
+    per-agent writes (distillation) land in the same place."""
 
     def __init__(self, agents: list[Agent]):
+        first = agents[0]
+        for agent in agents[1:]:
+            if (agent.spec, replace(agent.config, agent_id=first.config.agent_id)) != (
+                    first.spec, first.config):
+                raise ConfigurationError(
+                    f"cohort agents {first.config.agent_id} and {agent.config.agent_id} "
+                    "differ in env or training config; a cohort is one lineup slot")
         self.agents = list(agents)
         self.policies = PolicyStack([agent.policy for agent in agents])
         self.m = np.stack([agent.adam.m for agent in agents])

@@ -79,12 +79,8 @@ def make_policy(kind, seed, hidden=(6,)):
 def final_window_system_means(env_kind, preset, interval, states, rounds=600,
                               seeds=SEEDS, window=100):
     values = []
-    configs = [
-        FedRunConfig(env_kind=env_kind, rounds=rounds, interval=interval,
-                     agent_configs=preset_agents(preset), seed=seed)
-        for seed in seeds
-    ]
-    for result in raise_failures(run(configs, states)):
+    config = FedRunConfig(env_kind=env_kind, rounds=rounds, agent_configs=preset_agents(preset))
+    for result in raise_failures(run(config, [(interval, seed) for seed in seeds], states)):
         values.append(float(result.system_returns()[-window:].mean()))
     return np.array(values)
 
@@ -277,11 +273,8 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
     )
 
     configs = preset_agents("cartpole-4")
-    fed_config = FedRunConfig(
-        env_kind="cartpole-discrete", rounds=12, interval=None,
-        agent_configs=configs, seed=20,
-    )
-    fed, = run([fed_config], None, trace_params=True)
+    fed_config = FedRunConfig(env_kind="cartpole-discrete", rounds=12, agent_configs=configs)
+    fed, = run(fed_config, [(None, 20)], None, trace_params=True)
     agents = make_agents(configs, EnvSpec("cartpole-discrete"), seed=20)
     alone = train_independent(agents, rounds=12, trace_params=True)
     equal = all(
@@ -290,11 +283,7 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
         for x, y in zip(pa, pb)
     )
 
-    big_interval = FedRunConfig(
-        env_kind="cartpole-discrete", rounds=12, interval=99,
-        agent_configs=configs, seed=20,
-    )
-    never, = run([big_interval], cartpole_states, trace_params=True)
+    never, = run(fed_config, [(99, 20)], cartpole_states, trace_params=True)
     equal_big = all(
         np.array_equal(x, y)
         for pa, pb in zip(never.param_traces, fed.param_traces)

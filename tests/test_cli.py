@@ -292,6 +292,23 @@ def test_cli_exit_codes(tmp_path):
     assert main(["train", "--config", str(utf16), "--output-dir", str(tmp_path / "u")]) == 2
 
 
+@pytest.mark.parametrize("layers,message", [
+    ([LayerSpec(3, 2, "identity")], "network input dim 3 does not fit"),
+    ([LayerSpec(4, 3, "identity")], "network output dim 3 does not fit"),
+])
+def test_cli_diagnose_names_a_snapshot_that_does_not_fit(tmp_path, capsys, layers, message):
+    snapshot = tmp_path / "misfit.fhpd"
+    save_network(glorot_init(layers, np.random.default_rng(0)), snapshot)
+    states_file = tmp_path / "states.txt"
+    save_state_set(PublicStateSet(np.zeros((3, 4))), states_file)
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(write_config(tmp_path)), "--snapshot",
+                 str(snapshot), "--states", str(states_file),
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot {snapshot}: {message}" in err
+
+
 def test_cli_diagnose_uses_configured_gamma(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "train-out"

@@ -182,20 +182,15 @@ def test_distillation_round_schedule():
     assert distillation_rounds(5, 11) == []
 
 
-def run_config(interval, rounds=6, seed=42, k=2):
-    return FedRunConfig(
-        env_kind="cartpole-discrete",
-        rounds=rounds,
-        interval=interval,
-        agent_configs=[agent_config(i) for i in range(k)],
-        seed=seed,
-    )
+def run_config(rounds=6, k=2):
+    return FedRunConfig(env_kind="cartpole-discrete", rounds=rounds,
+                        agent_configs=[agent_config(i) for i in range(k)])
 
 
 def test_interval_beyond_rounds_matches_nofed_bitwise():
     states = small_states(seed=11)
-    a, = run([run_config(interval=99)], states, trace_params=True)
-    b, = run([run_config(interval=None)], None, trace_params=True)
+    a, = run(run_config(), [(99, 42)], states, trace_params=True)
+    b, = run(run_config(), [(None, 42)], None, trace_params=True)
     assert a.consensus_records == [] and b.consensus_records == []
     for pa, pb in zip(a.param_traces, b.param_traces):
         for x, y in zip(pa, pb):
@@ -203,8 +198,8 @@ def test_interval_beyond_rounds_matches_nofed_bitwise():
 
 
 def test_nofed_run_matches_standalone_trainer_bitwise():
-    config = run_config(interval=None, rounds=5, seed=13)
-    fed, = run([config], None, trace_params=True)
+    config = run_config(rounds=5)
+    fed, = run(config, [(None, 13)], None, trace_params=True)
     agents = make_agents(config.agent_configs, SPEC, seed=13)
     alone = train_independent(agents, rounds=5, trace_params=True)
     for pa, pb in zip(fed.param_traces, alone["param_traces"]):
@@ -215,38 +210,31 @@ def test_nofed_run_matches_standalone_trainer_bitwise():
 
 def test_run_emits_consensus_on_schedule_and_counts_bytes():
     states = small_states(seed=12)
-    result, = run([run_config(interval=3, rounds=7)], states, keep_broadcasts=True)
+    result, = run(run_config(rounds=7), [(3, 42)], states, keep_broadcasts=True)
     fired = [r.round_index for r in result.consensus_records]
     assert fired == [2, 5]
-    for i, volume in enumerate(result.bytes_per_round):
-        assert (volume > 0) == (i in (2, 5))
-    assert len(result.bytes_per_round) == 7
+    assert all(r.bytes_communicated > 0 for r in result.consensus_records)
     assert not np.isnan(result.grad_norm).any() and result.grad_norm.shape == (7, 2)
     for record in result.consensus_records:
         probs = DistributionBatch.from_bytes(record.broadcast).probs
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
-    quiet, = run([run_config(interval=3, rounds=7)], states)
+    quiet, = run(run_config(rounds=7), [(3, 42)], states)
     assert [r.broadcast for r in quiet.consensus_records] == [None, None]
 
 
 def test_gaussian_run_consensus_variances_positive():
     spec = EnvSpec("cartpole-continuous")
     states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=8, seed=14)
-    config = FedRunConfig(
-        env_kind="cartpole-continuous",
-        rounds=4,
-        interval=2,
-        agent_configs=[agent_config(i) for i in range(2)],
-        seed=15,
-    )
-    result, = run([config], states, keep_broadcasts=True)
+    config = FedRunConfig(env_kind="cartpole-continuous", rounds=4,
+                          agent_configs=[agent_config(i) for i in range(2)])
+    result, = run(config, [(2, 15)], states, keep_broadcasts=True)
     assert result.consensus_records
     for record in result.consensus_records:
         assert np.all(DistributionBatch.from_bytes(record.broadcast).var > 0.0)
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigurationError):
-        run_config(interval=0)
-    with pytest.raises(ConfigurationError):
-        run([run_config(interval=2)], states=None)
+    with pytest.raises(ConfigurationError, match="interval"):
+        run(run_config(), [(None, 1), (0, 2)], small_states(seed=11))
+    with pytest.raises(ConfigurationError, match="public state set"):
+        run(run_config(), [(2, 42)], states=None)

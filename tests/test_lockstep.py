@@ -3,6 +3,7 @@ every cell gets exactly the numbers it would have on its own, and a failure
 stays with its owner."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import fedhpd.env as envmod
 import fedhpd.federation as federation
 from fedhpd.cli import main
 from fedhpd.env import EnvSpec
-from fedhpd.errors import NumericError
+from fedhpd.errors import ConfigurationError, NumericError
 from fedhpd.federation import FedRunConfig, distillation_round, run
-from fedhpd.policy import PolicyStack, _draw_categorical, draw_categorical_rows
+from fedhpd.nn_core import LayerSpec, glorot_init
+from fedhpd.policy import PolicyStack, _draw_categorical, draw_categorical_rows, make_policy
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import Agent, AgentConfig, Episode, collect_trajectories, rollout
 from oracles import adam_ascent, episode_gradient, play_episode, run_stats, train_independent
@@ -68,6 +70,36 @@ def test_lockstep_rollout_matches_single_policy_runs(head, env_kind, horizon, mo
     for rng, alone_rng in zip(rngs, alone_rngs):
         assert rng.bit_generator.state == alone_rng.bit_generator.state
     assert len(calls) == sum(lengths)
+
+
+def test_a_stack_needs_one_layer_stack():
+    spec = EnvSpec("cartpole-discrete", max_steps=40)
+    rng = np.random.default_rng(0)
+
+    def policy(width, activation):
+        layers = [LayerSpec(4, width, activation), LayerSpec(width, 2, "identity")]
+        return make_policy(spec, glorot_init(layers, rng))
+
+    for other in (policy(8, "tanh"), policy(6, "relu")):
+        with pytest.raises(ConfigurationError, match="one head and layer stack"):
+            PolicyStack([policy(8, "relu"), other])
+
+
+def test_a_cohort_is_one_lineup_slot():
+    spec = EnvSpec("cartpole-discrete", max_steps=40)
+    config = AgentConfig("a", [(8, "relu")], 1e-3)
+
+    def agent(config, spec=spec):
+        return Agent(config, spec, np.random.SeedSequence([1, 2]))
+
+    assert collect_trajectories([agent(config), agent(replace(config, agent_id="b"))])
+    with pytest.raises(ConfigurationError, match="cohort agents a and a differ in env"):
+        collect_trajectories([agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))])
+    for knob in ({"learning_rate": 2e-3}, {"gamma": 0.9}, {"reward_to_go": True},
+                 {"episodes_per_round": 2}):
+        other = agent(replace(config, agent_id="b", **knob))
+        with pytest.raises(ConfigurationError, match="cohort agents a and b differ in env"):
+            Agent.local_round([agent(config), other], [[], []])
 
 
 class FixedUniform:
@@ -171,6 +203,7 @@ LEARNER_LENGTHS = {
     "one-step": [1, 1, 1],
     "mixed": [1, 7, 30, 3, 60, 2],
     "max-steps": [500, 1, 257, 500],
+    "single": [17],
 }
 
 
@@ -258,19 +291,23 @@ def test_non_finite_gradient_row_fails_only_its_cell(head, env_kind):
     assert all(isinstance(outcomes[i], tuple) for i in (0, 2, 3))
 
 
-def run_configs(seeds, interval=None, rounds=6, **agent_knobs):
+def run_config(rounds=6, **agent_knobs):
     lineup = [AgentConfig(f"a{k}", hidden, lr, **agent_knobs) for k, (hidden, lr) in
               enumerate([([(8, "tanh")], 1e-3), ([(6, "relu"), (6, "relu")], 2e-3)])]
-    return [FedRunConfig("cartpole-discrete", rounds, interval, lineup, seed, max_steps=60)
-            for seed in seeds]
+    return FedRunConfig("cartpole-discrete", rounds, lineup, max_steps=60)
+
+
+def nofed(seeds):
+    return [(None, seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("knobs", [{}, {"episodes_per_round": 2, "reward_to_go": True}])
 def test_lockstep_run_matches_the_sequential_oracle(knobs):
-    configs = run_configs([3, 4, 5], **knobs)
-    results = run(configs, None, trace_params=True)
-    for config, result in zip(configs, results):
-        agents = [Agent(c, config.spec, np.random.SeedSequence([config.seed, k]))
+    config = run_config(**knobs)
+    seeds = [3, 4, 5]
+    results = run(config, nofed(seeds), None, trace_params=True)
+    for seed, result in zip(seeds, results):
+        agents = [Agent(c, config.spec, np.random.SeedSequence([seed, k]))
                   for k, c in enumerate(config.agent_configs)]
         alone = train_independent(agents, config.rounds, trace_params=True)
         for got, want in zip(result.param_traces, alone["param_traces"]):
@@ -306,8 +343,7 @@ def test_non_finite_row_fails_only_its_policy(head, env_kind, message):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_cell_fails_alone_in_a_group(monkeypatch):
-    configs = run_configs([3, 4, 5])
-    clean = run(configs[0::2], None, trace_params=True)
+    clean = run(run_config(), nofed([3, 5]), None, trace_params=True)
     original = federation.make_agents
 
     def make_agents(agent_configs, spec, seed):
@@ -317,7 +353,7 @@ def test_non_finite_cell_fails_alone_in_a_group(monkeypatch):
         return agents
 
     monkeypatch.setattr(federation, "make_agents", make_agents)
-    results = run(configs, None, trace_params=True)
+    results = run(run_config(), nofed([3, 4, 5]), None, trace_params=True)
     assert isinstance(results[1], NumericError)
     assert str(results[1]) == "non-finite policy logits"
     for got, want in zip(results[0::2], clean):
@@ -336,7 +372,7 @@ def test_a_group_whose_cells_all_fail_reports_each(monkeypatch):
         return agents
 
     monkeypatch.setattr(federation, "make_agents", make_agents)
-    results = run(run_configs([3, 4]), None)
+    results = run(run_config(), nofed([3, 4]), None)
     assert [str(r) for r in results] == ["non-finite policy logits"] * 2
 
 
