@@ -185,13 +185,16 @@ _SWEEP_STATES = 32
 
 def _grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:
     """G: the largest ||grad log pi(a|s)|| over the head's `probe_pairs` of
-    every state, taken in (state, action) order, one stacked `score_grads`
-    pass per chunk of states. sqrt(g . g) is how `np.linalg.norm` computes it."""
+    every state, one stacked `score_grads` pass per chunk of states.
+    sqrt(g . g) is how `np.linalg.norm` computes it, and the `(1, P) @ (P, 1)`
+    slices of one stacked matmul are each row's `g.dot(g)`. `fmax` skips a
+    NaN norm as `max(best, norm)` does."""
     best = 0.0
     for start in range(0, states.shape[0], _SWEEP_STATES):
         pairs = policy.probe_pairs(states[start : start + _SWEEP_STATES], rng)
-        for grad in policy.score_grads(*pairs):
-            best = max(best, math.sqrt(grad.dot(grad)))
+        grads = policy.score_grads(*pairs)
+        squares = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
+        best = float(np.fmax.reduce(np.sqrt(squares), initial=best))
     return best
 
 

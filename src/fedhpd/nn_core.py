@@ -140,9 +140,11 @@ class MlpNetwork:
         """Run the network on a vector, a batch of row vectors, or [N, 1, in]
         single rows; a stack runs rows bounds[i]:bounds[i+1] through network i.
 
-        Single rows go through one `(N, 1, in) @ (in, out)` matmul per layer,
-        whose slices round as a lone vector's `(1, in) @ (in, out)` does; a
-        2-D batch's matmul need not (BLAS blocks its rows).
+        A vector runs as a `(1, in)` row through `h.dot(w)`, then `+= b`: the
+        bits of `h @ w + b`, from a cheaper call. Single rows go through one
+        `(N, 1, in) @ (in, out)` matmul per layer, whose slices round as a
+        lone vector's `(1, in) @ (in, out)` does; a 2-D batch's matmul need
+        not (BLAS blocks its rows).
 
         Returns the output plus a cache of per-layer (input, pre-activation)
         pairs sufficient for `backward` without recomputation.
@@ -159,7 +161,10 @@ class MlpNetwork:
             owner = np.repeat(np.arange(len(blocks)), np.diff(bounds))
         cache = []
         for spec, (w, b) in zip(self.layers, self._views):
-            if bounds is None:
+            if single:
+                z = h.dot(w)
+                z += b
+            elif bounds is None:
                 z = h @ w + b
             else:
                 z = np.empty((h.shape[0], spec.output_dim))

@@ -29,6 +29,7 @@ verified against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -168,49 +169,58 @@ def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) ->
     return mu + std * rng.standard_normal(mu.shape)
 
 
-class _UniformDraws:
-    """Categorical actions for the rows of a stack stepped in lockstep, row i
-    from rngs[i], each the action `sample_action` would draw at that step of
-    the row's episode. A categorical draw takes exactly one `random()` per
-    step, so the `horizon` uniforms of every row are drawn up front, its
-    generator's state saved first, and one step's actions are one vector
-    compare. `release(i, count)` then leaves generator i as `count` scalar
-    draws would: it restores the saved state and draws `count` again.
-    (`bit_generator.advance` would also drop a buffered uint32, which scalar
-    draws keep.)"""
+class _PreDrawn:
+    """The actions of the rows of a stack stepped in lockstep, row i from
+    rngs[i], each the action `sample_action` would draw at that step of the
+    row's episode. A step's draws take the same generator calls whatever the
+    network outputs, so each generator's state is saved and the draws of all
+    `horizon` steps are taken up front (`sample`); one step's actions are
+    then one vector operation over the rows. `release(i, count)` leaves
+    generator i as `count` per-step draws would: it restores the saved state
+    and draws `count` steps again, which works for normals too, though their
+    sampler uses a varying number of raw draws. (`bit_generator.advance`
+    would also drop a buffered uint32, which per-step draws keep.)"""
 
     def __init__(self, policies: list, rngs: list, horizon: int):
         self.rngs = rngs
         self.horizon = horizon
         self.saved = [rng.bit_generator.state for rng in rngs]
-        self.uniforms = np.stack([rng.random(horizon) for rng in rngs], axis=1)
-
-    def __call__(self, logits: np.ndarray, t: int, rows: list[int]) -> list[int]:
-        actions = draw_categorical_rows(softmax(logits), self.uniforms[t]).tolist()
-        return [actions[i] for i in rows]
+        self.drawn = np.stack([self.sample(rng, horizon) for rng in rngs], axis=1)
 
     def release(self, row: int, count: int) -> None:
         if count < self.horizon:  # else the draws up front were exactly the ones used
             rng = self.rngs[row]
             rng.bit_generator.state = self.saved[row]
-            rng.random(count)
+            self.sample(rng, count)
 
 
-class _NormalDraws:
-    """Gaussian actions for the rows of a stack stepped in lockstep: row i's
-    `sample_action` draw from rngs[i], step by step. The normal sampler takes
-    a varying number of raw draws, so its stream cannot be drawn ahead and
-    rewound by count, and `release` has nothing to do."""
+class _UniformDraws(_PreDrawn):
+    """Categorical draws: one `random()` a step, so a step's actions are one
+    vector compare (`draw_categorical_rows`)."""
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.random(count)
+
+    def __call__(self, logits: np.ndarray, t: int, rows: list[int]) -> list[int]:
+        actions = draw_categorical_rows(softmax(logits), self.drawn[t]).tolist()
+        return [actions[i] for i in rows]
+
+
+class _NormalDraws(_PreDrawn):
+    """Gaussian draws: `a_dim` standard normals a step, which one
+    `standard_normal((count, a_dim))` call yields in step order, so a step's
+    actions are `_draw_gaussian`'s `mu + std * z` once over the rows."""
 
     def __init__(self, policies: list, rngs: list, horizon: int):
-        self.scales = [policy.std() for policy in policies]
-        self.rngs = rngs
+        self.scales = np.stack([policy.std() for policy in policies])
+        super().__init__(policies, rngs, horizon)
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.standard_normal((count, self.scales.shape[1]))
 
     def __call__(self, mu: np.ndarray, t: int, rows: list[int]) -> list[np.ndarray]:
-        return [_draw_gaussian(mu[i], self.scales[i], self.rngs[i]) for i in rows]
-
-    def release(self, row: int, count: int) -> None:
-        pass
+        actions = mu + self.scales * self.drawn[t]
+        return [actions[i] for i in rows]
 
 
 class _Head:
@@ -298,7 +308,22 @@ class CategoricalPolicy(_Head):
         return softmax(self._outputs(state))
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
-        return _draw_categorical(self.action_distribution(state).tolist(), rng)
+        """One draw from softmax(net(state)), computed on Python floats with
+        the bits of `softmax`: the same max subtraction and one `exp` call,
+        then the sum numpy forms (in order below 8 entries, pairwise from 8)
+        and one division per entry."""
+        logits = self.net.forward(state)[0].tolist()
+        if not all(map(math.isfinite, logits)):
+            raise NumericError(self.nonfinite)
+        top = max(logits)
+        e = np.exp([x - top for x in logits]).tolist()
+        if len(e) < 8:
+            total = 0.0
+            for x in e:  # not `sum`, which compensates from Python 3.12 on
+                total += x
+        else:
+            total = float(np.sum(e))
+        return _draw_categorical([x / total for x in e], rng)
 
     @staticmethod
     def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,

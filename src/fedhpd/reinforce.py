@@ -12,8 +12,8 @@ no normalization. The ascent step runs through Adam on the negated estimate.
 `train_round` runs one round for agent k of every cell of a grid at once,
 a `Cohort` whose parameters and Adam moments are the rows of [B, P] arrays:
 `rollout` steps its episodes in lockstep, one forward pass over every row
-and one `env.step` per running episode a step (categorical actions come
-from uniforms drawn ahead and rewound at the episode's end),
+and one `env.step` per running episode a step (actions come from
+uniforms or normals drawn ahead and rewound at the episode's end),
 `policy_gradient` sums each agent's per-step score gradients in one stacked
 forward and backward pass over all agents' episodes (gradients are additive
 over rows), and one Adam step updates every row. Each agent's numbers are
@@ -89,13 +89,14 @@ def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
     through `sample_action` once a single episode is left, then advances
     each running state, a tuple of floats, through one `env.step`; an
     episode leaves when it terminates or reaches the horizon, and its arrays
-    are built then. A categorical stack draws each generator's `horizon`
-    uniforms right after `reset` and, when the episode leaves or goes on
-    alone, rewinds the generator to the draws it used (`policy._UniformDraws`).
-    Either way generator i is left as one `reset` then one draw per step
-    leaves it, so each episode is exactly the one policy i would run alone.
-    An episode that raises ends there: its slot holds the exception instead
-    of an `Episode`, and the other episodes run on.
+    are built then. The stack draws each generator's `horizon` steps of
+    uniforms (categorical) or normals (Gaussian) right after `reset` and,
+    when the episode leaves or goes on alone, rewinds the generator to the
+    draws it used (`policy._PreDrawn`). So generator i is left as one
+    `reset` then one draw per step leaves it, and each episode is exactly
+    the one policy i would run alone. An episode that raises ends there:
+    its slot holds the exception instead of an `Episode`, and the other
+    episodes run on.
     """
     policies = stack.policies
     n = len(policies)

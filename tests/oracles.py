@@ -17,6 +17,10 @@ Each is written independently of the program path it checks:
   action at a time, through `log_prob_grad` and `np.linalg.norm`; the
   stacked sweep (`diagnostics._grad_log_prob_max`) must match it bit for
   bit and leave the generator as it does.
+* `draw_action` is `sample_action` through the array `softmax` and the
+  scalar inverse CDF, or the mean plus std times normals. `play_episode`
+  samples through `sample_action` itself, so `sample_action`'s own float
+  path is checked against this draw.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from fedhpd.env import discounted_return, reset, step
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import adam_step
+from fedhpd.policy import _draw_categorical, softmax
 from fedhpd.reinforce import Episode, _step_weights
 
 # floor inside the logarithms, as in the package's categorical KL loss
@@ -142,3 +147,21 @@ def grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> f
                 a = policy.sample_action(s, rng)
                 best = max(best, float(np.linalg.norm(policy.log_prob_grad(s, a))))
     return best
+
+
+def draw_action(policy, state, rng: np.random.Generator):
+    """One action from `policy` at `state`, drawn as `sample_action` must."""
+    outputs = policy.net.forward(np.asarray(state))[0]
+    if policy.kind == "categorical":
+        return _draw_categorical(softmax(outputs).tolist(), rng)
+    return outputs + np.sqrt(np.exp(2.0 * policy.log_std)) * rng.standard_normal(outputs.shape)
+
+
+class FixedUniform:
+    """A generator stand-in whose one `random()` draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u

@@ -4,7 +4,10 @@
 name; a rename in the package would otherwise surface only as an
 `AttributeError` in `bench/run.py --trace 1`, not as a failing test. The
 `diagnose` workload also expects the single-state score spans to record
-calls, which only the smoothness probe's Hessian probes make.
+calls, which only the smoothness probe's Hessian probes make, and every
+workload expects `sample_action`, single-state forward and `env.step` spans,
+which only the one-episode rollouts (state generation and a lockstep tail)
+make.
 """
 
 import importlib
@@ -14,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedhpd import diagnostics
+from fedhpd import diagnostics, public_states, reinforce
+from fedhpd.env import EnvSpec
 from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import CategoricalPolicy
 
@@ -60,3 +64,21 @@ def test_lipschitz_probe_records_single_state_score_spans():
     assert tracer.count("diagnostics.lipschitz_probe") == 1
     assert tracer.count("policy.log_prob_grad") > 0
     assert tracer.count("nn_core.backward.single") > 0
+
+
+# spans that only one-episode rollouts record: `generate-states`, a lockstep
+# group's last running episode, and diagnose's trajectory samples
+SAMPLE_SPANS = ("policy.sample_action", "nn_core.forward.single", "env.step")
+
+
+@pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
+def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
+    spec = EnvSpec(env_kind, max_steps=60)
+    config = reinforce.AgentConfig("a", [(8, "tanh")], 1e-3)
+    cells = [reinforce.make_agents([config], spec, seed)[0] for seed in (3, 4)]
+    with load_tracing().Tracer().installed() as tracer:
+        public_states.generate_public_states(spec, warmup_rounds=2, rollouts=1, n=8, seed=0)
+        generated = {span: tracer.count(span) for span in SAMPLE_SPANS}
+        reinforce.train_round(cells)  # a 2-cell lockstep round: its tail runs alone
+    assert all(generated.values()), generated
+    assert all(tracer.count(span) > generated[span] for span in SAMPLE_SPANS)

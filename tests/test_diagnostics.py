@@ -256,6 +256,21 @@ def test_stacked_sweep_matches_the_per_state_oracle(kind, activation, n_states):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def test_stacked_sweep_skips_nan_norms_as_max_does(monkeypatch):
+    # a NaN norm leaves G unchanged, as `max(best, norm)` does, in the first
+    # row or later
+    policy = sweep_policy("categorical", "tanh", seed=2)
+    states = sweep_states(2, seed=3)
+    rows = [[np.nan, 0.0, 1.0], [1.0, 2.0, 2.0], [np.nan] * 3, [0.0, 4.0, 0.0], [1.0] * 3]
+    grads = np.zeros((6, policy.num_params))
+    grads[:, :3] = rows + [[2.0, np.nan, 0.0]]
+    monkeypatch.setattr(policy, "score_grads", lambda *pairs: grads)
+    want = 0.0
+    for grad in grads:
+        want = max(want, float(np.linalg.norm(grad)))
+    assert _grad_log_prob_max(policy, states, None) == want == 4.0
+
+
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @SWEEP_CASES

@@ -18,7 +18,8 @@ from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import PolicyStack, _draw_categorical, draw_categorical_rows, make_policy
 from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import Agent, AgentConfig, Episode, collect_trajectories, rollout
-from oracles import adam_ascent, episode_gradient, play_episode, run_stats, train_independent
+from oracles import (FixedUniform, adam_ascent, episode_gradient, play_episode, run_stats,
+                     train_independent)
 
 HEADS = [("categorical", "cartpole-discrete"), ("gaussian", "cartpole-continuous")]
 
@@ -102,16 +103,6 @@ def test_a_cohort_is_one_lineup_slot():
             Agent.local_round([agent(config), other], [[], []])
 
 
-class FixedUniform:
-    """A generator stand-in whose one `random()` draw is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_vector_draw_equals_the_scalar_inverse_cdf(k):
     rng = np.random.default_rng(k)
@@ -143,7 +134,20 @@ def test_lockstep_rewinds_each_generator_to_its_single_policy_state(horizon, tai
     # end as its own episode leaves it: with a buffered uint32, after an
     # env.step that raises, after non-finite logits, at the horizon in
     # lockstep and as the last running row
-    spec = EnvSpec("cartpole-discrete", max_steps=horizon)
+    check_rewinds("cartpole-discrete", "non-finite policy logits", horizon, tail, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("horizon,tail", [(30, False), (50, True)])
+def test_gaussian_lockstep_rewinds_each_generator_to_its_single_policy_state(
+        horizon, tail, monkeypatch):
+    # the same cases for normals drawn ahead of time, whose sampler takes a
+    # varying number of raw draws, and a non-finite mean row
+    check_rewinds("cartpole-continuous", "non-finite policy mean", horizon, tail, monkeypatch)
+
+
+def check_rewinds(env_kind, message, horizon, tail, monkeypatch):
+    spec = EnvSpec(env_kind, max_steps=horizon)
     policies = [make_agent(spec, seed).policy for seed in range(8)]
     blow_up(policies[5])
     buffered = (0, 2, 3, 5, 6)
@@ -176,7 +180,7 @@ def test_lockstep_rewinds_each_generator_to_its_single_policy_state(horizon, tai
     for failed in (together[3], alone[3]):
         assert isinstance(failed, NumericError) and str(failed) == "injected env failure"
     for failed in (together[5], alone[5]):
-        assert isinstance(failed, NumericError) and str(failed) == "non-finite policy logits"
+        assert isinstance(failed, NumericError) and str(failed) == message
     ran = [i for i in range(8) if i not in (3, 5)]
     for i in ran:
         assert_same_episode(together[i], alone[i])

@@ -210,6 +210,24 @@ def test_single_rows_pass_matches_one_vector_passes(hidden, out_dim):
         assert np.array_equal(row_grad, net.backward(single_cache, s))
 
 
+@pytest.mark.parametrize("hidden,out_dim", SCALED_ARCHITECTURES)
+def test_vector_forward_matches_row_matmuls(hidden, out_dim):
+    # a vector's cheaper `dot` pass: every layer's input, pre-activation and
+    # output are the bits of `(1, in) @ w + b` over the same layer views
+    rng = np.random.default_rng(100 + len(hidden) * 10 + out_dim)
+    net = glorot_init(build_layers(hidden, out_dim), rng)
+    net.set_params(rng.normal(scale=0.7, size=net.num_params))
+    for x in rng.normal(size=(50, 4)):
+        out, cache = net.forward(x)
+        h = x[None, :]
+        for spec, (w, b), (cached_in, cached_z) in zip(net.layers, net._views, cache):
+            z = h @ w + b
+            assert np.array_equal(cached_in, h) and np.array_equal(cached_z, z)
+            h = np.maximum(z, 0.0) if spec.activation == "relu" else (
+                np.tanh(z) if spec.activation == "tanh" else z)
+        assert out.shape == (out_dim,) and np.array_equal(out, h[0])
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ConfigurationError):
         MlpNetwork([LayerSpec(4, 3, "relu"), LayerSpec(2, 1, "identity")])

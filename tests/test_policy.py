@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhpd.env import EnvSpec
-from fedhpd.errors import ArtifactIOError, ConfigurationError
+from fedhpd.errors import ArtifactIOError, ConfigurationError, NumericError
 from fedhpd.nn_core import LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import (
     CategoricalPolicy,
     DistributionBatch,
     GaussianPolicy,
+    _draw_categorical,
     load_policy,
     make_policy,
     softmax,
 )
-from oracles import kl_categorical, kl_gaussian
+from oracles import FixedUniform, draw_action, kl_categorical, kl_gaussian
 
 
 def make_categorical(hidden=(6,), actions=2, in_dim=4, seed=0, activation="tanh"):
@@ -116,6 +117,80 @@ def test_extreme_logits_sample_deterministically():
     policy = CategoricalPolicy(net)
     rng = np.random.default_rng(1)
     assert all(policy.sample_action(np.zeros(1), rng) == 0 for _ in range(200))
+
+
+def logit_policy(logits, weight_scale=0.0, seed=0):
+    """A one-layer categorical policy whose logits at state 0 are `logits`."""
+    logits = np.asarray(logits, dtype=np.float64)
+    net = MlpNetwork([LayerSpec(4, logits.size, "identity")])
+    policy = CategoricalPolicy(net)
+    weights = np.random.default_rng(seed).normal(scale=weight_scale, size=4 * logits.size)
+    policy.params[:] = np.concatenate([weights, logits])  # unchecked: may be non-finite
+    return policy
+
+
+def assert_draws_match_reference(policy, states, seed):
+    fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i, state in enumerate(states):
+        if i % 2:
+            state = tuple(state.tolist())  # as `rollout` passes a state
+        got, want = policy.sample_action(state, fast), draw_action(policy, state, reference)
+        assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("actions", range(2, 10))
+def test_categorical_sample_action_matches_an_independent_reference(actions):
+    rng = np.random.default_rng(actions)
+    states = rng.normal(size=(40, 4))
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3):
+        logits = rng.normal(scale=scale, size=actions)
+        assert_draws_match_reference(logit_policy(logits, scale, seed=actions), states, actions)
+    ties = [np.full(actions, 0.7), np.repeat([2.0, -1.0], [actions - 1, 1]),
+            np.repeat([-3.0, 5.0], [1, actions - 1]), np.arange(actions) % 2 * 1e3]
+    for logits in ties:
+        assert_draws_match_reference(logit_policy(logits), states[:8], actions)
+    assert_draws_match_reference(make_categorical((8, 5), actions, seed=actions)[0], states, 1)
+
+
+@pytest.mark.parametrize("actions", range(2, 10))
+def test_categorical_sample_action_probabilities_are_softmax_bits(actions):
+    # a uniform at each cumulative edge of softmax's probabilities, and one
+    # ulp below it, picks different actions: any ulp off in a probability
+    # moves an edge and changes a draw
+    rng = np.random.default_rng(100 + actions)
+    for scale in (1e-3, 1.0, 1e3):
+        logits = rng.normal(scale=scale, size=actions)
+        policy = logit_policy(logits)
+        probs = softmax(logits).tolist()
+        edges, edge = [], 0.0
+        for p in probs[:-1]:
+            edge += p
+            edges.append(edge)
+        for u in [*edges, *np.nextafter(edges, -np.inf).tolist()]:
+            want = _draw_categorical(probs, FixedUniform(u))
+            assert policy.sample_action(np.zeros(4), FixedUniform(u)) == want
+
+
+@pytest.mark.parametrize("logits", [[-np.inf, 1.0], [np.nan, 0.0], [np.inf, np.inf]])
+def test_non_finite_logits_raise_before_any_draw(logits):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(NumericError, match="non-finite policy logits"):
+        logit_policy(logits).sample_action(np.zeros(4), rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("a_dim", [1, 2])
+def test_gaussian_sample_action_matches_an_independent_reference(a_dim):
+    rng = np.random.default_rng(a_dim)
+    states = rng.normal(size=(40, 4))
+    policy, _ = make_gaussian(hidden=(8, 5), a_dim=a_dim, seed=a_dim)
+    for log_std in (-5.0, -1.3, 0.0, 0.4, 2.0):
+        params = policy.get_params()
+        params[-a_dim:] = log_std + np.arange(a_dim) * 0.1
+        policy.set_params(params)
+        assert_draws_match_reference(policy, states, a_dim)
 
 
 def test_gaussian_clamp_floor_concentrates_samples():
