@@ -38,7 +38,6 @@ from .nn_core import (
     adam_step,
     glorot_init,
     load_network,
-    save_network,
 )
 from .policy import (
     CategoricalPolicy,

@@ -25,6 +25,7 @@ heads it is reported as indicative, never asserted.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -123,6 +124,12 @@ def variance_report_from_samples(
     )
 
 
+# trajectory samples per lockstep rollout, and per stacked score pass: the
+# memory each holds (generators, pre-drawn draws, bounded arrays) grows with them
+_SAMPLE_BLOCK = 32
+_GRADIENT_BLOCK = 8
+
+
 def sample_trajectory_gradients(
     policy,
     spec: EnvSpec,
@@ -131,15 +138,26 @@ def sample_trajectory_gradients(
     gamma: float,
     reward_to_go: bool,
 ) -> np.ndarray:
-    """n independent single-trajectory score-function gradient estimates."""
+    """n independent single-trajectory score-function gradient estimates:
+    sample j is one episode on child j of `rng`'s seed sequence, bit-identical
+    to its solo `rollout` and `policy_gradient`. The episodes run in lockstep
+    blocks, all on one copy of `policy`."""
     if n_samples < 2:
         raise ConfigurationError("need at least 2 samples")
-    samples = np.empty((n_samples, policy.num_params))
-    stack = PolicyStack([policy])
-    for i in range(n_samples):
-        episodes = raise_failures(rollout(stack, spec, [rng]))
-        samples[i] = policy_gradient(stack, [episodes], gamma, reward_to_go)[0]
-    return samples
+    streams = rng.bit_generator.seed_seq.spawn(n_samples)
+    twin = copy.deepcopy(policy)  # the stacks bind it, never the caller's policy
+    stack = PolicyStack([twin] * min(n_samples, _SAMPLE_BLOCK))
+    samples = []
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        block = streams[start : start + _SAMPLE_BLOCK]
+        if len(block) < len(stack.policies):  # a partly filled last block
+            stack = PolicyStack([twin] * len(block))
+        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in block]
+        episodes = raise_failures(rollout(stack, spec, rngs))
+        for first in range(0, len(block), _GRADIENT_BLOCK):
+            part = [[episode] for episode in episodes[first : first + _GRADIENT_BLOCK]]
+            samples.append(policy_gradient(stack, part, gamma, reward_to_go))
+    return np.concatenate(samples)
 
 
 def gradient_variance(

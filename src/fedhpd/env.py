@@ -68,10 +68,6 @@ def _out_of_bounds(x: float, theta: float) -> bool:
     return abs(x) > X_THRESHOLD or abs(theta) > THETA_THRESHOLD
 
 
-def is_terminal(state: np.ndarray) -> bool:
-    return _out_of_bounds(state[0], state[2])
-
-
 def step(spec: EnvSpec, state, action) -> tuple[tuple[float, float, float, float], float, bool]:
     """Advance the dynamics one 20 ms tick.
 

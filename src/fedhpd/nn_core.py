@@ -158,7 +158,6 @@ class MlpNetwork:
             )
         if bounds is not None:
             blocks = list(enumerate(zip(bounds, bounds[1:])))
-            owner = np.repeat(np.arange(len(blocks)), np.diff(bounds))
         cache = []
         for spec, (w, b) in zip(self.layers, self._views):
             if single:
@@ -170,7 +169,7 @@ class MlpNetwork:
                 z = np.empty((h.shape[0], spec.output_dim))
                 for i, (start, end) in blocks:
                     np.matmul(h[start:end], w[i], out=z[start:end])
-                z += b[owner, 0]
+                    z[start:end] += b[i, 0]
             cache.append((h, z))
             h = _apply_activation(spec.activation, z)
         out = h[0] if single else h
@@ -207,7 +206,8 @@ class MlpNetwork:
         for spec, (w, _), (x_in, z) in zip(
             reversed(self.layers), reversed(self._views), reversed(cache)
         ):
-            dz = d_post * _activation_deriv(spec.activation, z)
+            dz = _activation_deriv(spec.activation, z)
+            dz *= d_post
             b_start = offset - spec.output_dim
             w_start = b_start - spec.input_dim * spec.output_dim
             if bounds is None:
@@ -342,14 +342,6 @@ def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
     except ConfigurationError as exc:
         raise ArtifactIOError(f"invalid snapshot layer table: {exc}") from exc
     return net, flat[net_count:]
-
-
-def save_network(net: MlpNetwork, path, extra_params: np.ndarray | None = None) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(network_to_bytes(net, extra_params))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write snapshot {path}: {exc}") from exc
 
 
 def load_network(path) -> tuple[MlpNetwork, np.ndarray]:

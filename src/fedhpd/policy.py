@@ -304,9 +304,6 @@ class CategoricalPolicy(_Head):
         super().__init__(net, np.empty(0))
         self.action_count = net.output_dim
 
-    def action_distribution(self, state: np.ndarray) -> np.ndarray:
-        return softmax(self._outputs(state))
-
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> int:
         """One draw from softmax(net(state)), computed on Python floats with
         the bits of `softmax`: the same max subtraction and one `exp` call,
@@ -399,9 +396,6 @@ class GaussianPolicy(_Head):
         if log_std is None:
             log_std = np.zeros(self.action_dim)
         super().__init__(net, np.asarray(log_std, dtype=np.float64))
-
-    def action_distribution(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._outputs(state), np.exp(2.0 * self.log_std)
 
     def std(self) -> np.ndarray:
         """The action standard deviation every draw scales its normals by."""
@@ -520,10 +514,10 @@ class PolicyStack:
     def score_grad(self, states: np.ndarray, actions: np.ndarray, weights: np.ndarray,
                    bounds: list[int]) -> np.ndarray:
         """Row i: the sum over states bounds[i]:bounds[i+1] of weight times
-        d log pi_i(a|s), through the head's `score_seed`; [B, P]."""
+        d log pi_i(a|s), through the head's `score_seed`; [len(bounds) - 1, P]."""
         outputs, cache = self.net.forward(states, bounds)
         n = self.net.num_params
-        log_std = np.repeat(self.params[:, n:], np.diff(bounds), axis=0)
+        log_std = np.repeat(self.params[: len(bounds) - 1, n:], np.diff(bounds), axis=0)
         seed, tail = self.head.score_seed(outputs, actions, weights, log_std)
         grad = self.net.backward(cache, seed, bounds)
         if tail is None:

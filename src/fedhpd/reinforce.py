@@ -187,13 +187,13 @@ def _step_weights(rewards: np.ndarray, gamma: float, reward_to_go: bool) -> np.n
 
 def policy_gradient(stack: PolicyStack, episodes: list[list[Episode]], gamma: float,
                     reward_to_go: bool) -> np.ndarray:
-    """Ascent-direction estimate of grad J for each policy of the stack from
-    its own whole episodes, episodes[i] for row i (none: zeros); [B, P].
-    Episode e of every row goes through one stacked pass."""
+    """Ascent-direction estimate of grad J, [len(episodes), P]: row i from
+    policy i of the stack and its own whole episodes, episodes[i] (none:
+    zeros). Episode e of every row goes through one stacked pass."""
     count = max(map(len, episodes))
     if count == 0:
         raise ConfigurationError("policy_gradient needs at least one episode")
-    total = np.zeros(stack.params.shape)
+    total = np.zeros((len(episodes), stack.params.shape[1]))
     for e in range(count):
         batch = [row[e] for row in episodes if row]
         bounds = list(accumulate([len(row[e].rewards) if row else 0 for row in episodes],

@@ -21,15 +21,19 @@ Each is written independently of the program path it checks:
   scalar inverse CDF, or the mean plus std times normals. `play_episode`
   samples through `sample_action` itself, so `sample_action`'s own float
   path is checked against this draw.
+
+The helpers at the end serve the tests only: a head's action distribution
+at one state, the env's termination test on a state vector, and a snapshot
+written to a file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fedhpd.env import discounted_return, reset, step
+from fedhpd.env import _out_of_bounds, discounted_return, reset, step
 from fedhpd.errors import ConfigurationError
-from fedhpd.nn_core import adam_step
+from fedhpd.nn_core import adam_step, network_to_bytes
 from fedhpd.policy import _draw_categorical, softmax
 from fedhpd.reinforce import Episode, _step_weights
 
@@ -165,3 +169,23 @@ class FixedUniform:
 
     def random(self):
         return self.u
+
+
+def action_distribution(policy, state):
+    """softmax(logits) at `state` (categorical), or the mean and the variance
+    exp(2 log_std) (Gaussian); non-finite outputs raise as the head does."""
+    outputs = policy._outputs(state)
+    if policy.kind == "categorical":
+        return softmax(outputs)
+    return outputs, np.exp(2.0 * policy.log_std)
+
+
+def is_terminal(state) -> bool:
+    """Whether a state vector has left the track or the pole angle bounds."""
+    return _out_of_bounds(state[0], state[2])
+
+
+def save_network(net, path, extra_params=None) -> None:
+    """Write `net`'s snapshot (with a head's `extra_params` tail) to `path`."""
+    with open(path, "wb") as fh:
+        fh.write(network_to_bytes(net, extra_params))

@@ -67,7 +67,8 @@ def test_lipschitz_probe_records_single_state_score_spans():
 
 
 # spans that only one-episode rollouts record: `generate-states`, a lockstep
-# group's last running episode, and diagnose's trajectory samples
+# group's last running episode, and the last running episode of each block
+# of diagnose's trajectory samples
 SAMPLE_SPANS = ("policy.sample_action", "nn_core.forward.single", "env.step")
 
 
@@ -82,3 +83,18 @@ def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
         reinforce.train_round(cells)  # a 2-cell lockstep round: its tail runs alone
     assert all(generated.values()), generated
     assert all(tracer.count(span) > generated[span] for span in SAMPLE_SPANS)
+
+
+@pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
+def test_trajectory_samples_record_sample_and_step_spans(env_kind):
+    # diagnose's job, set-up aside, records these spans through its samples'
+    # lockstep tails alone
+    spec = EnvSpec(env_kind, max_steps=60)
+    policy = reinforce.make_agents([reinforce.AgentConfig("a", [(8, "tanh")], 1e-3)],
+                                   spec, 3)[0].policy
+    with load_tracing().Tracer().installed() as tracer:
+        diagnostics.sample_trajectory_gradients(policy, spec, 37, np.random.default_rng(0),
+                                                0.99, False)
+    assert tracer.count("diagnostics.sample_trajectory_gradients") == 1
+    assert all(tracer.count(span) > 0 for span in SAMPLE_SPANS), \
+        {span: tracer.count(span) for span in SAMPLE_SPANS}

@@ -9,7 +9,7 @@ import pytest
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
 from fedhpd.env import PublicStateSet, save_state_set
 from fedhpd.errors import ConfigurationError
-from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes, save_network
+from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes
 from fedhpd.experiment import (
     _KEY_DEFAULTS,
     METRICS_COLUMNS,
@@ -20,6 +20,7 @@ from fedhpd.experiment import (
     parse_config_text,
     train_experiment,
 )
+from oracles import save_network
 
 SMALL_CONFIG = """
 # desk-top smoke configuration
@@ -330,17 +331,23 @@ def test_cli_diagnose_uses_configured_gamma(tmp_path):
         assert low != default
 
 
+# the smoothness row of `test_cli_diagnose_self_consensus`: the probe has its
+# own stream, so this row holds whatever the variance rows draw
+SMOOTHNESS_ROW = (
+    "smoothness,,,,,,,,,,,,,,,,,3,0.050000000000000003,0.23068852823997213,"
+    "2.7837037281163663,1.1026425090059822,7.4969238468908008"
+)
+
+
 def test_cli_diagnose_self_consensus(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "train-out"
     assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
     snapshot = next(iter(sorted((out / "snapshots").glob("*.fhpd"))))
-    code = main([
-        "diagnose", "--config", str(path), "--snapshot", str(snapshot),
-        "--states", str(out / "states.txt"), "--output-dir", str(out),
-        "--set", "diag.samples = 8", "--set", "diag.repeats = 2",
-        "--set", "diag.pairs = 3",
-    ])
+    diagnose = ["diagnose", "--config", str(path), "--snapshot", str(snapshot),
+                "--states", str(out / "states.txt"), "--set", "diag.pairs = 3"]
+    code = main([*diagnose, "--output-dir", str(out),
+                 "--set", "diag.samples = 8", "--set", "diag.repeats = 2"])
     assert code == 0
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == ",".join(DIAGNOSTICS_COLUMNS)
@@ -355,6 +362,12 @@ def test_cli_diagnose_self_consensus(tmp_path):
     smooth = rows[2]
     assert float(smooth[col["lipschitz_estimate"]]) >= 0.0
     assert float(smooth[col["theory_bound"]]) > 0.0
+    assert lines[3] == SMOOTHNESS_ROW
+    for samples, repeats in (("3", "1"), ("40", "3")):
+        other = tmp_path / f"diag-{samples}-{repeats}"
+        assert main([*diagnose, "--output-dir", str(other), "--set",
+                     f"diag.samples = {samples}", "--set", f"diag.repeats = {repeats}"]) == 0
+        assert (other / "diagnostics.csv").read_text().splitlines()[-1] == SMOOTHNESS_ROW
 
 
 def test_experiment_cells_enumeration():

@@ -1,4 +1,5 @@
-"""Variance identity, angle condition, sample sizing, smoothness probes."""
+"""Variance identity, angle condition, lockstep trajectory samples, sample sizing,
+smoothness probes."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedhpd import diagnostics
+from fedhpd import env as envmod
 from fedhpd.diagnostics import (
     SmoothnessProbe,
     _grad_log_prob_max,
@@ -15,12 +17,19 @@ from fedhpd.diagnostics import (
     sample_trajectory_gradients,
     variance_report_from_samples,
 )
-from fedhpd.env import EnvSpec, step
-from fedhpd.errors import ConfigurationError
+from fedhpd.env import EnvSpec, reset, step
+from fedhpd.errors import ConfigurationError, NumericError
 from fedhpd.nn_core import ACTIVATIONS, LayerSpec, MlpNetwork, glorot_init
 from fedhpd.policy import CategoricalPolicy, DistributionBatch, GaussianPolicy, PolicyStack
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import Episode, policy_gradient
+from fedhpd.reinforce import (
+    AgentConfig,
+    Episode,
+    build_policy,
+    policy_gradient,
+    raise_failures,
+    rollout,
+)
 from oracles import grad_log_prob_max
 
 SPEC = EnvSpec("cartpole-discrete")
@@ -137,10 +146,80 @@ def test_report_rejects_degenerate_inputs():
         variance_report_from_samples(np.zeros((1, 3)), np.zeros(3))
     with pytest.raises(ConfigurationError):
         variance_report_from_samples(np.zeros((4, 3)), np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        sample_trajectory_gradients(
-            make_categorical(1), SPEC, 1, np.random.default_rng(0), 0.99, False
-        )
+    for n_samples in (-1, 0, 1):
+        with pytest.raises(ConfigurationError, match="at least 2 samples"):
+            sample_trajectory_gradients(
+                make_categorical(1), SPEC, n_samples, np.random.default_rng(0), 0.99, False
+            )
+
+
+# ------------------------------------------------------- trajectory samples
+
+
+def sample_policy(spec, seed):
+    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-3)
+    return build_policy(config, spec, np.random.default_rng(seed))
+
+
+def child_generator(seed, n_samples, j):
+    """Sample j's generator: child j of `SeedSequence(seed)`."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(n_samples)[j]))
+
+
+def solo_sample(policy, spec, rng, gamma, reward_to_go):
+    """One trajectory gradient with its episode alone: a stack of one,
+    `rollout` and `policy_gradient`."""
+    stack = PolicyStack([policy])
+    episodes = raise_failures(rollout(stack, spec, [rng]))
+    return policy_gradient(stack, [episodes], gamma, reward_to_go)[0]
+
+
+@pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
+@pytest.mark.parametrize("reward_to_go", [False, True])
+def test_lockstep_samples_equal_solo_episodes_on_child_streams(env_kind, reward_to_go):
+    # 37 samples: one full lockstep block of 32 and a partly filled one of 5
+    spec = EnvSpec(env_kind, max_steps=120)
+    policy = sample_policy(spec, seed=4)
+    params = policy.params
+    values = policy.get_params()
+    samples = sample_trajectory_gradients(policy, spec, 37, np.random.default_rng(31), 0.97,
+                                          reward_to_go)
+    assert samples.shape == (37, policy.num_params)
+    for j in range(37):
+        want = solo_sample(policy, spec, child_generator(31, 37, j), 0.97, reward_to_go)
+        assert np.array_equal(samples[j], want), j
+    assert policy.params is params and np.array_equal(params, values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("env_kind,message", [
+    ("cartpole-discrete", "non-finite policy logits"),
+    ("cartpole-continuous", "non-finite policy mean"),
+])
+def test_non_finite_samples_raise_the_heads_error(env_kind, message):
+    spec = EnvSpec(env_kind, max_steps=40)
+    policy = sample_policy(spec, seed=5)
+    policy.set_params(np.full(policy.num_params, 1e308))  # every output overflows
+    with pytest.raises(NumericError, match=message):
+        sample_trajectory_gradients(policy, spec, 37, np.random.default_rng(0), 0.99, False)
+
+
+def test_the_first_failing_sample_raises_its_error(monkeypatch):
+    # samples 3, 20 and 34 fail at their first step; sample 3's error is
+    # raised, as when the samples ran one after another
+    spec = EnvSpec("cartpole-discrete", max_steps=60)
+    failing = {tuple(reset(spec, child_generator(9, 37, j)).tolist()): j for j in (34, 20, 3)}
+    original = envmod.step
+
+    def step(spec, state, action):
+        if tuple(state) in failing:
+            raise NumericError(f"injected failure of sample {failing[tuple(state)]}")
+        return original(spec, state, action)
+
+    monkeypatch.setattr(envmod, "step", step)
+    with pytest.raises(NumericError, match="^injected failure of sample 3$"):
+        sample_trajectory_gradients(sample_policy(spec, seed=6), spec, 37,
+                                    np.random.default_rng(9), 0.99, False)
 
 
 # ----------------------------------------------------------------- sample sizing

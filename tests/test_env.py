@@ -8,7 +8,6 @@ from fedhpd.env import (
     PublicStateSet,
     THETA_THRESHOLD,
     discounted_return,
-    is_terminal,
     load_state_set,
     reset,
     save_state_set,
@@ -18,6 +17,7 @@ from fedhpd.errors import ArtifactIOError, ConfigurationError
 from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import CategoricalPolicy, PolicyStack
 from fedhpd.reinforce import rollout
+from oracles import is_terminal
 
 DISCRETE = EnvSpec("cartpole-discrete")
 CONTINUOUS = EnvSpec("cartpole-continuous")

@@ -20,7 +20,13 @@ from fedhpd.policy import (
     make_policy,
     softmax,
 )
-from oracles import FixedUniform, draw_action, kl_categorical, kl_gaussian
+from oracles import (
+    FixedUniform,
+    action_distribution,
+    draw_action,
+    kl_categorical,
+    kl_gaussian,
+)
 
 
 def make_categorical(hidden=(6,), actions=2, in_dim=4, seed=0, activation="tanh"):
@@ -47,11 +53,11 @@ def make_gaussian(hidden=(6,), a_dim=1, in_dim=4, seed=0, activation="tanh"):
 
 
 def categorical_log_prob(policy, state, action):
-    return math.log(policy.action_distribution(state)[action])
+    return math.log(action_distribution(policy, state)[action])
 
 
 def gaussian_log_prob(policy, state, action):
-    mu, var = policy.action_distribution(state)
+    mu, var = action_distribution(policy, state)
     return float(
         np.sum(-((action - mu) ** 2) / (2 * var) - 0.5 * np.log(2 * math.pi * var))
     )
@@ -78,7 +84,7 @@ def rel_err(a, b):
 def test_zero_params_give_uniform_probs():
     policy, _ = make_categorical(actions=3)
     policy.set_params(np.zeros(policy.num_params))
-    probs = policy.action_distribution(np.array([0.3, -1.0, 2.0, 0.0]))
+    probs = action_distribution(policy, np.array([0.3, -1.0, 2.0, 0.0]))
     np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-15)
 
 
@@ -86,14 +92,14 @@ def test_softmax_of_known_logits():
     net = MlpNetwork([LayerSpec(1, 2, "identity")])
     net.set_params(np.array([0.0, 0.0, math.log(3.0), 0.0]))
     policy = CategoricalPolicy(net)
-    probs = policy.action_distribution(np.array([0.0]))
+    probs = action_distribution(policy, np.array([0.0]))
     np.testing.assert_allclose(probs, [0.75, 0.25], atol=1e-15)
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_gaussian_unit_variance_at_zero_log_std():
     policy, _ = make_gaussian(a_dim=2)
-    _, var = policy.action_distribution(np.zeros(4))
+    _, var = action_distribution(policy, np.zeros(4))
     np.testing.assert_array_equal(var, [1.0, 1.0])
 
 
@@ -200,7 +206,7 @@ def test_gaussian_clamp_floor_concentrates_samples():
     policy.set_params(params)
     rng = np.random.default_rng(2)
     state = np.zeros(4)
-    mu, _ = policy.action_distribution(state)
+    mu, _ = action_distribution(policy, state)
     draws = np.array([policy.sample_action(state, rng)[0] for _ in range(500)])
     assert np.max(np.abs(draws - mu[0])) < 6.7e-3 * 6.0
 
@@ -230,7 +236,7 @@ def test_categorical_uniform_seed_symmetry():
 def test_gaussian_at_mean_gradients():
     policy, _ = make_gaussian(a_dim=2)
     state = np.array([0.1, -0.2, 0.3, 0.0])
-    mu, _ = policy.action_distribution(state)
+    mu, _ = action_distribution(policy, state)
     grad = policy.log_prob_grad(state, mu)
     np.testing.assert_allclose(grad[: policy.net.num_params], 0.0, atol=1e-15)
     np.testing.assert_allclose(grad[policy.net.num_params :], [-1.0, -1.0], atol=1e-15)
@@ -271,7 +277,7 @@ def test_extract_batch_rows_match_single_state_calls():
     assert batch.n_states == 6
     for i in range(6):
         np.testing.assert_allclose(
-            batch.probs[i], policy.action_distribution(states[i]), rtol=1e-13
+            batch.probs[i], action_distribution(policy, states[i]), rtol=1e-13
         )
     again = policy.extract_batch(states)
     assert np.array_equal(batch.probs, again.probs)
@@ -465,7 +471,7 @@ def test_gaussian_score_identities():
     for _ in range(20):
         state = rng.normal(size=4)
         action = rng.normal(size=1)
-        mu, var = policy.action_distribution(state)
+        mu, var = action_distribution(policy, state)
         # d log pi / d mu at fixed sigma
         analytic_mu = (action - mu) / var
         f = lambda m: float(
