@@ -153,7 +153,7 @@ def sample_trajectory_gradients(
         if len(block) < len(stack.policies):  # a partly filled last block
             stack = PolicyStack([twin] * len(block))
         rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in block]
-        episodes = raise_failures(rollout(stack, spec, rngs))
+        episodes = raise_failures(rollout([stack], spec, rngs))
         for first in range(0, len(block), _GRADIENT_BLOCK):
             part = [[episode] for episode in episodes[first : first + _GRADIENT_BLOCK]]
             samples.append(policy_gradient(stack, part, gamma, reward_to_go))

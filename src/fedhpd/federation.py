@@ -153,12 +153,13 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
     """Execute the full protocol for the cells of one group, in lockstep.
 
     Each cell is an (interval, seed) pair, interval None for no federation;
-    everything else is `config`'s. Each round agent k of every cell collects
-    its episodes in one lockstep `train_round`; then each cell runs its own
-    distillation if its interval fires. A cell whose code raises stops
-    there: its slot holds the exception instead of a `RunResult`, and the
-    others run on with exactly the numbers they would have had alone. Each
-    consensus record keeps its broadcast bytes only with `keep_broadcasts`.
+    everything else is `config`'s. Each round every agent collects its
+    episodes in one lockstep `train_round` (cohort k: agent k of each cell);
+    then each cell runs its own distillation if its interval fires. A cell
+    whose code raises stops there: its slot holds its first failing agent's
+    exception instead of a `RunResult`, and the others run on with exactly
+    the numbers they would have had alone. Each consensus record keeps its
+    broadcast bytes only with `keep_broadcasts`.
     """
     intervals = [interval for interval, _ in cells]
     if any(d is not None and d < 1 for d in intervals):
@@ -176,15 +177,18 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
         return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
 
     for i in range(config.rounds):
-        for k in range(len(lineup)):
-            live = running()
-            if not live:
-                break
-            for c, stats in zip(live, train_round([agents[c][k] for c in live])):
+        live = running()
+        if not live:
+            break
+        cohorts = [[agents[c][k] for c in live] for k in range(len(lineup))]
+        for k, outcomes in enumerate(train_round(cohorts)):
+            for c, stats in zip(live, outcomes):
+                result = results[c]
+                if not isinstance(result, RunResult):  # an earlier slot failed
+                    continue
                 if isinstance(stats, Exception):
                     results[c] = stats
                 else:
-                    result = results[c]
                     (result.episode_return[i, k], result.discounted_return[i, k],
                      result.grad_norm[i, k]) = stats
         for c in running():

@@ -36,14 +36,13 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    # ReLU' at exactly 0 is taken as 0 (subgradient choice).
+def _activation_deriv(kind: str, out: np.ndarray) -> np.ndarray:
+    # from the layer's output; ReLU' at exactly 0 is taken as 0 (subgradient choice)
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (out > 0.0).astype(np.float64)
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        return 1.0 - out * out
+    return np.ones_like(out)
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,9 @@ class MlpNetwork:
         lone vector's `(1, in) @ (in, out)` does; a 2-D batch's matmul need
         not (BLAS blocks its rows).
 
-        Returns the output plus a cache of per-layer (input, pre-activation)
-        pairs sufficient for `backward` without recomputation.
+        Returns the output plus a cache of per-layer (input, output) pairs
+        sufficient for `backward` without recomputation; a layer's output is
+        the next layer's input, so the pairs share their arrays.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -170,8 +170,8 @@ class MlpNetwork:
                 for i, (start, end) in blocks:
                     np.matmul(h[start:end], w[i], out=z[start:end])
                     z[start:end] += b[i, 0]
-            cache.append((h, z))
-            h = _apply_activation(spec.activation, z)
+            cache.append((h, _apply_activation(spec.activation, z)))
+            h = cache[-1][1]
         out = h[0] if single else h
         return out, cache
 
@@ -203,10 +203,10 @@ class MlpNetwork:
             grad = np.empty((len(blocks), self.num_params))
         d_post = g
         offset = self.num_params
-        for spec, (w, _), (x_in, z) in zip(
+        for spec, (w, _), (x_in, out) in zip(
             reversed(self.layers), reversed(self._views), reversed(cache)
         ):
-            dz = _activation_deriv(spec.activation, z)
+            dz = _activation_deriv(spec.activation, out)
             dz *= d_post
             b_start = offset - spec.output_dim
             w_start = b_start - spec.input_dim * spec.output_dim

@@ -170,40 +170,68 @@ def _draw_gaussian(mu: np.ndarray, std: np.ndarray, rng: np.random.Generator) ->
 
 
 class _PreDrawn:
-    """The actions of the rows of a stack stepped in lockstep, row i from
+    """The actions of the rows of stacks stepped in lockstep, row i from
     rngs[i], each the action `sample_action` would draw at that step of the
     row's episode. A step's draws take the same generator calls whatever the
-    network outputs, so each generator's state is saved and the draws of all
-    `horizon` steps are taken up front (`sample`); one step's actions are
-    then one vector operation over the rows. `release(i, count)` leaves
-    generator i as `count` per-step draws would: it restores the saved state
-    and draws `count` steps again, which works for normals too, though their
-    sampler uses a varying number of raw draws. (`bit_generator.advance`
+    network outputs, so every `block` steps each running row's generator
+    state is saved and the block's draws are taken up front (`extend`); a
+    step's actions are then one vector operation over the rows. `release(i,
+    count)` leaves generator i as `count` per-step draws would: it restores
+    the block's state and redraws the steps used, as `random(a)` then
+    `random(b)` is `random(a + b)`, and so for `standard_normal`, whose
+    sampler takes a varying number of raw draws. (`bit_generator.advance`
     would also drop a buffered uint32, which per-step draws keep.)"""
+
+    block = 32
 
     def __init__(self, policies: list, rngs: list, horizon: int):
         self.rngs = rngs
         self.horizon = horizon
-        self.saved = [rng.bit_generator.state for rng in rngs]
-        self.drawn = np.stack([self.sample(rng, horizon) for rng in rngs], axis=1)
+        self.nonfinite = policies[0].nonfinite
+        self.saved = [None] * len(rngs)
+        self.start = self.end = 0
+
+    def extend(self, t: int, rows: list[int]) -> None:
+        # every running row, or one left out would rewind to an older block
+        self.start, self.end = t, min(t + self.block, self.horizon)
+        self.drawn = np.zeros((self.end - t, len(self.rngs)) + self.shape)
+        for i in rows:
+            rng = self.rngs[i]
+            self.saved[i] = rng.bit_generator.state
+            self.drawn[:, i] = self.sample(rng, self.end - t)
+
+    def __call__(self, outputs: np.ndarray, t: int, rows: list[int]) -> list:
+        """Step t's action for each of `rows` from `outputs`, [all rows, out];
+        a row whose output is not finite gets `sample_action`'s NumericError."""
+        if t == self.end:
+            self.extend(t, rows)
+        drawn = self.drawn[t - self.start]
+        if np.isfinite(outputs).all():
+            actions = self.actions(outputs, drawn)
+            return [actions[i] for i in rows]
+        finite = np.isfinite(outputs).all(axis=1)
+        actions = self.actions(np.where(finite[:, None], outputs, 0.0), drawn)
+        ok = finite.tolist()
+        return [actions[i] if ok[i] else NumericError(self.nonfinite) for i in rows]
 
     def release(self, row: int, count: int) -> None:
-        if count < self.horizon:  # else the draws up front were exactly the ones used
+        if count < self.end:  # else the block's draws were exactly the ones used
             rng = self.rngs[row]
             rng.bit_generator.state = self.saved[row]
-            self.sample(rng, count)
+            self.sample(rng, count - self.start)
 
 
 class _UniformDraws(_PreDrawn):
     """Categorical draws: one `random()` a step, so a step's actions are one
     vector compare (`draw_categorical_rows`)."""
 
+    shape = ()
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.random(count)
 
-    def __call__(self, logits: np.ndarray, t: int, rows: list[int]) -> list[int]:
-        actions = draw_categorical_rows(softmax(logits), self.drawn[t]).tolist()
-        return [actions[i] for i in rows]
+    def actions(self, logits: np.ndarray, u: np.ndarray) -> list[int]:
+        return draw_categorical_rows(softmax(logits), u).tolist()
 
 
 class _NormalDraws(_PreDrawn):
@@ -213,14 +241,14 @@ class _NormalDraws(_PreDrawn):
 
     def __init__(self, policies: list, rngs: list, horizon: int):
         self.scales = np.stack([policy.std() for policy in policies])
+        self.shape = self.scales.shape[1:]
         super().__init__(policies, rngs, horizon)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.standard_normal((count, self.scales.shape[1]))
+        return rng.standard_normal((count,) + self.shape)
 
-    def __call__(self, mu: np.ndarray, t: int, rows: list[int]) -> list[np.ndarray]:
-        actions = mu + self.scales * self.drawn[t]
-        return [actions[i] for i in rows]
+    def actions(self, mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return mu + self.scales * z
 
 
 class _Head:
@@ -395,11 +423,16 @@ class GaussianPolicy(_Head):
         self.action_dim = net.output_dim
         if log_std is None:
             log_std = np.zeros(self.action_dim)
+        self._std_key = None
         super().__init__(net, np.asarray(log_std, dtype=np.float64))
 
     def std(self) -> np.ndarray:
-        """The action standard deviation every draw scales its normals by."""
-        return np.sqrt(np.exp(2.0 * self.log_std))
+        """The action standard deviation every draw scales its normals by,
+        recomputed when the log-std bytes change (in-place writes included)."""
+        key = self.log_std.tobytes()
+        if key != self._std_key:
+            self._std_key, self._std = key, np.sqrt(np.exp(2.0 * self.log_std))
+        return self._std
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _draw_gaussian(self._outputs(state), self.std(), rng)
@@ -476,9 +509,8 @@ class PolicyStack:
     binds each policy to its row, so later writes through either side are
     seen by both (a policy reads only the last stack of several that bound
     it); a stack of one is a view of its policy's own array.
-    `sample` draws as each policy's `sample_action` would, from one stacked
-    forward pass over every row; `score_grad` is REINFORCE's score pass, for
-    a stack of any size.
+    `reinforce.rollout` steps every row through one `net.step_rows` pass;
+    `score_grad` is REINFORCE's score pass, for a stack of any size.
     """
 
     def __init__(self, policies: list):
@@ -495,21 +527,6 @@ class PolicyStack:
         self.policies = list(policies)
         self.net = MlpNetwork(layers)
         self.net.bind(self.params[:, : self.net.num_params])
-
-    def sample(self, states: np.ndarray, draws, t: int, rows: list[int]) -> list:
-        """Step t's action for each of `rows`, from one forward pass of every
-        policy i on states[i] ([B, in]; the other rows only need to be
-        finite) and the head's `draws`: the action of policy i's
-        `sample_action`. A row whose network output is not finite gets the
-        `NumericError` `sample_action` raises instead, and is not drawn for."""
-        outputs = self.net.step_rows(states)
-        if np.isfinite(outputs).all():
-            return draws(outputs, t, rows)
-        finite = np.isfinite(outputs).all(axis=1)
-        ok = finite.tolist()
-        drawn = iter(draws(np.where(finite[:, None], outputs, 0.0), t,
-                           [i for i in rows if ok[i]]))
-        return [next(drawn) if ok[i] else NumericError(self.head.nonfinite) for i in rows]
 
     def score_grad(self, states: np.ndarray, actions: np.ndarray, weights: np.ndarray,
                    bounds: list[int]) -> np.ndarray:

@@ -38,10 +38,10 @@ def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: 
     )
     agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
     for _ in range(warmup_rounds):
-        raise_failures(train_round([agent]))
+        raise_failures(train_round([[agent]])[0])
 
-    stack = PolicyStack([agent.policy])
-    pool = np.concatenate([raise_failures(rollout(stack, spec, [agent.rng]))[0].states
+    stacks = [PolicyStack([agent.policy])]
+    pool = np.concatenate([raise_failures(rollout(stacks, spec, [agent.rng]))[0].states
                            for _ in range(rollouts)])
     if pool.shape[0] >= n:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)

@@ -9,16 +9,17 @@ score-function gradient estimate
 with R(tau) the episode's discounted return - no baseline, no advantage,
 no normalization. The ascent step runs through Adam on the negated estimate.
 
-`train_round` runs one round for agent k of every cell of a grid at once,
-a `Cohort` whose parameters and Adam moments are the rows of [B, P] arrays:
-`rollout` steps its episodes in lockstep, one forward pass over every row
-and one `env.step` per running episode a step (actions come from
-uniforms or normals drawn ahead and rewound at the episode's end),
+`train_round` runs one round for every agent of a grid at once; agent k of
+every cell is cohort k, a `Cohort` whose parameters and Adam moments are
+the rows of [B, P] arrays. `rollout` steps all cohorts' episodes in
+lockstep: one forward pass over the rows of each cohort, one draw over all
+rows (uniforms or normals drawn ahead and rewound at the episode's end)
+and one `env.step` per running episode a step. Then, per cohort,
 `policy_gradient` sums each agent's per-step score gradients in one stacked
-forward and backward pass over all agents' episodes (gradients are additive
-over rows), and one Adam step updates every row. Each agent's numbers are
-bit-identical to training alone; the tests check them against one network
-pass per episode and against the term-by-term sum.
+forward and backward pass (gradients are additive over rows), and one Adam
+step updates every row. Each agent's numbers are bit-identical to training
+alone; the tests check them against one network pass per episode and
+against the term-by-term sum.
 """
 
 from __future__ import annotations
@@ -79,34 +80,40 @@ class Episode:
 _PLACEHOLDER = (0.0,) * envmod.STATE_DIM
 
 
-def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
-    """Run one episode for each policy of the stack, policy i on generator i,
-    in lockstep.
+def rollout(stacks: list[PolicyStack], spec: envmod.EnvSpec, rngs: list) -> list:
+    """Run one episode for each policy of the stacks, in lockstep: rows are
+    the stacks' policies in order, and row i runs on generator rngs[i].
 
-    Each step samples every running episode through one forward pass over
-    all rows of the stack (`PolicyStack.sample`; a row whose episode has
-    left holds a finite placeholder state and its output is ignored), or
-    through `sample_action` once a single episode is left, then advances
-    each running state, a tuple of floats, through one `env.step`; an
-    episode leaves when it terminates or reaches the horizon, and its arrays
-    are built then. The stack draws each generator's `horizon` steps of
-    uniforms (categorical) or normals (Gaussian) right after `reset` and,
-    when the episode leaves or goes on alone, rewinds the generator to the
-    draws it used (`policy._PreDrawn`). So generator i is left as one
-    `reset` then one draw per step leaves it, and each episode is exactly
-    the one policy i would run alone. An episode that raises ends there:
-    its slot holds the exception instead of an `Episode`, and the other
-    episodes run on.
+    Each step samples every running episode through one `step_rows` pass
+    per stack that still has a running row, into one [rows, out] array, and
+    one finiteness check and pre-drawn draw over all rows (`policy._PreDrawn`;
+    a row whose episode has left holds a finite placeholder state and its
+    output is ignored), or through `sample_action` once a single episode of
+    all the stacks is left; then it advances each running state, a tuple of
+    floats, through one `env.step`. An episode leaves when it terminates or
+    reaches the horizon, and its arrays are built then. Each generator's
+    uniforms (categorical) or normals (Gaussian) are drawn 32 steps ahead
+    and rewound, when the episode leaves or goes on alone, to the draws it
+    used. So generator i is left as one `reset` then one draw per step
+    leaves it, and each episode is exactly the one its policy would run
+    alone. An episode that raises ends there: its slot holds the exception
+    instead of an `Episode`, and the other episodes run on.
     """
-    policies = stack.policies
+    policies = [policy for stack in stacks for policy in stack.policies]
+    if any(stack.head is not stacks[0].head for stack in stacks):
+        raise ConfigurationError("lockstep stacks must share one policy head")
     n = len(policies)
+    bounds = list(accumulate([len(stack.policies) for stack in stacks], initial=0))
+    owner = [s for s, stack in enumerate(stacks) for _ in stack.policies]
+    running = [len(stack.policies) for stack in stacks]  # per stack
     horizon = spec.max_steps
     visited = [[tuple(envmod.reset(spec, rng).tolist())] for rng in rngs]
     actions: list[list] = [[] for _ in range(n)]
     rewards: list[list] = [[] for _ in range(n)]
     results: list = [None] * n
-    inputs = [states[-1] for states in visited]  # the stacked forward's rows
-    draws = stack.head.draws(policies, rngs, horizon) if n > 1 else None
+    inputs = [states[-1] for states in visited]  # the stacked forwards' rows
+    draws = stacks[0].head.draws(policies, rngs, horizon) if n > 1 else None
+    outputs = np.zeros((n, policies[0].net.output_dim))
     live = list(range(n))
     for t in range(horizon):
         if draws is not None and len(live) == 1:  # the last episode goes on alone
@@ -115,7 +122,11 @@ def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
         if draws is None:
             drawn = [_sample_one(policies[live[0]], inputs[live[0]], rngs[live[0]])]
         else:
-            drawn = stack.sample(np.array(inputs), draws, t, live)
+            states = np.array(inputs)
+            for stack, start, end, count in zip(stacks, bounds, bounds[1:], running):
+                if count:
+                    outputs[start:end] = stack.net.step_rows(states[start:end])
+            drawn = draws(outputs, t, live)
         kept = []
         for i, action in zip(live, drawn):
             drew = not isinstance(action, Exception)
@@ -136,6 +147,7 @@ def rollout(stack: PolicyStack, spec: envmod.EnvSpec, rngs: list) -> list:
                     continue
                 results[i] = Episode(np.array(visited[i]), np.array(actions[i]),
                                      np.array(rewards[i]))
+            running[owner[i]] -= 1
             if draws is not None:  # non-finite outputs drew nothing this step
                 draws.release(i, t + drew)
                 inputs[i] = _PLACEHOLDER
@@ -153,27 +165,32 @@ def _sample_one(policy, state: tuple, rng: np.random.Generator):
 
 
 def raise_failures(results: list) -> list:
-    """`results` of `rollout`, `collect_trajectories` or `train_round`, with
-    its first failure raised instead of returned."""
+    """`results` of `rollout`, or one cohort's of `collect_trajectories` or
+    `train_round`, with its first failure raised instead of returned."""
     for result in results:
         if isinstance(result, Exception):
             raise result
     return results
 
 
-def collect_trajectories(agents: list["Agent"]) -> list:
-    """`episodes_per_round` episodes from each agent of a cohort, stepped in
-    lockstep. An agent whose episode failed gets that exception instead of
-    its episode list (its later episodes still run, and are dropped).
-    """
-    stack = Cohort.of(agents).policies
-    collected: list = [[] for _ in agents]
-    for _ in range(agents[0].config.episodes_per_round):
-        for j, episode in enumerate(rollout(stack, agents[0].spec, [a.rng for a in agents])):
-            if isinstance(episode, Exception) and isinstance(collected[j], list):
-                collected[j] = episode
-            elif isinstance(collected[j], list):
-                collected[j].append(episode)
+def collect_trajectories(cohorts: list[list["Agent"]]) -> list:
+    """`episodes_per_round` episodes from each agent of each cohort (lineup
+    slots of one env), episode e of every cohort in one lockstep `rollout`.
+    collected[c][j] is agent j of cohort c's episode list, or the exception
+    its episode raised (its later episodes still run, and are dropped)."""
+    stacks = [Cohort.of(agents).policies for agents in cohorts]
+    counts = [agents[0].config.episodes_per_round for agents in cohorts]
+    collected: list = [[[] for _ in agents] for agents in cohorts]
+    for e in range(max(counts)):
+        part = [c for c, count in enumerate(counts) if e < count]
+        slots = [(c, j) for c in part for j in range(len(cohorts[c]))]
+        episodes = rollout([stacks[c] for c in part], cohorts[0][0].spec,
+                           [cohorts[c][j].rng for c, j in slots])
+        for (c, j), episode in zip(slots, episodes):
+            if isinstance(episode, Exception) and isinstance(collected[c][j], list):
+                collected[c][j] = episode
+            elif isinstance(collected[c][j], list):
+                collected[c][j].append(episode)
     return collected
 
 
@@ -298,17 +315,17 @@ class Cohort:
         return cls(agents)
 
 
-def train_round(agents: list[Agent]) -> list:
-    """One local round for a cohort: lockstep episodes, then one stacked
-    gradient and Adam step (`Agent.local_round`). Per agent, its
-    `local_round` outcome or the exception it raised."""
-    collected = collect_trajectories(agents)
-    learned = [[] if isinstance(episodes, Exception) else episodes for episodes in collected]
-    if not any(learned):
-        return collected
-    outcomes = Agent.local_round(agents, learned)
-    return [episodes if isinstance(episodes, Exception) else outcome
-            for episodes, outcome in zip(collected, outcomes)]
+def train_round(cohorts: list[list[Agent]]) -> list:
+    """One local round for cohorts of lineup slots: lockstep episodes, then
+    one stacked gradient and Adam step per cohort (`Agent.local_round`).
+    outcomes[c][j]: agent j of cohort c's outcome or the exception it raised."""
+    outcomes = []
+    for agents, collected in zip(cohorts, collect_trajectories(cohorts)):
+        learned = [[] if isinstance(episodes, Exception) else episodes for episodes in collected]
+        stats = Agent.local_round(agents, learned) if any(learned) else collected
+        outcomes.append([episodes if isinstance(episodes, Exception) else outcome
+                         for episodes, outcome in zip(collected, stats)])
+    return outcomes
 
 
 def make_agents(configs: list[AgentConfig], spec: envmod.EnvSpec, seed: int) -> list[Agent]:

@@ -232,7 +232,7 @@ def test_criterion_5_fixed_points(cartpole_states):
         fire = set(distillation_rounds(rounds, interval))
         for i in range(rounds):
             for agent in agents:
-                raise_failures(train_round([agent]))
+                raise_failures(train_round([[agent]])[0])
             if i in fire:
                 before = [a.policy.get_params() for a in agents]
                 record = distillation_round(agents, states, i)

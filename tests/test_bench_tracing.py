@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedhpd import diagnostics, public_states, reinforce
+from fedhpd import diagnostics, federation, public_states, reinforce
 from fedhpd.env import EnvSpec
 from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import CategoricalPolicy
@@ -80,9 +80,27 @@ def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
     with load_tracing().Tracer().installed() as tracer:
         public_states.generate_public_states(spec, warmup_rounds=2, rollouts=1, n=8, seed=0)
         generated = {span: tracer.count(span) for span in SAMPLE_SPANS}
-        reinforce.train_round(cells)  # a 2-cell lockstep round: its tail runs alone
+        reinforce.train_round([cells])  # a 2-cell lockstep round: its tail runs alone
     assert all(generated.values()), generated
     assert all(tracer.count(span) > generated[span] for span in SAMPLE_SPANS)
+
+
+@pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
+def test_one_collect_span_covers_every_slot_of_a_round(env_kind):
+    # every lineup slot's episodes run in one lockstep rollout per round, so
+    # every training env.step lies directly under that round's collect span
+    config = federation.FedRunConfig(env_kind, 4, [
+        reinforce.AgentConfig("a", [(8, "tanh")], 1e-3),
+        reinforce.AgentConfig("b", [(6, "relu"), (6, "relu")], 1e-3)], max_steps=60)
+    tracing = load_tracing()
+    with tracing.Tracer().installed() as tracer:
+        federation.run(config, [(None, 3), (None, 4), (None, 5)], None)
+    table = tracer.table()
+    names = np.array(tracer.names)
+    steps = table[names[table[:, 0]] == "env.step"]
+    assert tracer.count("reinforce.collect_trajectories") == config.rounds
+    assert steps.size and set(names[table[steps[:, 1], 0]]) == {"reinforce.collect_trajectories"}
+    assert tracer.count("policy.sample_action") > 0  # the round's last episode runs alone
 
 
 @pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])

@@ -170,7 +170,7 @@ def solo_sample(policy, spec, rng, gamma, reward_to_go):
     """One trajectory gradient with its episode alone: a stack of one,
     `rollout` and `policy_gradient`."""
     stack = PolicyStack([policy])
-    episodes = raise_failures(rollout(stack, spec, [rng]))
+    episodes = raise_failures(rollout([stack], spec, [rng]))
     return policy_gradient(stack, [episodes], gamma, reward_to_go)[0]
 
 

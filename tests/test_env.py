@@ -118,7 +118,7 @@ def test_trajectory_contiguity_guard():
         [LayerSpec(4, 8, "tanh"), LayerSpec(8, 2, "identity")], np.random.default_rng(1)))
     for spec in (DISCRETE, EnvSpec("cartpole-discrete", max_steps=7)):
         for seed in range(5):
-            episode, = rollout(PolicyStack([policy]), spec, [np.random.default_rng(seed)])
+            episode, = rollout([PolicyStack([policy])], spec, [np.random.default_rng(seed)])
             states, actions, rewards = episode.states, episode.actions, episode.rewards
             assert len(states) == len(actions) == len(rewards) >= 1
             for t in range(len(states)):

@@ -82,7 +82,7 @@ def test_single_agent_distillation_is_exact_fixed_point():
     states = small_states()
     agents = make_agents([agent_config(0)], SPEC, seed=21)
     for _ in range(3):  # warm the Adam moments so the guard actually matters
-        raise_failures(train_round(agents))
+        raise_failures(train_round([agents])[0])
     before = agents[0].policy.get_params()
     adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(), agents[0].adam.step_count)
     record = distillation_round(agents, states, round_index=3)
@@ -101,7 +101,7 @@ def test_identical_agents_distillation_is_exact_fixed_point(k):
         make_agents([agent_config(0)], SPEC, seed=33)[0] for _ in range(k)
     ]
     for _ in range(2):
-        raise_failures(train_round(agents))
+        raise_failures(train_round([agents])[0])
     before = [a.policy.get_params() for a in agents]
     record = distillation_round(agents, states, round_index=2)
     assert record.kl_losses == [0.0] * k

@@ -57,11 +57,11 @@ def test_lockstep_rollout_matches_single_policy_runs(head, env_kind, horizon, mo
     policies = [make_agent(spec, seed).policy for seed in range(8)]
     assert policies[0].kind == head
     alone_rngs = [np.random.default_rng(100 + i) for i in range(8)]
-    alone = [rollout(PolicyStack([p]), spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
+    alone = [rollout([PolicyStack([p])], spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
 
     calls = count_env_steps(monkeypatch)
     rngs = [np.random.default_rng(100 + i) for i in range(8)]
-    together = rollout(PolicyStack(policies), spec, rngs)
+    together = rollout([PolicyStack(policies)], spec, rngs)
 
     lengths = [len(e.rewards) for e in together]
     assert spec.max_steps in lengths and min(lengths) < spec.max_steps
@@ -93,9 +93,9 @@ def test_a_cohort_is_one_lineup_slot():
     def agent(config, spec=spec):
         return Agent(config, spec, np.random.SeedSequence([1, 2]))
 
-    assert collect_trajectories([agent(config), agent(replace(config, agent_id="b"))])
+    assert collect_trajectories([[agent(config), agent(replace(config, agent_id="b"))]])
     with pytest.raises(ConfigurationError, match="cohort agents a and a differ in env"):
-        collect_trajectories([agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))])
+        collect_trajectories([[agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))]])
     for knob in ({"learning_rate": 2e-3}, {"gamma": 0.9}, {"reward_to_go": True},
                  {"episodes_per_round": 2}):
         other = agent(replace(config, agent_id="b", **knob))
@@ -158,7 +158,7 @@ def check_rewinds(env_kind, message, horizon, tail, monkeypatch):
             rngs[i].integers(0, 10, dtype=np.uint32)  # keeps half a 64-bit draw
         return rngs
 
-    probe, = rollout(PolicyStack([policies[3]]), spec, [generators()[3]])
+    probe, = rollout([PolicyStack([policies[3]])], spec, [generators()[3]])
     assert len(probe.rewards) > 5
     target = tuple(probe.states[4].tolist())
     original = envmod.step
@@ -170,10 +170,10 @@ def check_rewinds(env_kind, message, horizon, tail, monkeypatch):
 
     monkeypatch.setattr(envmod, "step", step)
     alone_rngs = generators()
-    alone = [rollout(PolicyStack([p]), spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
+    alone = [rollout([PolicyStack([p])], spec, [rng])[0] for p, rng in zip(policies, alone_rngs)]
     rngs = generators()
     assert all(rngs[i].bit_generator.state["has_uint32"] == 1 for i in buffered)
-    together = rollout(PolicyStack(policies), spec, rngs)
+    together = rollout([PolicyStack(policies)], spec, rngs)
 
     for rng, alone_rng in zip(rngs, alone_rngs):
         assert rng.bit_generator.state == alone_rng.bit_generator.state
@@ -189,12 +189,94 @@ def check_rewinds(env_kind, message, horizon, tail, monkeypatch):
     assert (lengths[-2] < lengths[-1]) == tail  # the longest ran its last steps alone
 
 
+# one lineup slot each: different depths, widths and activations
+SLOT_LAYERS = [[(16, "relu"), (8, "tanh")], [(6, "tanh")], [(12, "relu"), (5, "relu")]]
+
+
+def slot_stacks(spec, sizes):
+    stacks = []
+    for s, (hidden, size) in enumerate(zip(SLOT_LAYERS, sizes)):
+        config = AgentConfig(f"a{s}", hidden, 1e-3)
+        stacks.append(PolicyStack([Agent(config, spec, np.random.SeedSequence([seed, s])).policy
+                                   for seed in range(size)]))
+    return stacks
+
+
+def push_one_way(policy):
+    """An output bias that pushes the cart one way at every step, so the
+    pole falls within a few steps."""
+    policy.params[policy.net.num_params - policy.net.output_dim:policy.net.num_params] = (
+        [-50.0, 50.0] if policy.kind == "categorical" else [50.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("head,env_kind", HEADS)
+@pytest.mark.parametrize("horizon", [12, 200])
+def test_rollout_over_slot_stacks_matches_per_stack_rollouts(head, env_kind, horizon,
+                                                             monkeypatch):
+    # slot 1's episodes all end first and slot 0 holds a non-finite row; a
+    # row of slot 2 fails in env.step; at horizon 12 several rows reach it in
+    # lockstep, and at 200 Gaussian episodes run past a block of pre-drawn steps
+    spec = EnvSpec(env_kind, max_steps=horizon)
+    stacks = slot_stacks(spec, (3, 2, 4))
+    assert stacks[0].head.kind == head
+    for policy in stacks[1].policies:
+        push_one_way(policy)
+    blow_up(stacks[0].policies[1])
+    buffered = (0, 3, 6)
+
+    def generators():
+        rngs = [np.random.default_rng(500 + i) for i in range(9)]
+        for i in buffered:
+            rngs[i].integers(0, 10, dtype=np.uint32)  # keeps half a 64-bit draw
+        return rngs
+
+    probe = rollout([stacks[2]], spec, generators()[5:])[1]
+    target = tuple(probe.states[3].tolist())
+    original = envmod.step
+
+    def step(spec, state, action):
+        if tuple(state) == target:  # row 6's fourth step
+            raise NumericError("injected env failure")
+        return original(spec, state, action)
+
+    monkeypatch.setattr(envmod, "step", step)
+    alone_rngs = generators()
+    alone = [episode for stack, start, end in zip(stacks, (0, 3, 5), (3, 5, 9))
+             for episode in rollout([stack], spec, alone_rngs[start:end])]
+    rngs = generators()
+    together = rollout(stacks, spec, rngs)
+
+    for rng, alone_rng in zip(rngs, alone_rngs):
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+    assert str(together[1]) == str(alone[1]) == "non-finite policy " + (
+        "logits" if head == "categorical" else "mean")
+    assert str(together[6]) == str(alone[6]) == "injected env failure"
+    ran = [i for i in range(9) if i not in (1, 6)]
+    for i in ran:
+        assert_same_episode(together[i], alone[i])
+    lengths = {i: len(together[i].rewards) for i in ran}
+    assert max(lengths[3], lengths[4]) < min(lengths[i] for i in ran if i > 4)
+    if horizon == 12:
+        assert sum(length == horizon for length in lengths.values()) >= 2
+    elif head == "gaussian":
+        assert max(lengths.values()) > 32
+
+
+def test_lockstep_stacks_share_one_head():
+    stacks = [slot_stacks(EnvSpec(kind, max_steps=10), (2,))[0]
+              for kind in ("cartpole-discrete", "cartpole-continuous")]
+    with pytest.raises(ConfigurationError, match="share one policy head"):
+        rollout(stacks, EnvSpec("cartpole-discrete", max_steps=10),
+                [np.random.default_rng(i) for i in range(4)])
+
+
 @pytest.mark.parametrize("head,env_kind", HEADS)
 def test_lockstep_collection_matches_sequential_episodes(head, env_kind):
     spec = EnvSpec(env_kind, max_steps=30)
     agents = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
     replicas = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
-    collected = collect_trajectories(agents)
+    collected, = collect_trajectories([agents])
     for episodes, agent, replica in zip(collected, agents, replicas):
         assert len(episodes) == 2
         for episode in episodes:
@@ -305,9 +387,13 @@ def nofed(seeds):
     return [(None, seed) for seed in seeds]
 
 
-@pytest.mark.parametrize("knobs", [{}, {"episodes_per_round": 2, "reward_to_go": True}])
+@pytest.mark.parametrize("knobs", [[{}, {}], [{"episodes_per_round": 2, "reward_to_go": True}] * 2,
+                                   [{}, {"episodes_per_round": 3}]])
 def test_lockstep_run_matches_the_sequential_oracle(knobs):
-    config = run_config(**knobs)
+    # per lineup slot; slots with different episode counts share each round's
+    # first rollout
+    config = run_config()
+    config.agent_configs = [replace(c, **k) for c, k in zip(config.agent_configs, knobs)]
     seeds = [3, 4, 5]
     results = run(config, nofed(seeds), None, trace_params=True)
     for seed, result in zip(seeds, results):
@@ -335,9 +421,9 @@ def test_non_finite_row_fails_only_its_policy(head, env_kind, message):
     blow_up(policies[2])
     with pytest.raises(NumericError, match=message):
         policies[2].sample_action(np.zeros(4), np.random.default_rng(0))
-    alone = [rollout(PolicyStack([p]), spec, [np.random.default_rng(i)])[0]
+    alone = [rollout([PolicyStack([p])], spec, [np.random.default_rng(i)])[0]
              for i, p in enumerate(policies)]
-    together = rollout(PolicyStack(policies), spec,
+    together = rollout([PolicyStack(policies)], spec,
                        [np.random.default_rng(i) for i in range(4)])
     for i in (0, 1, 3):
         assert_same_episode(together[i], alone[i])
@@ -363,6 +449,37 @@ def test_non_finite_cell_fails_alone_in_a_group(monkeypatch):
     for got, want in zip(results[0::2], clean):
         for a, b in zip(got.param_traces, want.param_traces):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert got.final_snapshots == want.final_snapshots
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_cell_whose_two_slots_fail_in_one_round_reports_the_first(monkeypatch):
+    # slot 1 fails in the round's rollout, before slot 0 fails in its learning
+    # step: the cell still reports slot 0's error, as slot by slot training would
+    clean = run(run_config(), nofed([3, 5]), None, trace_params=True)
+    original = federation.make_agents
+    local_round = Agent.local_round.__func__
+
+    def make_agents(agent_configs, spec, seed):
+        agents = original(agent_configs, spec, seed)
+        if seed == 4:
+            agents[0].doomed = True
+            blow_up(agents[1].policy)
+        return agents
+
+    def failing_round(cls, agents, episodes):
+        outcomes = local_round(cls, agents, episodes)
+        return [NumericError("injected learner failure") if getattr(agent, "doomed", False)
+                else outcome for agent, outcome in zip(agents, outcomes)]
+
+    monkeypatch.setattr(federation, "make_agents", make_agents)
+    monkeypatch.setattr(Agent, "local_round", classmethod(failing_round))
+    results = run(run_config(), nofed([3, 4, 5]), None, trace_params=True)
+    assert str(results[1]) == "injected learner failure"
+    for got, want in zip(results[0::2], clean):
+        for a, b in zip(got.param_traces, want.param_traces):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert run_stats(got) == run_stats(want)
         assert got.final_snapshots == want.final_snapshots
 
 

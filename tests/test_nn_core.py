@@ -151,8 +151,8 @@ def test_backward_zero_seed_gives_zero_grad():
 
 def relu_kink_too_close(net, cache, margin=1e-4):
     """FD is invalid within the step size of a ReLU kink; resample there."""
-    for spec, (_, z) in zip(net.layers, cache):
-        if spec.activation == "relu" and np.min(np.abs(z)) < margin:
+    for spec, (w, b), (h, _) in zip(net.layers, net._views, cache):
+        if spec.activation == "relu" and np.min(np.abs(h @ w + b)) < margin:
             return True
     return False
 
@@ -212,19 +212,20 @@ def test_single_rows_pass_matches_one_vector_passes(hidden, out_dim):
 
 @pytest.mark.parametrize("hidden,out_dim", SCALED_ARCHITECTURES)
 def test_vector_forward_matches_row_matmuls(hidden, out_dim):
-    # a vector's cheaper `dot` pass: every layer's input, pre-activation and
-    # output are the bits of `(1, in) @ w + b` over the same layer views
+    # a vector's cheaper `dot` pass: every layer's input and output are the
+    # bits of `(1, in) @ w + b` and its activation over the same layer views
     rng = np.random.default_rng(100 + len(hidden) * 10 + out_dim)
     net = glorot_init(build_layers(hidden, out_dim), rng)
     net.set_params(rng.normal(scale=0.7, size=net.num_params))
     for x in rng.normal(size=(50, 4)):
         out, cache = net.forward(x)
         h = x[None, :]
-        for spec, (w, b), (cached_in, cached_z) in zip(net.layers, net._views, cache):
+        for spec, (w, b), (cached_in, cached_out) in zip(net.layers, net._views, cache):
+            assert np.array_equal(cached_in, h)
             z = h @ w + b
-            assert np.array_equal(cached_in, h) and np.array_equal(cached_z, z)
             h = np.maximum(z, 0.0) if spec.activation == "relu" else (
                 np.tanh(z) if spec.activation == "tanh" else z)
+            assert np.array_equal(cached_out, h)
         assert out.shape == (out_dim,) and np.array_equal(out, h[0])
 
 

@@ -49,8 +49,8 @@ def test_collect_is_deterministic_given_seed():
     cfg = agent_config(episodes_per_round=3)
     a = Agent(cfg, SPEC, np.random.SeedSequence(5))
     b = Agent(cfg, SPEC, np.random.SeedSequence(5))
-    ta, = collect_trajectories([a])
-    tb, = collect_trajectories([b])
+    (ta,), = collect_trajectories([[a]])
+    (tb,), = collect_trajectories([[b]])
     assert len(ta) == len(tb) == 3
     for x, y in zip(ta, tb):
         assert np.array_equal(x.states, y.states)
@@ -60,7 +60,7 @@ def test_collect_is_deterministic_given_seed():
 def test_trajectory_lengths_within_horizon():
     cfg = agent_config(episodes_per_round=5)
     agent = Agent(cfg, SPEC, np.random.SeedSequence(6))
-    for episode in collect_trajectories([agent])[0]:
+    for episode in collect_trajectories([[agent]])[0][0]:
         assert 1 <= len(episode.rewards) <= SPEC.max_steps
         for t in range(len(episode.rewards) - 1):
             nxt, _, _ = step(SPEC, episode.states[t], int(episode.actions[t]))
@@ -77,7 +77,7 @@ def test_rollout_consumes_reset_then_one_sample_per_step(head, env_kind):
     assert agent.policy.kind == head
     rng = np.random.default_rng(8)
     replay = np.random.default_rng(8)
-    episode, = rollout(PolicyStack([agent.policy]), spec, [rng])
+    episode, = rollout([PolicyStack([agent.policy])], spec, [rng])
     assert np.array_equal(reset(spec, replay), episode.states[0])
     for state, action in zip(episode.states, episode.actions):
         assert np.array_equal(agent.policy.sample_action(state, replay), action)
@@ -93,7 +93,7 @@ def test_near_deterministic_policy_matches_scripted_replay():
     net.set_params(params)
     policy = CategoricalPolicy(net)
     rng = np.random.default_rng(9)
-    episode, = rollout(PolicyStack([policy]), SPEC, [rng])
+    episode, = rollout([PolicyStack([policy])], SPEC, [rng])
     assert set(episode.actions.tolist()) == {0}
     state = episode.states[0]
     for t, reward in enumerate(episode.rewards):
@@ -139,7 +139,7 @@ def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         assert agent.policy.kind == head
-        trajectories, = collect_trajectories([agent])
+        (trajectories,), = collect_trajectories([[agent]])
         got = gradient(agent.policy, trajectories, cfg)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
@@ -165,7 +165,7 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     cfg = agent_config()
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
-        traj = collect_trajectories([agent])[0][0]
+        traj = collect_trajectories([[agent]])[0][0][0]
         grad = gradient(agent.policy, [traj], cfg)
         log_lik_dir = np.zeros(agent.policy.num_params)
         for state, action in zip(traj.states, traj.actions):
@@ -238,7 +238,7 @@ def test_bandit_gradient_estimate_is_unbiased():
 def test_round_stats_returns_nonnegative():
     agents = make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20)
     for _ in range(5):
-        for episode_return, _, grad_norm in raise_failures(train_round(agents)):
+        for episode_return, _, grad_norm in raise_failures(train_round([agents])[0]):
             assert episode_return >= 1.0
             assert grad_norm >= 0.0
 
