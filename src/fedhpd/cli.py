@@ -128,6 +128,7 @@ def cmd_diagnose(args) -> int:
         raise ConfigurationError("diagnose needs --states or states.path")
     states = load_state_set(states_path).states
 
+    forward = policy.net.forward(states)  # serves the self-consensus and the KL gradient
     if args.consensus:
         try:
             consensus = DistributionBatch.from_bytes(Path(args.consensus).read_bytes())
@@ -136,17 +137,26 @@ def cmd_diagnose(args) -> int:
         if consensus.kind != policy.kind or consensus.n_states != states.shape[0]:
             raise ConfigurationError("consensus file does not match snapshot/states")
     else:
-        consensus = policy.extract_batch(states)
+        consensus = policy.extract_batch(states, forward)
+    _, grad_kl = policy.kl_batch_loss(states, consensus, forward)
 
     epsilon = float(config["diag.epsilon"])
     delta = float(config["diag.delta"])
+
+    def sample_count(variance: float) -> str:
+        try:
+            return str(chebyshev_samples(variance, epsilon, delta))
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"diag.epsilon = {epsilon!r}, diag.delta = {delta!r}: {exc}") from exc
+
     rows = []
     for rep in range(config["diag.repeats"]):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([config["diag.seed"], rep])
         ))
         report = gradient_variance(
-            policy, spec, states, consensus, config["diag.samples"], rng,
+            policy, spec, grad_kl, config["diag.samples"], rng,
             float(config["run.gamma"]), config["run.reward_to_go"], round_index=rep,
         )
         rows.append([
@@ -157,8 +167,7 @@ def cmd_diagnose(args) -> int:
             fmt(report.var_jprime_predicted), fmt(report.identity_residual),
             fmt(report.cos_angle), fmt(report.grad_norm_ratio),
             fmt(report.condition_holds), fmt(report.condition_vacuous),
-            str(chebyshev_samples(report.var_j_trace, epsilon, delta)),
-            str(chebyshev_samples(report.var_jprime_direct, epsilon, delta)),
+            sample_count(report.var_j_trace), sample_count(report.var_jprime_direct),
             "", "", "", "", "", "",
         ])
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .policy import DistributionBatch, PolicyStack
 from .reinforce import policy_gradient, raise_failures, rollout
 
@@ -163,27 +163,38 @@ def sample_trajectory_gradients(
 def gradient_variance(
     policy,
     spec: EnvSpec,
-    states: np.ndarray,
-    consensus: DistributionBatch,
+    grad_kl: np.ndarray,
     n_samples: int,
     rng: np.random.Generator,
     gamma: float,
     reward_to_go: bool,
     round_index: int = 0,
 ) -> VarianceReport:
-    """Sample gradients in the environment and report the variance identity."""
+    """Sample gradients in the environment and report the variance identity
+    against `grad_kl`, the policy's `kl_batch_loss` gradient: it depends on
+    the policy, states and consensus only, so repeats share one."""
     samples = sample_trajectory_gradients(policy, spec, n_samples, rng, gamma, reward_to_go)
-    _, grad_kl = policy.kl_batch_loss(states, consensus)
     return variance_report_from_samples(samples, grad_kl, round_index)
 
 
 def chebyshev_samples(variance: float, epsilon: float, delta: float) -> int:
-    """ceil(Var / (delta * epsilon^2)): samples for P(|err| >= eps) <= delta."""
+    """ceil(Var / (delta * epsilon^2)): samples for P(|err| >= eps) <= delta.
+    A count too large for a float (delta * epsilon^2 may even underflow to
+    0) is a ConfigurationError, a non-finite variance a NumericError."""
     if epsilon <= 0.0 or delta <= 0.0:
         raise ConfigurationError("epsilon and delta must be positive")
+    if not math.isfinite(variance):
+        raise NumericError(f"non-finite gradient variance {variance}")
     if variance < 0.0:
         raise ConfigurationError("variance cannot be negative")
-    return math.ceil(variance / (delta * epsilon * epsilon))
+    if variance == 0.0:
+        return 0
+    scale = delta * epsilon * epsilon
+    if scale == 0.0 or not math.isfinite(variance / scale):
+        raise ConfigurationError(
+            f"the sample count Var / (delta * epsilon^2) = {variance!r} / "
+            f"({delta!r} * {epsilon!r}^2) is too large for a float")
+    return math.ceil(variance / scale)
 
 
 @dataclass

@@ -37,12 +37,11 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_deriv(kind: str, out: np.ndarray) -> np.ndarray:
-    # from the layer's output; ReLU' at exactly 0 is taken as 0 (subgradient choice)
+    # ReLU' or tanh' from the layer's output (an identity layer's dz is its
+    # d_post); ReLU' at exactly 0 is taken as 0 (subgradient choice)
     if kind == "relu":
         return (out > 0.0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(out)
+    return 1.0 - out * out
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,14 @@ class MlpNetwork:
         gradient over its block. After a forward pass of [N, 1, in] single
         rows, `output_grad` is [N, 1, out] and row i of the [N, P] result is
         the gradient of row i alone, bit-identical to a one-vector pass.
+
+        A single row (a vector, [N, 1, in] rows or a 1-row batch) has K = 1:
+        its weight gradient is the products x_in[k] * dz[j], formed by one
+        `einsum` into the gradient rows instead of a matmul per row. Like the
+        matmul, `einsum` adds each product to a zeroed sum, so a -0.0 product
+        (a dead ReLU unit's dz) is stored as +0.0, and the bias row is dz plus
+        0.0 for the same reason. `d_post = dz @ w.T` stays a matmul per row,
+        whose bits depend on the BLAS kernel.
         """
         g = np.asarray(output_grad, dtype=np.float64)
         if g.ndim == 1:
@@ -197,7 +204,7 @@ class MlpNetwork:
                 f"{cache[-1][1].shape}"
             )
         if bounds is None:
-            grad = np.zeros(g.shape[:-2] + (self.num_params,))
+            grad = np.empty(g.shape[:-2] + (self.num_params,))
         else:
             blocks = list(enumerate(zip(bounds, bounds[1:])))
             grad = np.empty((len(blocks), self.num_params))
@@ -206,14 +213,22 @@ class MlpNetwork:
         for spec, (w, _), (x_in, out) in zip(
             reversed(self.layers), reversed(self._views), reversed(cache)
         ):
-            dz = _activation_deriv(spec.activation, out)
-            dz *= d_post
+            if spec.activation == "identity":
+                dz = d_post  # 1.0 * d_post is d_post, signed zeros and NaNs included
+            else:
+                dz = _activation_deriv(spec.activation, out)
+                dz *= d_post
             b_start = offset - spec.output_dim
             w_start = b_start - spec.input_dim * spec.output_dim
             if bounds is None:
-                grad[..., b_start:offset] = dz.sum(axis=-2)
-                grad[..., w_start:b_start] = (x_in.swapaxes(-1, -2) @ dz).reshape(
-                    grad.shape[:-1] + (-1,))
+                w_grad = grad[..., w_start:b_start].reshape(
+                    grad.shape[:-1] + (spec.input_dim, spec.output_dim))
+                if x_in.shape[-2] == 1:
+                    np.add(dz[..., 0, :], 0.0, out=grad[..., b_start:offset])
+                    np.einsum("...ki,...ko->...io", x_in, dz, out=w_grad)
+                else:
+                    grad[..., b_start:offset] = dz.sum(axis=-2)
+                    w_grad[...] = x_in.swapaxes(-1, -2) @ dz
                 if w_start:
                     d_post = dz @ w.T
             else:

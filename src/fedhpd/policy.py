@@ -301,12 +301,23 @@ class _Head:
         grad = self.net.backward(cache, seed)
         return grad if tail is None else np.concatenate([grad, tail])
 
+    def _repeated_forward(self, states: np.ndarray, times: int) -> tuple:
+        """`net.forward(rows[:, None, :])` for `rows`, each state repeated
+        `times` times in a row: one single-row pass per state, then every
+        cached array repeated. Single rows round alone, so a repeated row is
+        the bits of that row's own pass."""
+        _, cache = self.net.forward(states[:, None, :])
+        arrays = [np.repeat(h, times, axis=0) for h in [cache[0][0], *(out for _, out in cache)]]
+        return arrays[-1], list(zip(arrays, arrays[1:]))
+
     def score_grads(self, states: np.ndarray, actions: np.ndarray,
                     forward: tuple | None = None) -> np.ndarray:
         """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
-        through the network as a single row, so row i is bit-identical to
-        `log_prob_grad(states[i], actions[i])`. `forward`, if given, is
-        `net.forward(states[:, None, :])`, already run."""
+        through the network as a single row, and `backward` forms each row's
+        weight gradient as elementwise products (one row is a K = 1 matmul),
+        so row i is bit-identical to `log_prob_grad(states[i], actions[i])`.
+        `forward`, if given, is `net.forward(states[:, None, :])`, already run
+        (or its bits, as `probe_pairs` gives them)."""
         outputs, cache = self.net.forward(states[:, None, :]) if forward is None else forward
         seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
         grads = self.net.backward(cache, seed[:, None])
@@ -376,12 +387,15 @@ class CategoricalPolicy(_Head):
         return int(rng.integers(0, self.action_count))
 
     def probe_pairs(self, states: np.ndarray,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, None]:
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The (state, action) rows the probe's score-norm sweep covers, as
         `score_grads` arguments: every action of every state, in (state,
-        action) order. Nothing is drawn, so no forward pass is run here."""
-        actions = np.tile(np.arange(self.action_count), states.shape[0])
-        return np.repeat(states, self.action_count, axis=0), actions, None
+        action) order, with the rows' forward pass (`_repeated_forward`).
+        Nothing is drawn."""
+        count = self.action_count
+        actions = np.arange(states.shape[0] * count) % count
+        return (np.repeat(states, count, axis=0), actions,
+                self._repeated_forward(states, count))
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         """The action distribution of every state row. `forward`, if given, is
@@ -392,7 +406,8 @@ class CategoricalPolicy(_Head):
         self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
     ) -> tuple[float, np.ndarray]:
         """Mean over states of KL(local row || consensus row), with gradient;
-        `forward` as in `extract_batch`.
+        `forward` as in `extract_batch`, and non-finite logits raise its
+        NumericError.
 
         The consensus is treated as broadcast data: no gradient flows into it.
         Per state the logit-space seed is p * (ln(p/q) - KL), which follows
@@ -400,15 +415,15 @@ class CategoricalPolicy(_Head):
         """
         states = np.asarray(states, dtype=np.float64)
         self._check_consensus(states, consensus)
-        logits, cache = self.net.forward(states) if forward is None else forward
-        p = softmax(logits)
+        forward = self.net.forward(states) if forward is None else forward
+        p = softmax(self._outputs(states, forward))
         logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(
             np.maximum(consensus.probs, PROB_FLOOR)
         )
         per_state = (p * logs).sum(axis=1)
         loss = float(per_state.mean())
         seeds = p * (logs - per_state[:, None]) / states.shape[0]
-        return loss, self.net.backward(cache, seeds)
+        return loss, self.net.backward(forward[1], seeds)
 
 
 class GaussianPolicy(_Head):
@@ -462,11 +477,11 @@ class GaussianPolicy(_Head):
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The (state, action) rows the probe's score-norm sweep covers, as
         `score_grads` arguments: two `sample_action` draws per state, in
-        (state, draw) order, with the rows' forward pass. Each state's row
-        appears twice, so its two means are the same bits and the draws are
-        one `_draw_gaussian` call over the rows."""
+        (state, draw) order, with the rows' forward pass (`_repeated_forward`).
+        A state's two means are one row repeated, so the draws are one
+        `_draw_gaussian` call over the rows."""
+        forward = self._repeated_forward(states, 2)
         rows = np.repeat(states, 2, axis=0)
-        forward = self.net.forward(rows[:, None, :])
         actions = _draw_gaussian(self._outputs(rows, forward)[:, 0], self.std(), rng)
         return rows, actions, forward
 
@@ -479,14 +494,16 @@ class GaussianPolicy(_Head):
         self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
     ) -> tuple[float, np.ndarray]:
         """Mean over states of the closed-form Gaussian KL, with gradient;
-        `forward` as in `extract_batch`.
+        `forward` as in `extract_batch`, and a non-finite mean raises its
+        NumericError.
 
         d/dmu1 = (mu1 - mu2)/var2 chains through the network; the log-std
         gradient is var1/var2 - 1 per dimension, averaged over states.
         """
         states = np.asarray(states, dtype=np.float64)
         self._check_consensus(states, consensus)
-        mu, cache = self.net.forward(states) if forward is None else forward
+        forward = self.net.forward(states) if forward is None else forward
+        mu = self._outputs(states, forward)
         var = np.exp(2.0 * self.log_std)
         n = states.shape[0]
         # log computed on the variance ratio so a bit-identical consensus
@@ -495,7 +512,7 @@ class GaussianPolicy(_Head):
         terms = terms - 1.0 + np.log(consensus.var / var)
         loss = float(0.5 * terms.sum() / n)
         seeds = (mu - consensus.mean) / consensus.var / n
-        net_grad = self.net.backward(cache, seeds)
+        net_grad = self.net.backward(forward[1], seeds)
         log_std_grad = (var / consensus.var - 1.0).mean(axis=0)
         return loss, np.concatenate([net_grad, log_std_grad])
 

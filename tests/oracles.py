@@ -17,14 +17,18 @@ Each is written independently of the program path it checks:
   action at a time, through `log_prob_grad` and `np.linalg.norm`; the
   stacked sweep (`diagnostics._grad_log_prob_max`) must match it bit for
   bit and leave the generator as it does.
+* `matmul_gradient` is one state's parameter gradient with one plain
+  `(1, in) @ w` matmul forward and `h.T @ dz` backward per layer: the bits a
+  K = 1 matmul gives, signed zeros included, which `MlpNetwork.backward`'s
+  single-row products must keep.
 * `draw_action` is `sample_action` through the array `softmax` and the
   scalar inverse CDF, or the mean plus std times normals. `play_episode`
   samples through `sample_action` itself, so `sample_action`'s own float
   path is checked against this draw.
 
-The helpers at the end serve the tests only: a head's action distribution
-at one state, the env's termination test on a state vector, and a snapshot
-written to a file.
+The helpers at the end serve the tests only: a bit-for-bit array check, a
+head's action distribution at one state, the env's termination test on a
+state vector, and a snapshot written to a file.
 """
 
 from __future__ import annotations
@@ -153,12 +157,58 @@ def grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> f
     return best
 
 
+def matmul_gradient(net, x: np.ndarray, output_grad: np.ndarray) -> np.ndarray:
+    """d sum(net(x) * output_grad) / d params for one state vector, every
+    product a matmul: the layer's `(1, in) @ w + b` forward, then per layer
+    from the last `dz = act'(out) * d_post`, `h.T @ dz`, `dz.sum(axis=0)`
+    and `d_post = dz @ w.T`."""
+    views = []
+    offset = 0
+    for spec in net.layers:
+        end = offset + spec.input_dim * spec.output_dim
+        views.append((net.params[offset:end].reshape(spec.input_dim, spec.output_dim),
+                      net.params[end : end + spec.output_dim]))
+        offset = end + spec.output_dim
+    pairs = []
+    h = np.asarray(x, dtype=np.float64)[None, :]
+    for spec, (w, b) in zip(net.layers, views):
+        z = h @ w + b
+        if spec.activation == "relu":
+            z = np.maximum(z, 0.0)
+        elif spec.activation == "tanh":
+            z = np.tanh(z)
+        pairs.append((h, z))
+        h = z
+    parts = []
+    d_post = np.asarray(output_grad, dtype=np.float64)[None, :]
+    for spec, (w, _), (h, out) in zip(reversed(net.layers), reversed(views), reversed(pairs)):
+        if spec.activation == "relu":
+            dz = (out > 0.0).astype(np.float64) * d_post
+        elif spec.activation == "tanh":
+            dz = (1.0 - out * out) * d_post
+        else:
+            dz = np.ones_like(out) * d_post
+        parts[:0] = [(h.T @ dz).ravel(), dz.sum(axis=0)]
+        d_post = dz @ w.T
+    return np.concatenate(parts)
+
+
 def draw_action(policy, state, rng: np.random.Generator):
     """One action from `policy` at `state`, drawn as `sample_action` must."""
     outputs = policy.net.forward(np.asarray(state))[0]
     if policy.kind == "categorical":
         return _draw_categorical(softmax(outputs).tolist(), rng)
     return outputs + np.sqrt(np.exp(2.0 * policy.log_std)) * rng.standard_normal(outputs.shape)
+
+
+def assert_same_bits(actual, expected) -> None:
+    """Same shape and the same float64 bits: unlike `np.array_equal`, this
+    tells -0.0 from +0.0 and a NaN from any other NaN."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    differ = actual.view(np.uint64) != expected.view(np.uint64)
+    assert not differ.any(), (actual[differ][:5], expected[differ][:5])
 
 
 class FixedUniform:

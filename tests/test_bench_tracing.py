@@ -12,6 +12,7 @@ make.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +21,21 @@ import pytest
 from fedhpd import diagnostics, federation, public_states, reinforce
 from fedhpd.env import EnvSpec
 from fedhpd.nn_core import LayerSpec, glorot_init
-from fedhpd.policy import CategoricalPolicy
+from fedhpd.policy import CategoricalPolicy, GaussianPolicy
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracing")
 
 
 @pytest.mark.parametrize("module_name,attr,span", load_tracing().TARGETS)
@@ -51,19 +57,25 @@ def test_trace_targets_install_and_restore():
 
 
 def test_lipschitz_probe_records_single_state_score_spans():
-    layers = [LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")]
+    # the G sweep's stacked score_grads pass records batch spans only, so on
+    # either head the Hessian probes' log_prob_grad calls are what records
+    # these spans of the diagnose workload's expected_spans
+    spans = ("policy.log_prob_grad", "nn_core.backward.single")
+    assert set(spans) <= set(load_bench_module("workloads").WORKLOADS["diagnose"].expected_spans)
+    states = np.random.default_rng(0).normal(scale=0.5, size=(40, 4))
+    for head, out in ((CategoricalPolicy, 2), (GaussianPolicy, 1)):
+        layers = [LayerSpec(4, 5, "relu"), LayerSpec(5, out, "identity")]
 
-    def factory(rng):
-        return CategoricalPolicy(glorot_init(layers, rng))
+        def factory(rng):
+            return head(glorot_init(layers, rng))
 
-    states = np.random.default_rng(0).normal(scale=0.5, size=(6, 4))
-    consensus = factory(np.random.default_rng(1)).extract_batch(states)
-    with load_tracing().Tracer().installed() as tracer:
-        diagnostics.lipschitz_probe(factory, states, consensus, n_pairs=1, radius=0.05,
-                                    rng=np.random.default_rng(2))
-    assert tracer.count("diagnostics.lipschitz_probe") == 1
-    assert tracer.count("policy.log_prob_grad") > 0
-    assert tracer.count("nn_core.backward.single") > 0
+        consensus = factory(np.random.default_rng(1)).extract_batch(states)
+        with load_tracing().Tracer().installed() as tracer:
+            diagnostics.lipschitz_probe(factory, states, consensus, n_pairs=1, radius=0.05,
+                                        rng=np.random.default_rng(2))
+        assert tracer.count("diagnostics.lipschitz_probe") == 1
+        assert all(tracer.count(span) > 0 for span in spans), \
+            (head.kind, {span: tracer.count(span) for span in spans})
 
 
 # spans that only one-episode rollouts record: `generate-states`, a lockstep

@@ -310,6 +310,42 @@ def test_cli_diagnose_names_a_snapshot_that_does_not_fit(tmp_path, capsys, layer
     assert f"snapshot {snapshot}: {message}" in err
 
 
+def quick_diagnose(tmp_path, *overrides):
+    """A diagnose run of a small ReLU snapshot on six states; its argv."""
+    rng = np.random.default_rng(0)
+    snapshot = tmp_path / "relu.fhpd"
+    save_network(glorot_init([LayerSpec(4, 8, "relu"), LayerSpec(8, 2, "identity")], rng),
+                 snapshot)
+    states_file = tmp_path / "states.txt"
+    save_state_set(PublicStateSet(rng.normal(scale=0.1, size=(6, 4))), states_file)
+    settings = ["diag.samples = 4", "diag.repeats = 1", "diag.pairs = 1", *overrides]
+    return ["diagnose", "--config", str(write_config(tmp_path)), "--snapshot", str(snapshot),
+            "--states", str(states_file), "--output-dir", str(tmp_path / "diag"),
+            *(arg for setting in settings for arg in ("--set", setting))]
+
+
+@pytest.mark.parametrize("setting", [
+    "diag.epsilon = 1e-160", "diag.delta = 1e-320", "diag.epsilon = 1e-300"])
+def test_cli_diagnose_sample_count_beyond_floats_is_a_config_error(tmp_path, capsys, setting):
+    # Var / (delta * epsilon^2) overflows, or its divisor underflows to 0
+    assert main(quick_diagnose(tmp_path, setting)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: diag.epsilon = " in err and "diag.delta = " in err
+    assert "too large for a float" in err
+    assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["1e200", "1e308"])
+def test_cli_diagnose_overflowing_probe_radius_is_a_numeric_error(tmp_path, capsys, radius):
+    # the displaced policy's logits overflow; unchecked, its NaN KL gradient
+    # would be skipped by `max` and the run would report an estimate of 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(quick_diagnose(tmp_path, f"diag.radius = {radius}"))
+    assert code == 3
+    assert "numeric error: non-finite policy logits" in capsys.readouterr().err
+    assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
 def test_cli_diagnose_uses_configured_gamma(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "train-out"

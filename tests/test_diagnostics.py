@@ -30,7 +30,7 @@ from fedhpd.reinforce import (
     raise_failures,
     rollout,
 )
-from oracles import grad_log_prob_max
+from oracles import assert_same_bits, grad_log_prob_max
 
 SPEC = EnvSpec("cartpole-discrete")
 
@@ -56,7 +56,7 @@ def test_variance_identity_on_sampled_gradients():
         other = make_categorical(seed=200 + case)
         consensus = other.extract_batch(states)
         report = gradient_variance(
-            policy, SPEC, states, consensus, n_samples=64,
+            policy, SPEC, policy.kl_batch_loss(states, consensus)[1], n_samples=64,
             rng=np.random.default_rng(300 + case), gamma=0.99, reward_to_go=False,
         )
         assert report.identity_residual < 1e-9
@@ -70,8 +70,8 @@ def test_zero_kl_gradient_collapses_to_plain_variance():
     policy = make_categorical(seed=7)
     consensus = policy.extract_batch(states)  # self-consensus: grad_kl == 0
     report = gradient_variance(
-        policy, SPEC, states, consensus, n_samples=32, rng=np.random.default_rng(8),
-        gamma=0.99, reward_to_go=False,
+        policy, SPEC, policy.kl_batch_loss(states, consensus)[1], n_samples=32,
+        rng=np.random.default_rng(8), gamma=0.99, reward_to_go=False,
     )
     assert report.var_kl_trace == 0.0
     assert report.cov_trace == 0.0
@@ -133,8 +133,9 @@ def test_cov_bounded_by_cauchy_schwarz():
     states = generate_public_states(SPEC, warmup_rounds=0, rollouts=2, n=8, seed=5).states
     policy = make_categorical(seed=13)
     other = make_categorical(seed=14)
+    grad_kl = policy.kl_batch_loss(states, other.extract_batch(states))[1]
     report = gradient_variance(
-        policy, SPEC, states, other.extract_batch(states), n_samples=32, rng=rng,
+        policy, SPEC, grad_kl, n_samples=32, rng=rng,
         gamma=0.99, reward_to_go=False,
     )
     bound = math.sqrt(report.var_j_trace * report.var_kl_trace)
@@ -232,6 +233,17 @@ def test_chebyshev_sample_counts():
     for bad in ((1.0, 0.0, 0.1), (1.0, 0.1, 0.0), (-1.0, 0.1, 0.1)):
         with pytest.raises(ConfigurationError):
             chebyshev_samples(*bad)
+    for variance in (math.inf, math.nan):
+        with pytest.raises(NumericError, match="non-finite gradient variance"):
+            chebyshev_samples(variance, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("epsilon,delta", [(1e-160, 0.05), (0.1, 1e-320), (1e-300, 0.05)])
+def test_chebyshev_count_too_large_for_a_float_is_a_configuration_error(epsilon, delta):
+    # the count overflows, or delta * epsilon^2 underflows to 0
+    with pytest.raises(ConfigurationError, match="too large for a float"):
+        chebyshev_samples(1.0, epsilon, delta)
+    assert chebyshev_samples(0.0, epsilon, delta) == 0
 
 
 def test_chebyshev_monotone_in_variance():
@@ -264,6 +276,24 @@ def test_lipschitz_probe_guards():
         lipschitz_probe(factory, states, consensus, 0, 0.05, np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         lipschitz_probe(factory, states, consensus, 5, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("radius", [1e200, 1e308])
+def test_lipschitz_probe_rejects_an_overflowing_displacement(kind, radius):
+    # the displaced policy's outputs overflow; its KL gradient would be NaN,
+    # which `max` skips, so the estimate would read 0 without this error
+    states = sweep_states(6, seed=18)
+
+    def factory(rng):
+        return sweep_policy(kind, "relu", seed=int(rng.integers(1 << 30)))
+
+    reference = factory(np.random.default_rng(19))
+    consensus = reference.extract_batch(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=reference.nonfinite):
+            lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
+                            rng=np.random.default_rng(21))
 
 
 def test_lipschitz_ratio_below_softmax_bound():
@@ -364,22 +394,49 @@ def test_score_grads_rows_equal_log_prob_grad(kind, activation, n_states):
         assert np.array_equal(grad, policy.log_prob_grad(state, action))
 
 
+def assert_forward_of_rows(policy, rows, forward):
+    # `forward` has the bits of the rows' own single-row pass, cache included
+    outputs, cache = policy.net.forward(rows[:, None, :])
+    assert_same_bits(forward[0], outputs)
+    assert len(forward[1]) == len(cache)
+    for pair, want in zip(forward[1], cache):
+        assert_same_bits(pair[0], want[0])
+        assert_same_bits(pair[1], want[1])
+
+
 @SWEEP_CASES
 def test_probe_pairs_cover_every_action_or_two_sample_action_draws(n_states):
     states = sweep_states(n_states, seed=8)
-    categorical = sweep_policy("categorical", "tanh", seed=9)
+    categorical = sweep_policy("categorical", "relu", seed=9)
     rows, actions, forward = categorical.probe_pairs(states, None)
-    assert forward is None
     assert np.array_equal(rows, np.repeat(states, 3, axis=0))
     assert actions.tolist() == [0, 1, 2] * n_states
+    assert_forward_of_rows(categorical, rows, forward)
 
     gaussian = sweep_policy("gaussian", "tanh", seed=10)
     rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
-    rows, actions, _ = gaussian.probe_pairs(states, rng)
+    rows, actions, forward = gaussian.probe_pairs(states, rng)
     expected = [gaussian.sample_action(s, oracle_rng) for s in states for _ in range(2)]
     assert np.array_equal(rows, np.repeat(states, 2, axis=0))
     assert np.array_equal(actions, expected)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert_forward_of_rows(gaussian, rows, forward)
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_sweep_runs_the_forward_pass_once_per_state(kind, monkeypatch):
+    # one single row per state, in 32-state chunks, whatever the actions per state
+    policy = sweep_policy(kind, "relu", seed=15)
+    forward = policy.net.forward
+    seen = []
+
+    def spy(x, bounds=None):
+        seen.append(np.shape(x))
+        return forward(x, bounds)
+
+    monkeypatch.setattr(policy.net, "forward", spy)
+    _grad_log_prob_max(policy, sweep_states(40, seed=16), np.random.default_rng(17))
+    assert seen == [(32, 1, 4), (8, 1, 4)]
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])

@@ -15,6 +15,7 @@ from fedhpd.nn_core import (
     network_from_bytes,
     network_to_bytes,
 )
+from oracles import assert_same_bits, matmul_gradient
 
 # Halved-width versions of the heterogeneous agent lineups exercised by the
 # desk-scale presets: ten discrete-task shapes (4 -> hidden -> 2) and four
@@ -208,6 +209,30 @@ def test_single_rows_pass_matches_one_vector_passes(hidden, out_dim):
         single_out, single_cache = net.forward(x)
         assert np.array_equal(row_out[0], single_out)
         assert np.array_equal(row_grad, net.backward(single_cache, s))
+
+
+@pytest.mark.parametrize("hidden,out_dim", SCALED_ARCHITECTURES)
+def test_single_row_gradients_keep_every_bit(hidden, out_dim):
+    # [N, 1, in] rows, one-vector passes, a 1-row 2-D batch and plain K = 1
+    # matmuls give the same bits, signed zeros included: row 0 is a zero
+    # state, so under zero biases every ReLU unit of it is dead, its inputs
+    # are zeros and its negative seeds make -0.0 products
+    rng = np.random.default_rng(300 + len(hidden) * 10 + out_dim)
+    net = glorot_init(build_layers(hidden, out_dim), rng)
+    xs = rng.normal(size=(9, 4))
+    xs[0] = 0.0
+    seeds = rng.normal(size=(9, out_dim))
+    seeds[0] = -np.abs(seeds[0])
+    for params in (net.get_params(), rng.normal(scale=0.7, size=net.num_params)):
+        net.set_params(params)
+        _, cache = net.forward(xs[:, None, :])
+        grads = net.backward(cache, seeds[:, None, :])
+        for x, seed, grad in zip(xs, seeds, grads):
+            _, vector_cache = net.forward(x)
+            assert_same_bits(grad, net.backward(vector_cache, seed))
+            assert_same_bits(grad, matmul_gradient(net, x, seed))
+        _, batch_cache = net.forward(xs[:1])
+        assert_same_bits(net.backward(batch_cache, seeds[:1]), grads[0])
 
 
 @pytest.mark.parametrize("hidden,out_dim", SCALED_ARCHITECTURES)
