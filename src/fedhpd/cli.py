@@ -140,61 +140,39 @@ def cmd_diagnose(args) -> int:
         consensus = policy.extract_batch(states, forward)
     _, grad_kl = policy.kl_batch_loss(states, consensus, forward)
 
-    epsilon = float(config["diag.epsilon"])
-    delta = float(config["diag.delta"])
+    epsilon, delta = float(config["diag.epsilon"]), float(config["diag.delta"])
 
-    def sample_count(variance: float) -> str:
+    def sample_count(variance: float) -> int:
         try:
-            return str(chebyshev_samples(variance, epsilon, delta))
+            return chebyshev_samples(variance, epsilon, delta)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"diag.epsilon = {epsilon!r}, diag.delta = {delta!r}: {exc}") from exc
 
     rows = []
     for rep in range(config["diag.repeats"]):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([config["diag.seed"], rep])
-        ))
-        report = gradient_variance(
-            policy, spec, grad_kl, config["diag.samples"], rng,
-            float(config["run.gamma"]), config["run.reward_to_go"], round_index=rep,
-        )
-        rows.append([
-            f"variance-{rep}", str(report.round_index), str(report.n_samples),
-            fmt(report.var_j_trace), fmt(report.var_j_mean),
-            fmt(report.var_kl_trace), fmt(report.cov_trace),
-            fmt(report.var_jprime_direct), fmt(report.var_jprime_reconstructed),
-            fmt(report.var_jprime_predicted), fmt(report.identity_residual),
-            fmt(report.cos_angle), fmt(report.grad_norm_ratio),
-            fmt(report.condition_holds), fmt(report.condition_vacuous),
-            sample_count(report.var_j_trace), sample_count(report.var_jprime_direct),
-            "", "", "", "", "", "",
-        ])
-
-    layers = policy.net.layers
+        rng = np.random.default_rng([config["diag.seed"], rep])  # PCG64 on that SeedSequence
+        report = gradient_variance(policy, spec, grad_kl, config["diag.samples"], rng,
+                                   float(config["run.gamma"]), config["run.reward_to_go"])
+        rows.append({
+            "probe": f"variance-{rep}", "round_index": rep, **vars(report),
+            "identity_residual": report.identity_residual,
+            "chebyshev_n_j": sample_count(report.var_j_trace),
+            "chebyshev_n_jprime": sample_count(report.var_jprime_direct),
+        })
 
     def factory(rng):
-        return make_policy(spec, glorot_init(layers, rng))
+        return make_policy(spec, glorot_init(policy.net.layers, rng))
 
-    probe_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([config["diag.seed"], 0xF00D])
-    ))
-    probe = lipschitz_probe(
-        factory, states, consensus,
-        n_pairs=config["diag.pairs"], radius=float(config["diag.radius"]),
-        rng=probe_rng,
-    )
-    rows.append([
-        "smoothness", "", "", "", "", "", "", "", "", "", "", "", "", "", "",
-        "", "",
-        str(probe.n_pairs), fmt(probe.radius), fmt(probe.lipschitz_estimate),
-        fmt(probe.grad_log_prob_bound), fmt(probe.hessian_bound_estimate),
-        fmt(probe.theory_bound),
-    ])
+    probe_rng = np.random.default_rng([config["diag.seed"], 0xF00D])
+    probe = lipschitz_probe(factory, states, consensus, n_pairs=config["diag.pairs"],
+                            radius=float(config["diag.radius"]), rng=probe_rng)
+    rows.append({"probe": "smoothness", **vars(probe)})
 
     target = Path(config["run.output_dir"]) / "diagnostics.csv"
     lines = [",".join(DIAGNOSTICS_COLUMNS)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(fmt(row.get(column)) for column in DIAGNOSTICS_COLUMNS)
+                 for row in rows)
     write_file(target, "\n".join(lines) + "\n")
     print(f"wrote {target}")
     return 0

@@ -39,7 +39,6 @@ from .reinforce import policy_gradient, raise_failures, rollout
 
 @dataclass
 class VarianceReport:
-    round_index: int
     n_samples: int
     var_j_trace: float
     var_j_mean: float
@@ -59,9 +58,7 @@ class VarianceReport:
         return abs(self.var_jprime_direct - self.var_jprime_reconstructed) / scale
 
 
-def variance_report_from_samples(
-    samples: np.ndarray, grad_kl: np.ndarray, round_index: int = 0
-) -> VarianceReport:
+def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> VarianceReport:
     """Build the full report from n gradient samples and the fixed KL gradient.
 
     `samples` is [n x P]; `grad_kl` is the deterministic distillation gradient
@@ -108,7 +105,6 @@ def variance_report_from_samples(
     var_predicted = var_j + norm_kl**2 - 2.0 * float(mean_g @ grad_kl)
 
     return VarianceReport(
-        round_index=round_index,
         n_samples=n,
         var_j_trace=var_j,
         var_j_mean=var_j / samples.shape[1],
@@ -168,13 +164,12 @@ def gradient_variance(
     rng: np.random.Generator,
     gamma: float,
     reward_to_go: bool,
-    round_index: int = 0,
 ) -> VarianceReport:
     """Sample gradients in the environment and report the variance identity
     against `grad_kl`, the policy's `kl_batch_loss` gradient: it depends on
     the policy, states and consensus only, so repeats share one."""
     samples = sample_trajectory_gradients(policy, spec, n_samples, rng, gamma, reward_to_go)
-    return variance_report_from_samples(samples, grad_kl, round_index)
+    return variance_report_from_samples(samples, grad_kl)
 
 
 def chebyshev_samples(variance: float, epsilon: float, delta: float) -> int:
@@ -210,6 +205,8 @@ class SmoothnessProbe:
 # states per stacked pass of the G sweep: a [32 * pairs per state, P] block
 # of gradients, 230 KB for the 450 parameters of cartpole-4's agent-1
 _SWEEP_STATES = 32
+# M's central-difference step, and its probes per parameter point
+_HESSIAN_STEP, _HESSIAN_PROBES = 1e-4, 5
 
 
 def _grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:
@@ -227,20 +224,19 @@ def _grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> 
     return best
 
 
-def _hessian_dir_max(policy, states: np.ndarray, rng: np.random.Generator,
-                     h: float = 1e-4, n_probes: int = 5) -> float:
+def _hessian_dir_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:
     params = policy.get_params()
     best = 0.0
-    for _ in range(n_probes):
+    for _ in range(_HESSIAN_PROBES):
         s = states[rng.integers(0, states.shape[0])]
         a = policy.probe_action(s, rng)
         u = rng.normal(size=params.size)
         u /= np.linalg.norm(u)
-        policy.set_params(params + h * u)
+        policy.set_params(params + _HESSIAN_STEP * u)
         g_up = policy.log_prob_grad(s, a)
-        policy.set_params(params - h * u)
+        policy.set_params(params - _HESSIAN_STEP * u)
         g_down = policy.log_prob_grad(s, a)
-        best = max(best, float(np.linalg.norm(g_up - g_down) / (2.0 * h)))
+        best = max(best, float(np.linalg.norm(g_up - g_down) / (2.0 * _HESSIAN_STEP)))
     policy.set_params(params)
     return best
 
@@ -257,32 +253,41 @@ def lipschitz_probe(
 
     Each pair is a freshly drawn policy and a copy displaced by `radius`
     along a random unit direction; the reported estimate is the largest
-    observed gradient-difference ratio.
+    observed gradient-difference ratio. Overflow is reported by a
+    NumericError, not by numpy's warnings: the head's, if the displaced
+    outputs overflow, else one naming the radius if a displacement norm, a
+    pair's ratio (a NaN one `max` would skip), G or M is not finite.
     """
     if n_pairs < 1:
         raise ConfigurationError("need at least one probe pair")
     if radius <= 0.0:
         raise ConfigurationError("probe radius must be positive")
     states = np.asarray(states, dtype=np.float64)
-    lipschitz = 0.0
-    g_bound = 0.0
-    m_bound = 0.0
-    for _ in range(n_pairs):
-        policy = policy_factory(rng)
-        theta = policy.get_params()
-        _, grad_a = policy.kl_batch_loss(states, consensus)
-        g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
-        m_bound = max(m_bound, _hessian_dir_max(policy, states, rng))
+    lipschitz = g_bound = m_bound = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_pairs):
+            policy = policy_factory(rng)
+            theta = policy.get_params()
+            _, grad_a = policy.kl_batch_loss(states, consensus)
+            g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
+            m_bound = max(m_bound, _hessian_dir_max(policy, states, rng))
 
-        u = rng.normal(size=theta.size)
-        u /= np.linalg.norm(u)
-        policy.set_params(theta + radius * u)
-        actual_delta = float(np.linalg.norm(policy.get_params() - theta))
-        if actual_delta == 0.0:
-            raise ConfigurationError("probe displacement collapsed to zero")
-        _, grad_b = policy.kl_batch_loss(states, consensus)
-        g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
-        lipschitz = max(lipschitz, float(np.linalg.norm(grad_b - grad_a)) / actual_delta)
+            u = rng.normal(size=theta.size)
+            u /= np.linalg.norm(u)
+            policy.set_params(theta + radius * u)
+            actual_delta = float(np.linalg.norm(policy.get_params() - theta))
+            if actual_delta == 0.0:
+                raise ConfigurationError("probe displacement collapsed to zero")
+            _, grad_b = policy.kl_batch_loss(states, consensus)
+            ratio = float(np.linalg.norm(grad_b - grad_a)) / actual_delta
+            if not (math.isfinite(actual_delta) and math.isfinite(ratio)):
+                raise NumericError(f"probe radius {radius!r}: a pair's displacement norm "
+                                   f"({actual_delta!r}) or ratio ({ratio!r}) is not finite")
+            g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
+            lipschitz = max(lipschitz, ratio)
+    if not (math.isfinite(g_bound) and math.isfinite(m_bound)):
+        raise NumericError(f"probe radius {radius!r}: G ({g_bound!r}) or M ({m_bound!r}) "
+                           "is not finite")
     return SmoothnessProbe(
         n_pairs=n_pairs,
         radius=radius,

@@ -238,6 +238,12 @@ class ExperimentConfig:
         for key in ("diag.radius", "diag.epsilon", "diag.delta"):
             if not float(v[key]) > 0.0:
                 self._fail(key, "must be positive")
+        epsilon, delta = float(v["diag.epsilon"]), float(v["diag.delta"])
+        if delta * epsilon * epsilon == 0.0:  # as `chebyshev_samples` forms it
+            raise ConfigurationError(
+                f"diag.epsilon = {epsilon!r}, diag.delta = {delta!r}: delta * epsilon^2 "
+                "underflows to 0, so the sample count Var / (delta * epsilon^2) is too "
+                "large for a float")
         if not v["agents.spec"]:
             if v["agents.preset"] not in PRESET_NAMES:
                 self._fail("agents.preset", f"must be one of {', '.join(PRESET_NAMES)}")

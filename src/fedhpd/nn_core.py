@@ -264,6 +264,9 @@ def glorot_init(layers: Sequence[LayerSpec], rng: np.random.Generator) -> MlpNet
     return MlpNetwork(layers, np.concatenate(parts))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for one flat parameter vector, or for
@@ -272,9 +275,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int | list[int] = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, num_params: int) -> "AdamState":
@@ -295,18 +295,18 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
         raise NumericError("non-finite gradient in adam_step")
     if params.ndim == 1:
         state.step_count += 1
-        c1 = 1.0 - state.beta1**state.step_count
-        c2 = 1.0 - state.beta2**state.step_count
+        c1 = 1.0 - ADAM_BETA1**state.step_count
+        c2 = 1.0 - ADAM_BETA2**state.step_count
     else:
         state.step_count = [t + 1 for t in state.step_count]
-        c1 = np.array([[1.0 - state.beta1**t] for t in state.step_count])
-        c2 = np.array([[1.0 - state.beta2**t] for t in state.step_count])
+        c1 = np.array([[1.0 - ADAM_BETA1**t] for t in state.step_count])
+        c2 = np.array([[1.0 - ADAM_BETA2**t] for t in state.step_count])
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    params -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def network_to_bytes(net: MlpNetwork, extra_params: np.ndarray | None = None) -> bytes:

@@ -301,23 +301,13 @@ class _Head:
         grad = self.net.backward(cache, seed)
         return grad if tail is None else np.concatenate([grad, tail])
 
-    def _repeated_forward(self, states: np.ndarray, times: int) -> tuple:
-        """`net.forward(rows[:, None, :])` for `rows`, each state repeated
-        `times` times in a row: one single-row pass per state, then every
-        cached array repeated. Single rows round alone, so a repeated row is
-        the bits of that row's own pass."""
-        _, cache = self.net.forward(states[:, None, :])
-        arrays = [np.repeat(h, times, axis=0) for h in [cache[0][0], *(out for _, out in cache)]]
-        return arrays[-1], list(zip(arrays, arrays[1:]))
-
     def score_grads(self, states: np.ndarray, actions: np.ndarray,
                     forward: tuple | None = None) -> np.ndarray:
         """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
         through the network as a single row, and `backward` forms each row's
         weight gradient as elementwise products (one row is a K = 1 matmul),
         so row i is bit-identical to `log_prob_grad(states[i], actions[i])`.
-        `forward`, if given, is `net.forward(states[:, None, :])`, already run
-        (or its bits, as `probe_pairs` gives them)."""
+        `forward`, if given, is `net.forward(states[:, None, :])`, already run."""
         outputs, cache = self.net.forward(states[:, None, :]) if forward is None else forward
         seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
         grads = self.net.backward(cache, seed[:, None])
@@ -390,12 +380,12 @@ class CategoricalPolicy(_Head):
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The (state, action) rows the probe's score-norm sweep covers, as
         `score_grads` arguments: every action of every state, in (state,
-        action) order, with the rows' forward pass (`_repeated_forward`).
-        Nothing is drawn."""
+        action) order, with the rows' single-row forward pass. Nothing is
+        drawn."""
         count = self.action_count
-        actions = np.arange(states.shape[0] * count) % count
-        return (np.repeat(states, count, axis=0), actions,
-                self._repeated_forward(states, count))
+        rows = np.repeat(states, count, axis=0)
+        actions = np.arange(rows.shape[0]) % count
+        return rows, actions, self.net.forward(rows[:, None, :])
 
     def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
         """The action distribution of every state row. `forward`, if given, is
@@ -435,9 +425,8 @@ class GaussianPolicy(_Head):
     draws = _NormalDraws
 
     def __init__(self, net: MlpNetwork, log_std: np.ndarray | None = None):
-        self.action_dim = net.output_dim
         if log_std is None:
-            log_std = np.zeros(self.action_dim)
+            log_std = np.zeros(net.output_dim)
         self._std_key = None
         super().__init__(net, np.asarray(log_std, dtype=np.float64))
 
@@ -477,11 +466,11 @@ class GaussianPolicy(_Head):
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The (state, action) rows the probe's score-norm sweep covers, as
         `score_grads` arguments: two `sample_action` draws per state, in
-        (state, draw) order, with the rows' forward pass (`_repeated_forward`).
-        A state's two means are one row repeated, so the draws are one
-        `_draw_gaussian` call over the rows."""
-        forward = self._repeated_forward(states, 2)
+        (state, draw) order, with the rows' single-row forward pass. Single
+        rows round alone, so a row's mean is its state's `sample_action`
+        mean, and the draws are one `_draw_gaussian` call over the rows."""
         rows = np.repeat(states, 2, axis=0)
+        forward = self.net.forward(rows[:, None, :])
         actions = _draw_gaussian(self._outputs(rows, forward)[:, 0], self.std(), rng)
         return rows, actions, forward
 

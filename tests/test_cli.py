@@ -1,5 +1,6 @@
 """Config grammar, sweep execution, CSV schemas, and CLI exit codes."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
+from fedhpd.diagnostics import SmoothnessProbe, VarianceReport
 from fedhpd.env import PublicStateSet, save_state_set
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes
@@ -310,11 +312,12 @@ def test_cli_diagnose_names_a_snapshot_that_does_not_fit(tmp_path, capsys, layer
     assert f"snapshot {snapshot}: {message}" in err
 
 
-def quick_diagnose(tmp_path, *overrides):
-    """A diagnose run of a small ReLU snapshot on six states; its argv."""
+def quick_diagnose(tmp_path, *overrides, activation="relu"):
+    """A diagnose run of a small snapshot (one hidden layer of `activation`)
+    on six states; its argv."""
     rng = np.random.default_rng(0)
-    snapshot = tmp_path / "relu.fhpd"
-    save_network(glorot_init([LayerSpec(4, 8, "relu"), LayerSpec(8, 2, "identity")], rng),
+    snapshot = tmp_path / f"{activation}.fhpd"
+    save_network(glorot_init([LayerSpec(4, 8, activation), LayerSpec(8, 2, "identity")], rng),
                  snapshot)
     states_file = tmp_path / "states.txt"
     save_state_set(PublicStateSet(rng.normal(scale=0.1, size=(6, 4))), states_file)
@@ -335,15 +338,45 @@ def test_cli_diagnose_sample_count_beyond_floats_is_a_config_error(tmp_path, cap
     assert not (tmp_path / "diag" / "diagnostics.csv").exists()
 
 
+def test_cli_diagnose_underflowing_chebyshev_divisor_fails_before_any_work(tmp_path, capsys):
+    # delta * epsilon^2 underflows to 0 whatever the variance: the config is
+    # rejected before the snapshot is read, so a missing one is not an I/O error
+    argv = quick_diagnose(tmp_path, "diag.epsilon = 1e-300")
+    argv[argv.index("--snapshot") + 1] = str(tmp_path / "missing.fhpd")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: diag.epsilon = 1e-300, diag.delta = ")
+    assert "too large for a float" in err
+
+
 @pytest.mark.parametrize("radius", ["1e200", "1e308"])
 def test_cli_diagnose_overflowing_probe_radius_is_a_numeric_error(tmp_path, capsys, radius):
     # the displaced policy's logits overflow; unchecked, its NaN KL gradient
     # would be skipped by `max` and the run would report an estimate of 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(quick_diagnose(tmp_path, f"diag.radius = {radius}"))
+    code = main(quick_diagnose(tmp_path, f"diag.radius = {radius}"))
     assert code == 3
-    assert "numeric error: non-finite policy logits" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numeric error: non-finite policy logits\n"
     assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["2e154", "5e154"])
+def test_cli_diagnose_overflowing_displacement_norm_is_a_numeric_error(tmp_path, capsys, radius):
+    # tanh keeps the displaced logits finite, but the displacement norm
+    # overflows; unchecked, the row would read lipschitz_estimate = 0
+    code = main(quick_diagnose(tmp_path, f"diag.radius = {radius}", activation="tanh"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: probe radius {float(radius)!r}: ")
+    assert "displacement norm (inf)" in err and err.count("\n") == 1
+    assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+def test_diagnostics_columns_are_the_report_and_probe_fields():
+    # each row is written by column name, so a renamed field would leave a blank
+    names = ["probe", "round_index", "identity_residual", "chebyshev_n_j", "chebyshev_n_jprime"]
+    for report in (VarianceReport, SmoothnessProbe):
+        names += [field.name for field in dataclasses.fields(report)]
+    assert sorted(DIAGNOSTICS_COLUMNS) == sorted(names)
 
 
 def test_cli_diagnose_uses_configured_gamma(tmp_path):

@@ -2,6 +2,7 @@
 smoothness probes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,10 +291,29 @@ def test_lipschitz_probe_rejects_an_overflowing_displacement(kind, radius):
 
     reference = factory(np.random.default_rng(19))
     consensus = reference.extract_batch(states)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=reference.nonfinite):
-            lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
-                            rng=np.random.default_rng(21))
+    with pytest.raises(NumericError, match=reference.nonfinite):
+        lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
+                        rng=np.random.default_rng(21))
+
+
+@pytest.mark.parametrize("kind,activation,radius,what", [
+    ("categorical", "tanh", 2e154, "displacement norm (inf)"),  # its square overflows
+    ("gaussian", "tanh", 5e154, "displacement norm (inf)"),
+    ("gaussian", "relu", 1e80, "ratio (nan)"),  # which `max` would skip
+    ("categorical", "relu", 1e80, "G (inf)"),  # g . g overflows
+])
+def test_lipschitz_probe_rejects_a_non_finite_bound(kind, activation, radius, what):
+    # the displaced outputs stay finite, so no head error fires; unchecked,
+    # the row would read L = 0 or G = inf
+    states = sweep_states(6, seed=18)
+
+    def factory(rng):
+        return sweep_policy(kind, activation, seed=int(rng.integers(1 << 30)))
+
+    consensus = factory(np.random.default_rng(19)).extract_batch(states)
+    with pytest.raises(NumericError, match=re.escape(f"probe radius {radius!r}: ") + ".*" + re.escape(what)):
+        lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
+                        rng=np.random.default_rng(21))
 
 
 def test_lipschitz_ratio_below_softmax_bound():
@@ -395,7 +415,8 @@ def test_score_grads_rows_equal_log_prob_grad(kind, activation, n_states):
 
 
 def assert_forward_of_rows(policy, rows, forward):
-    # `forward` has the bits of the rows' own single-row pass, cache included
+    # `forward` is the rows' own single-row pass, cache included, so
+    # `score_grads` can take it as its `forward=` argument
     outputs, cache = policy.net.forward(rows[:, None, :])
     assert_same_bits(forward[0], outputs)
     assert len(forward[1]) == len(cache)
@@ -421,22 +442,6 @@ def test_probe_pairs_cover_every_action_or_two_sample_action_draws(n_states):
     assert np.array_equal(actions, expected)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert_forward_of_rows(gaussian, rows, forward)
-
-
-@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
-def test_sweep_runs_the_forward_pass_once_per_state(kind, monkeypatch):
-    # one single row per state, in 32-state chunks, whatever the actions per state
-    policy = sweep_policy(kind, "relu", seed=15)
-    forward = policy.net.forward
-    seen = []
-
-    def spy(x, bounds=None):
-        seen.append(np.shape(x))
-        return forward(x, bounds)
-
-    monkeypatch.setattr(policy.net, "forward", spy)
-    _grad_log_prob_max(policy, sweep_states(40, seed=16), np.random.default_rng(17))
-    assert seen == [(32, 1, 4), (8, 1, 4)]
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
