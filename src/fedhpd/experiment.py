@@ -210,9 +210,11 @@ class ExperimentConfig:
             self._fail("env.kind", f"must be one of {', '.join(ENV_KINDS)}")
         for key in ("env.max_steps", "run.rounds", "run.workers",
                     "run.episodes_per_round", "states.size", "states.rollouts",
-                    "diag.samples", "diag.repeats", "diag.pairs"):
+                    "diag.repeats", "diag.pairs"):
             if v[key] < 1:
                 self._fail(key, "must be a positive integer")
+        if v["diag.samples"] < 2:
+            self._fail("diag.samples", "must be at least 2: a variance needs two samples")
         if not (0.0 < float(v["run.gamma"]) < 1.0):
             self._fail("run.gamma", "must lie in (0, 1)")
         seeds = _as_list(v["run.seeds"])
@@ -320,13 +322,16 @@ def fmt(value) -> str:
 
 @dataclass(frozen=True)
 class Cell:
-    mode: str  # "nofed" | "fedhpd"
-    interval: int | None
+    interval: int | None  # None: the NoFed baseline
     seed: int
 
     @property
+    def mode(self) -> str:
+        return "nofed" if self.interval is None else "fedhpd"
+
+    @property
     def run_id(self) -> str:
-        return "nofed" if self.mode == "nofed" else f"fedhpd-d{self.interval}"
+        return "nofed" if self.interval is None else f"fedhpd-d{self.interval}"
 
     @property
     def file_name(self) -> str:
@@ -334,25 +339,20 @@ class Cell:
 
 
 def experiment_cells(config: ExperimentConfig) -> list[Cell]:
-    cells = []
-    if config["fed.include_nofed"]:
-        cells.extend(Cell("nofed", None, seed) for seed in config["run.seeds"])
-    for d in config["fed.d"]:
-        cells.extend(Cell("fedhpd", d, seed) for seed in config["run.seeds"])
-    return cells
+    intervals = ([None] if config["fed.include_nofed"] else []) + config["fed.d"]
+    return [Cell(d, seed) for d in intervals for seed in config["run.seeds"]]
 
 
 def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
     """One row per agent per round plus a system row, already formatted."""
     rows = []
-    d_text = "" if cell.interval is None else str(cell.interval)
-    records = {record.round_index: record for record in result.consensus_records}
+    d_text = fmt(cell.interval)
     system_returns = result.system_returns().tolist()
     system_discs = result.discounted_return.mean(axis=1).tolist()
     for i, (returns, discs, norms) in enumerate(zip(
             result.episode_return.tolist(), result.discounted_return.tolist(),
             result.grad_norm.tolist())):
-        record = records.get(i)
+        record = result.consensus_records.get(i)
         for k, agent_id in enumerate(result.agent_ids):
             kl_loss = record.kl_losses[k] if record else None
             kl_norm = record.kl_grad_norms[k] if record else None
@@ -369,8 +369,8 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
     return rows
 
 
-def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
-    """Format one finished cell: metrics CSV text, summary scalars, snapshots."""
+def run_cell(cell: Cell, result: RunResult) -> dict:
+    """Format one finished cell: metrics CSV, summary scalars, snapshots, kept broadcasts."""
     system = result.system_returns()
     window = min(FINAL_WINDOW, system.size)
     lines = [",".join(METRICS_COLUMNS)]
@@ -381,19 +381,17 @@ def run_cell(config: ExperimentConfig, cell: Cell, result: RunResult) -> dict:
         "final_window_mean": float(system[-window:].mean()),
         "overall_mean": float(system.mean()),
         "snapshots": list(zip(result.agent_ids, result.final_snapshots)),
-        "consensus_dumps": [
-            (record.round_index, record.broadcast)
-            for record in result.consensus_records
-        ] if config["run.dump_consensus"] else [],
+        "consensus_dumps": [(i, record.broadcast) for i, record in
+                            result.consensus_records.items() if record.broadcast is not None],
     }
 
 
-def _cell_outcome(config: ExperimentConfig, cell: Cell, result) -> dict:
+def _cell_outcome(cell: Cell, result) -> dict:
     """A finished cell's outputs, or its failure; cell failures are recorded,
     not fatal."""
     try:
         if not isinstance(result, Exception):
-            return run_cell(config, cell, result)
+            return run_cell(cell, result)
     except Exception as exc:
         result = exc
     return {"cell": cell, "error": f"{type(result).__name__}: {result}"}
@@ -402,8 +400,7 @@ def _cell_outcome(config: ExperimentConfig, cell: Cell, result) -> dict:
 def run_group(args) -> list[dict]:
     """Train a group of cells in lockstep (`federation.run`); one outcome per
     cell, with a failure recorded against its cell only."""
-    config_values, cells, states_rows = args
-    config = ExperimentConfig(dict(config_values))
+    config, cells, states = args
     try:
         results = run(
             FedRunConfig(
@@ -413,13 +410,13 @@ def run_group(args) -> list[dict]:
                 max_steps=config["env.max_steps"],
             ),
             [(cell.interval, cell.seed) for cell in cells],
-            PublicStateSet(states_rows) if states_rows is not None else None,
+            states,
             keep_broadcasts=config["run.dump_consensus"])
     except Exception as exc:  # a failure before the cells part fails them all
         results = [exc] * len(cells)
     outcomes = []
     for c, cell in enumerate(cells):
-        outcomes.append(_cell_outcome(config, cell, results[c]))
+        outcomes.append(_cell_outcome(cell, results[c]))
         results[c] = None  # a cell's result is large next to its CSV text
     return outcomes
 
@@ -460,16 +457,16 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     write_file(output_dir / "config.resolved", config.resolved_text())
 
     cells = experiment_cells(config)
-    states_rows = None
+    states = None
     if any(cell.mode == "fedhpd" for cell in cells):
         if config["states.source"] == "file":
-            states_rows = load_state_set(config["states.path"]).states
+            states = load_state_set(config["states.path"])
         else:
-            states_rows = write_states(config, output_dir / "states.txt").states
+            states = write_states(config, output_dir / "states.txt")
 
     # cells are dealt round-robin into one lockstep group per worker
     workers = min(config["run.workers"], len(cells))
-    jobs = [(config.values, cells[g::workers], states_rows) for g in range(workers)]
+    jobs = [(config, cells[g::workers], states) for g in range(workers)]
     if workers == 1:
         grouped = [run_group(jobs[0])]
     else:
@@ -502,15 +499,14 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
             write_file(output_dir / "consensus" / name, blob)
         means = (outcome["final_window_mean"], outcome["overall_mean"])
         summary_rows.append([
-            cell.mode, "" if cell.interval is None else str(cell.interval),
-            str(cell.seed), fmt(means[0]), fmt(means[1]),
+            cell.mode, fmt(cell.interval), str(cell.seed), fmt(means[0]), fmt(means[1]),
         ])
-        pooled.setdefault((cell.mode, cell.interval or -1), []).append(means)
+        pooled.setdefault((cell.mode, cell.interval), []).append(means)
 
     for (mode, d), entries in sorted(pooled.items()):
         finals, overalls = zip(*entries)
         summary_rows.append([
-            mode, "" if d < 0 else str(d), "pooled",
+            mode, fmt(d), "pooled",
             fmt(float(np.mean(finals))), fmt(float(np.mean(overalls))),
         ])
     summary_path = output_dir / "summary.csv"

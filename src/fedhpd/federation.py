@@ -35,7 +35,7 @@ from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
 from .nn_core import adam_step
 from .policy import DistributionBatch
-from .reinforce import Agent, AgentConfig, make_agents, train_round
+from .reinforce import Agent, AgentConfig, Cohort, make_agents, train_round
 
 
 @dataclass
@@ -61,7 +61,6 @@ class FedRunConfig:
 
 @dataclass
 class ConsensusRecord:
-    round_index: int
     broadcast: bytes | None  # the consensus on the wire; `run` keeps it only on request
     kl_losses: list[float]
     kl_grad_norms: list[float]
@@ -77,7 +76,7 @@ class RunResult:
     episode_return: np.ndarray  # [rounds, K]
     discounted_return: np.ndarray  # [rounds, K]
     grad_norm: np.ndarray  # [rounds, K]
-    consensus_records: list[ConsensusRecord] = field(default_factory=list)
+    consensus_records: dict[int, ConsensusRecord] = field(default_factory=dict)  # by round
     param_traces: list[list[np.ndarray]] = field(default_factory=list)
     final_snapshots: list[bytes] = field(default_factory=list)  # per agent
 
@@ -110,8 +109,7 @@ def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
     )
 
 
-def distillation_round(agents: list[Agent], states: PublicStateSet,
-                       round_index: int = 0) -> ConsensusRecord:
+def distillation_round(agents: list[Agent], states: PublicStateSet) -> ConsensusRecord:
     """One extract / aggregate / digest cycle over all agents. No agent's
     parameters change before every upload is made, so each agent's
     extraction and digestion share one forward pass on the state set."""
@@ -137,7 +135,7 @@ def distillation_round(agents: list[Agent], states: PublicStateSet,
             policy = agent.policy
             adam_step(policy.params, grad, agent.adam, agent.config.learning_rate)
             policy.set_params(policy.params)  # check and clamp what was written
-    return ConsensusRecord(round_index, broadcast, kl_losses, kl_grad_norms, total_bytes)
+    return ConsensusRecord(broadcast, kl_losses, kl_grad_norms, total_bytes)
 
 
 def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
@@ -154,9 +152,10 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
 
     Each cell is an (interval, seed) pair, interval None for no federation;
     everything else is `config`'s. Each round every agent collects its
-    episodes in one lockstep `train_round` (cohort k: agent k of each cell);
-    then each cell runs its own distillation if its interval fires. A cell
-    whose code raises stops there: its slot holds its first failing agent's
+    episodes in one lockstep `train_round` over one `Cohort` per lineup slot
+    (agent k of each running cell, restacked only when a cell fails); then
+    each cell runs its own distillation if its interval fires. A cell whose
+    code raises stops there: its slot holds its first failing agent's
     exception instead of a `RunResult`, and the others run on with exactly
     the numbers they would have had alone. Each consensus record keeps its
     broadcast bytes only with `keep_broadcasts`.
@@ -176,11 +175,14 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
     def running() -> list[int]:
         return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
 
+    live: list[int] = []
     for i in range(config.rounds):
-        live = running()
-        if not live:
+        now = running()
+        if not now:
             break
-        cohorts = [[agents[c][k] for c in live] for k in range(len(lineup))]
+        if now != live:  # round 0, or a cell failed: restack the cells left
+            live = now
+            cohorts = [Cohort([agents[c][k] for c in live]) for k in range(len(lineup))]
         for k, outcomes in enumerate(train_round(cohorts)):
             for c, stats in zip(live, outcomes):
                 result = results[c]
@@ -195,13 +197,13 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
             result = results[c]
             if i in fires[c]:
                 try:
-                    record = distillation_round(agents[c], states, i)
+                    record = distillation_round(agents[c], states)
                 except Exception as exc:
                     results[c] = exc
                     continue
                 if not keep_broadcasts:
                     record.broadcast = None
-                result.consensus_records.append(record)
+                result.consensus_records[i] = record
             if trace_params:
                 result.param_traces.append([agent.policy.get_params() for agent in agents[c]])
     for c in running():

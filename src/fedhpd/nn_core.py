@@ -293,12 +293,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
         raise ConfigurationError("adam_step shape mismatch")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient in adam_step")
+    # int(t): Python's float power, which numpy's differs from at some step counts
     if params.ndim == 1:
-        state.step_count += 1
+        state.step_count = int(state.step_count) + 1
         c1 = 1.0 - ADAM_BETA1**state.step_count
         c2 = 1.0 - ADAM_BETA2**state.step_count
     else:
-        state.step_count = [t + 1 for t in state.step_count]
+        state.step_count = [int(t) + 1 for t in state.step_count]
         c1 = np.array([[1.0 - ADAM_BETA1**t] for t in state.step_count])
         c2 = np.array([[1.0 - ADAM_BETA2**t] for t in state.step_count])
     m, v = state.m, state.v

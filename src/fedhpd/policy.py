@@ -23,8 +23,9 @@ matrix of probability rows (categorical) or mean/variance matrices (Gaussian)
 evaluated on the shared public state set, with a compact binary wire format.
 
 KL divergences between a local batch and the broadcast consensus drive the
-knowledge-digestion update; their gradients are derived in closed form and
-verified against finite differences in the test suite.
+knowledge-digestion update. Each head's `kl_seed` holds its closed form, and
+`kl_batch_loss` runs it through one forward and one backward pass; the
+gradients are verified against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -313,11 +314,23 @@ class _Head:
         grads = self.net.backward(cache, seed[:, None])
         return grads if tail is None else np.concatenate([grads, tail], axis=1)
 
-    def _check_consensus(self, states: np.ndarray, consensus: DistributionBatch) -> None:
+    def _kl_batch_loss(self, states: np.ndarray, consensus: DistributionBatch,
+                       forward: tuple | None = None) -> tuple[float, np.ndarray]:
+        """Mean over states of KL(local row || consensus row), with its
+        gradient: one forward (unless `forward`, as in `extract_batch`, is
+        given) and one backward pass through the head's `kl_seed`. Non-finite
+        outputs raise the head's NumericError. The consensus is treated as
+        broadcast data: no gradient flows into it. Each head binds this as
+        its own `kl_batch_loss`."""
+        states = np.asarray(states, dtype=np.float64)
         if consensus.kind != self.kind:
             raise ConfigurationError("consensus kind does not match policy")
         if consensus.n_states != states.shape[0] or consensus.dim != self.net.output_dim:
             raise ConfigurationError("consensus shape does not match state set")
+        forward = self.net.forward(states) if forward is None else forward
+        loss, seeds, tail = self.kl_seed(self._outputs(states, forward), consensus)
+        grad = self.net.backward(forward[1], seeds)
+        return loss, grad if tail is None else np.concatenate([grad, tail])
 
 
 class CategoricalPolicy(_Head):
@@ -392,28 +405,21 @@ class CategoricalPolicy(_Head):
         `net.forward(states)` at the current parameters, already run."""
         return DistributionBatch("categorical", probs=softmax(self._outputs(states, forward)))
 
-    def kl_batch_loss(
-        self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Mean over states of KL(local row || consensus row), with gradient;
-        `forward` as in `extract_batch`, and non-finite logits raise its
-        NumericError.
-
-        The consensus is treated as broadcast data: no gradient flows into it.
-        Per state the logit-space seed is p * (ln(p/q) - KL), which follows
-        from the softmax Jacobian applied to the KL sum.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        self._check_consensus(states, consensus)
-        forward = self.net.forward(states) if forward is None else forward
-        p = softmax(self._outputs(states, forward))
+    @staticmethod
+    def kl_seed(logits: np.ndarray,
+                consensus: DistributionBatch) -> tuple[float, np.ndarray, None]:
+        """The mean over rows of KL(softmax(logits) row || consensus row), and
+        its logit-space seeds: per state p * (ln(p/q) - KL) / n, which follows
+        from the softmax Jacobian applied to the KL sum. No tail: the head
+        has no parameters beyond the network."""
+        p = softmax(logits)
         logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(
             np.maximum(consensus.probs, PROB_FLOOR)
         )
         per_state = (p * logs).sum(axis=1)
-        loss = float(per_state.mean())
-        seeds = p * (logs - per_state[:, None]) / states.shape[0]
-        return loss, self.net.backward(forward[1], seeds)
+        return float(per_state.mean()), p * (logs - per_state[:, None]) / logits.shape[0], None
+
+    kl_batch_loss = _Head._kl_batch_loss
 
 
 class GaussianPolicy(_Head):
@@ -479,31 +485,22 @@ class GaussianPolicy(_Head):
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
-    def kl_batch_loss(
-        self, states: np.ndarray, consensus: DistributionBatch, forward: tuple | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Mean over states of the closed-form Gaussian KL, with gradient;
-        `forward` as in `extract_batch`, and a non-finite mean raises its
-        NumericError.
-
-        d/dmu1 = (mu1 - mu2)/var2 chains through the network; the log-std
-        gradient is var1/var2 - 1 per dimension, averaged over states.
-        """
-        states = np.asarray(states, dtype=np.float64)
-        self._check_consensus(states, consensus)
-        forward = self.net.forward(states) if forward is None else forward
-        mu = self._outputs(states, forward)
+    def kl_seed(self, mu: np.ndarray, consensus: DistributionBatch
+                ) -> tuple[float, np.ndarray, np.ndarray]:
+        """The mean over rows of the closed-form Gaussian KL to the consensus,
+        its seeds d/dmu1 = (mu1 - mu2)/var2 / n, which chain through the
+        network, and the log-std tail var1/var2 - 1 per dimension, averaged
+        over states."""
         var = np.exp(2.0 * self.log_std)
-        n = states.shape[0]
+        n = mu.shape[0]
         # log computed on the variance ratio so a bit-identical consensus
         # yields an exact zero loss (self-distillation fixed point)
         terms = var / consensus.var + (consensus.mean - mu) ** 2 / consensus.var
         terms = terms - 1.0 + np.log(consensus.var / var)
-        loss = float(0.5 * terms.sum() / n)
-        seeds = (mu - consensus.mean) / consensus.var / n
-        net_grad = self.net.backward(forward[1], seeds)
-        log_std_grad = (var / consensus.var - 1.0).mean(axis=0)
-        return loss, np.concatenate([net_grad, log_std_grad])
+        return (float(0.5 * terms.sum() / n), (mu - consensus.mean) / consensus.var / n,
+                (var / consensus.var - 1.0).mean(axis=0))
+
+    kl_batch_loss = _Head._kl_batch_loss
 
 
 class PolicyStack:

@@ -13,8 +13,7 @@ import numpy as np
 
 from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
-from .policy import PolicyStack
-from .reinforce import Agent, AgentConfig, raise_failures, rollout, train_round
+from .reinforce import Agent, AgentConfig, Cohort, raise_failures, rollout, train_round
 
 VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
 VIRTUAL_AGENT_LR = 1e-3
@@ -37,12 +36,13 @@ def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: 
         learning_rate=VIRTUAL_AGENT_LR,
     )
     agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
+    cohort = Cohort([agent])
     for _ in range(warmup_rounds):
-        raise_failures(train_round([[agent]])[0])
+        raise_failures(train_round([cohort])[0])
 
-    stacks = [PolicyStack([agent.policy])]
-    pool = np.concatenate([raise_failures(rollout(stacks, spec, [agent.rng]))[0].states
-                           for _ in range(rollouts)])
+    pool = np.concatenate([
+        raise_failures(rollout([cohort.policies], spec, [agent.rng]))[0].states
+        for _ in range(rollouts)])
     if pool.shape[0] >= n:
         idx = agent.rng.choice(pool.shape[0], size=n, replace=False)
     else:

@@ -173,24 +173,22 @@ def raise_failures(results: list) -> list:
     return results
 
 
-def collect_trajectories(cohorts: list[list["Agent"]]) -> list:
+def collect_trajectories(cohorts: list["Cohort"]) -> list:
     """`episodes_per_round` episodes from each agent of each cohort (lineup
     slots of one env), episode e of every cohort in one lockstep `rollout`.
     collected[c][j] is agent j of cohort c's episode list, or the exception
     its episode raised (its later episodes still run, and are dropped)."""
-    stacks = [Cohort.of(agents).policies for agents in cohorts]
-    counts = [agents[0].config.episodes_per_round for agents in cohorts]
-    collected: list = [[[] for _ in agents] for agents in cohorts]
+    counts = [cohort.config.episodes_per_round for cohort in cohorts]
+    collected: list = [[[] for _ in cohort.agents] for cohort in cohorts]
     for e in range(max(counts)):
         part = [c for c, count in enumerate(counts) if e < count]
-        slots = [(c, j) for c in part for j in range(len(cohorts[c]))]
-        episodes = rollout([stacks[c] for c in part], cohorts[0][0].spec,
-                           [cohorts[c][j].rng for c, j in slots])
+        slots = [(c, j) for c in part for j in range(len(cohorts[c].agents))]
+        episodes = rollout([cohorts[c].policies for c in part], cohorts[0].agents[0].spec,
+                           [cohorts[c].agents[j].rng for c, j in slots])
         for (c, j), episode in zip(slots, episodes):
-            if isinstance(episode, Exception) and isinstance(collected[c][j], list):
-                collected[c][j] = episode
-            elif isinstance(collected[c][j], list):
-                collected[c][j].append(episode)
+            rows = collected[c][j]
+            if isinstance(rows, list):  # else an earlier episode raised
+                collected[c][j] = episode if isinstance(episode, Exception) else rows + [episode]
     return collected
 
 
@@ -255,24 +253,27 @@ class Agent:
         self.rng = np.random.Generator(np.random.PCG64(seed_seq))
         self.policy = build_policy(config, spec, self.rng)
         self.adam = AdamState.zeros(self.policy.num_params)
-        self.cohort: Cohort | None = None
 
     @classmethod
-    def local_round(cls, agents: list["Agent"], episodes: list) -> list:
+    def local_round(cls, cohort: "Cohort", collected: list) -> list:
         """Gradient and Adam step for a cohort from this round's episodes,
-        episodes[i] for agents[i] (an empty list leaves agent i out). Per
-        agent, (mean episode return, mean discounted return, gradient norm)
-        or the exception it raised."""
-        cohort = Cohort.of(agents)
-        config = agents[0].config
+        collected[i] for its agent i: an episode list (empty: left out) or
+        the exception an episode raised. Per agent, (mean episode return,
+        mean discounted return, gradient norm) or the exception it raised."""
+        episodes = [[] if isinstance(rows, Exception) else rows for rows in collected]
+        if not any(episodes):
+            return list(collected)
+        config = cohort.config
         grads = policy_gradient(cohort.policies, episodes, config.gamma, config.reward_to_go)
-        adam = AdamState(cohort.m, cohort.v, [agent.adam.step_count for agent in agents])
+        adam = AdamState(cohort.m, cohort.v, [agent.adam.step_count for agent in cohort.agents])
         failures = local_update(cohort.policies, adam, grads, config.learning_rate)
         outcomes = []
         for agent, step_count, rows, grad, failure in zip(
-                agents, adam.step_count, episodes, grads, failures):
+                cohort.agents, adam.step_count, collected, grads, failures):
             agent.adam.step_count = step_count
-            if failure is None and rows:
+            if isinstance(rows, Exception):
+                failure = rows
+            elif failure is None and rows:
                 failure = (
                     _mean([float(e.rewards.sum()) for e in rows]),
                     _mean([envmod.discounted_return(e.rewards, config.gamma) for e in rows]),
@@ -284,10 +285,10 @@ class Agent:
 
 class Cohort:
     """Agent k of every cell of a lockstep group: one lineup slot, so one env
-    and one `AgentConfig` but for `agent_id`. Their parameters (`policies`)
-    and Adam moments (`m`, `v`) are the rows of [B, P] arrays, and each
-    agent's policy and moments are views of its row, so stacked steps and
-    per-agent writes (distillation) land in the same place."""
+    and one `AgentConfig` (`config`) but for `agent_id`. Their parameters
+    (`policies`) and Adam moments (`m`, `v`) are the rows of [B, P] arrays,
+    and each agent's policy and moments are views of its row, so stacked
+    steps and per-agent writes (distillation) land in the same place."""
 
     def __init__(self, agents: list[Agent]):
         first = agents[0]
@@ -298,34 +299,20 @@ class Cohort:
                     f"cohort agents {first.config.agent_id} and {agent.config.agent_id} "
                     "differ in env or training config; a cohort is one lineup slot")
         self.agents = list(agents)
+        self.config = first.config
         self.policies = PolicyStack([agent.policy for agent in agents])
         self.m = np.stack([agent.adam.m for agent in agents])
         self.v = np.stack([agent.adam.v for agent in agents])
         for agent, m, v in zip(agents, self.m, self.v):
             agent.adam = AdamState(m, v, agent.adam.step_count)
-            agent.cohort = self
-
-    @classmethod
-    def of(cls, agents: list[Agent]) -> "Cohort":
-        """The cohort of exactly these agents, in this order, else a new one."""
-        cohort = agents[0].cohort
-        if cohort is not None and cohort.agents == agents and all(
-                agent.cohort is cohort for agent in agents):
-            return cohort
-        return cls(agents)
 
 
-def train_round(cohorts: list[list[Agent]]) -> list:
+def train_round(cohorts: list[Cohort]) -> list:
     """One local round for cohorts of lineup slots: lockstep episodes, then
     one stacked gradient and Adam step per cohort (`Agent.local_round`).
     outcomes[c][j]: agent j of cohort c's outcome or the exception it raised."""
-    outcomes = []
-    for agents, collected in zip(cohorts, collect_trajectories(cohorts)):
-        learned = [[] if isinstance(episodes, Exception) else episodes for episodes in collected]
-        stats = Agent.local_round(agents, learned) if any(learned) else collected
-        outcomes.append([episodes if isinstance(episodes, Exception) else outcome
-                         for episodes, outcome in zip(collected, stats)])
-    return outcomes
+    return [Agent.local_round(cohort, collected)
+            for cohort, collected in zip(cohorts, collect_trajectories(cohorts))]
 
 
 def make_agents(configs: list[AgentConfig], spec: envmod.EnvSpec, seed: int) -> list[Agent]:

@@ -27,7 +27,7 @@ from fedhpd.policy import (
 )
 from fedhpd.presets import preset_agents
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import Agent, make_agents, raise_failures, train_round
+from fedhpd.reinforce import Agent, Cohort, make_agents, raise_failures, train_round
 from oracles import action_distribution, kl_categorical, kl_gaussian, train_independent
 
 SEEDS = (20, 25, 30)
@@ -230,12 +230,13 @@ def test_criterion_5_fixed_points(cartpole_states):
         losses = []
         unchanged = True
         fire = set(distillation_rounds(rounds, interval))
+        cohorts = [Cohort([agent]) for agent in agents]  # each agent trains alone
         for i in range(rounds):
-            for agent in agents:
-                raise_failures(train_round([[agent]])[0])
+            for cohort in cohorts:
+                raise_failures(train_round([cohort])[0])
             if i in fire:
                 before = [a.policy.get_params() for a in agents]
-                record = distillation_round(agents, states, i)
+                record = distillation_round(agents, states)
                 losses.extend(record.kl_losses)
                 unchanged = unchanged and all(
                     np.array_equal(a.policy.get_params(), p)
@@ -288,7 +289,7 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
         np.array_equal(x, y)
         for pa, pb in zip(never.param_traces, fed.param_traces)
         for x, y in zip(pa, pb)
-    ) and never.consensus_records == []
+    ) and never.consensus_records == {}
 
     ok = schedule_ok and equal and equal_big
     assert report(

@@ -92,7 +92,7 @@ def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
     with load_tracing().Tracer().installed() as tracer:
         public_states.generate_public_states(spec, warmup_rounds=2, rollouts=1, n=8, seed=0)
         generated = {span: tracer.count(span) for span in SAMPLE_SPANS}
-        reinforce.train_round([cells])  # a 2-cell lockstep round: its tail runs alone
+        reinforce.train_round([reinforce.Cohort(cells)])  # 2 cells: the tail runs alone
     assert all(generated.values()), generated
     assert all(tracer.count(span) > generated[span] for span in SAMPLE_SPANS)
 

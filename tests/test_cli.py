@@ -349,6 +349,14 @@ def test_cli_diagnose_underflowing_chebyshev_divisor_fails_before_any_work(tmp_p
     assert "too large for a float" in err
 
 
+def test_cli_diagnose_single_sample_fails_before_any_work(tmp_path, capsys):
+    # a variance needs two samples: the key is named before the snapshot is read
+    argv = quick_diagnose(tmp_path, "diag.samples = 1")
+    argv[argv.index("--snapshot") + 1] = str(tmp_path / "missing.fhpd")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: diag.samples: ")
+
+
 @pytest.mark.parametrize("radius", ["1e200", "1e308"])
 def test_cli_diagnose_overflowing_probe_radius_is_a_numeric_error(tmp_path, capsys, radius):
     # the displaced policy's logits overflow; unchecked, its NaN KL gradient

@@ -15,7 +15,7 @@ from fedhpd.federation import (
 from fedhpd.nn_core import adam_step
 from fedhpd.policy import DistributionBatch
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import AgentConfig, make_agents, raise_failures, train_round
+from fedhpd.reinforce import AgentConfig, Cohort, make_agents, raise_failures, train_round
 from oracles import run_stats, train_independent
 
 SPEC = EnvSpec("cartpole-discrete")
@@ -81,11 +81,12 @@ def test_aggregate_rows_stay_on_simplex():
 def test_single_agent_distillation_is_exact_fixed_point():
     states = small_states()
     agents = make_agents([agent_config(0)], SPEC, seed=21)
+    cohort = Cohort(agents)
     for _ in range(3):  # warm the Adam moments so the guard actually matters
-        raise_failures(train_round([agents])[0])
+        raise_failures(train_round([cohort])[0])
     before = agents[0].policy.get_params()
     adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(), agents[0].adam.step_count)
-    record = distillation_round(agents, states, round_index=3)
+    record = distillation_round(agents, states)
     assert record.kl_losses == [0.0]
     assert record.kl_grad_norms == [0.0]
     assert np.array_equal(agents[0].policy.get_params(), before)
@@ -100,10 +101,11 @@ def test_identical_agents_distillation_is_exact_fixed_point(k):
     agents = [
         make_agents([agent_config(0)], SPEC, seed=33)[0] for _ in range(k)
     ]
+    cohort = Cohort(agents)
     for _ in range(2):
-        raise_failures(train_round([agents])[0])
+        raise_failures(train_round([cohort])[0])
     before = [a.policy.get_params() for a in agents]
-    record = distillation_round(agents, states, round_index=2)
+    record = distillation_round(agents, states)
     assert record.kl_losses == [0.0] * k
     for agent, prev in zip(agents, before):
         assert np.array_equal(agent.policy.get_params(), prev)
@@ -117,7 +119,7 @@ def test_divergent_agents_kl_decreases_after_one_step():
     consensus = aggregate(batches)
     before = sum(a.policy.kl_batch_loss(states.states, consensus)[0] for a in agents)
     assert before > 0.0
-    distillation_round(agents, states, round_index=0)
+    distillation_round(agents, states)
     after = sum(a.policy.kl_batch_loss(states.states, consensus)[0] for a in agents)
     assert after < before
 
@@ -127,7 +129,7 @@ def test_extraction_happens_before_any_digestion():
     configs = [agent_config(i, lr=5e-2) for i in range(3)]
     agents = make_agents(configs, SPEC, seed=66)
     pre_params = [a.policy.get_params() for a in agents]
-    record = distillation_round(agents, states, round_index=0)
+    record = distillation_round(agents, states)
     # recompute every upload from the pre-round parameter snapshots: the
     # consensus must be the aggregate of those, or some digestion leaked in
     replicas = make_agents(configs, SPEC, seed=66)
@@ -152,7 +154,7 @@ def test_digestion_equals_a_fresh_kl_step_per_agent(env_kind):
                for i, hidden in enumerate([((8, "tanh"),), ((6, "relu"), (5, "tanh"))])]
     agents = make_agents(configs, spec, seed=88)
     replicas = make_agents(configs, spec, seed=88)
-    record = distillation_round(agents, states, round_index=0)
+    record = distillation_round(agents, states)
     consensus = DistributionBatch.from_bytes(record.broadcast)
     for agent, replica, loss in zip(agents, replicas, record.kl_losses):
         want_loss, grad = replica.policy.kl_batch_loss(states.states, consensus)
@@ -167,7 +169,7 @@ def test_digestion_equals_a_fresh_kl_step_per_agent(env_kind):
 def test_distillation_byte_volume_matches_wire_format():
     states = small_states(seed=10, n=16)
     agents = make_agents([agent_config(i) for i in range(3)], SPEC, seed=77)
-    record = distillation_round(agents, states, round_index=0)
+    record = distillation_round(agents, states)
     payload = 9 + 16 * 2 * 8  # header + probs rows
     assert record.bytes_communicated == (3 + 1) * payload
 
@@ -191,7 +193,7 @@ def test_interval_beyond_rounds_matches_nofed_bitwise():
     states = small_states(seed=11)
     a, = run(run_config(), [(99, 42)], states, trace_params=True)
     b, = run(run_config(), [(None, 42)], None, trace_params=True)
-    assert a.consensus_records == [] and b.consensus_records == []
+    assert a.consensus_records == {} and b.consensus_records == {}
     for pa, pb in zip(a.param_traces, b.param_traces):
         for x, y in zip(pa, pb):
             assert np.array_equal(x, y)
@@ -211,15 +213,14 @@ def test_nofed_run_matches_standalone_trainer_bitwise():
 def test_run_emits_consensus_on_schedule_and_counts_bytes():
     states = small_states(seed=12)
     result, = run(run_config(rounds=7), [(3, 42)], states, keep_broadcasts=True)
-    fired = [r.round_index for r in result.consensus_records]
-    assert fired == [2, 5]
-    assert all(r.bytes_communicated > 0 for r in result.consensus_records)
+    assert list(result.consensus_records) == [2, 5]
+    assert all(r.bytes_communicated > 0 for r in result.consensus_records.values())
     assert not np.isnan(result.grad_norm).any() and result.grad_norm.shape == (7, 2)
-    for record in result.consensus_records:
+    for record in result.consensus_records.values():
         probs = DistributionBatch.from_bytes(record.broadcast).probs
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
     quiet, = run(run_config(rounds=7), [(3, 42)], states)
-    assert [r.broadcast for r in quiet.consensus_records] == [None, None]
+    assert [r.broadcast for r in quiet.consensus_records.values()] == [None, None]
 
 
 def test_gaussian_run_consensus_variances_positive():
@@ -229,7 +230,7 @@ def test_gaussian_run_consensus_variances_positive():
                           agent_configs=[agent_config(i) for i in range(2)])
     result, = run(config, [(2, 15)], states, keep_broadcasts=True)
     assert result.consensus_records
-    for record in result.consensus_records:
+    for record in result.consensus_records.values():
         assert np.all(DistributionBatch.from_bytes(record.broadcast).var > 0.0)
 
 

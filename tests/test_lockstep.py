@@ -17,7 +17,7 @@ from fedhpd.federation import FedRunConfig, distillation_round, run
 from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import PolicyStack, _draw_categorical, draw_categorical_rows, make_policy
 from fedhpd.public_states import generate_public_states
-from fedhpd.reinforce import Agent, AgentConfig, Episode, collect_trajectories, rollout
+from fedhpd.reinforce import Agent, AgentConfig, Cohort, Episode, collect_trajectories, rollout
 from oracles import (FixedUniform, adam_ascent, episode_gradient, play_episode, run_stats,
                      train_independent)
 
@@ -93,14 +93,14 @@ def test_a_cohort_is_one_lineup_slot():
     def agent(config, spec=spec):
         return Agent(config, spec, np.random.SeedSequence([1, 2]))
 
-    assert collect_trajectories([[agent(config), agent(replace(config, agent_id="b"))]])
+    assert collect_trajectories([Cohort([agent(config), agent(replace(config, agent_id="b"))])])
     with pytest.raises(ConfigurationError, match="cohort agents a and a differ in env"):
-        collect_trajectories([[agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))]])
+        Cohort([agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))])
     for knob in ({"learning_rate": 2e-3}, {"gamma": 0.9}, {"reward_to_go": True},
                  {"episodes_per_round": 2}):
         other = agent(replace(config, agent_id="b", **knob))
         with pytest.raises(ConfigurationError, match="cohort agents a and b differ in env"):
-            Agent.local_round([agent(config), other], [[], []])
+            Cohort([agent(config), other])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -276,7 +276,7 @@ def test_lockstep_collection_matches_sequential_episodes(head, env_kind):
     spec = EnvSpec(env_kind, max_steps=30)
     agents = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
     replicas = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
-    collected, = collect_trajectories([agents])
+    collected, = collect_trajectories([Cohort(agents)])
     for episodes, agent, replica in zip(collected, agents, replicas):
         assert len(episodes) == 2
         for episode in episodes:
@@ -309,11 +309,11 @@ def synthetic_episode(rng, spec, length, reward=1.0):
     return Episode(states, actions, np.full(length, reward))
 
 
-def assert_learner_matches_per_cell(agents, replicas, episodes):
+def assert_learner_matches_per_cell(cohort, replicas, episodes):
     """One stacked `Agent.local_round` equals, bit for bit, each replica's own
     gradient (one network pass per episode) and one-vector Adam step."""
-    outcomes = Agent.local_round(agents, episodes)
-    for agent, replica, rows, outcome in zip(agents, replicas, episodes, outcomes):
+    outcomes = Agent.local_round(cohort, episodes)
+    for agent, replica, rows, outcome in zip(cohort.agents, replicas, episodes, outcomes):
         config = replica.config
         grad = episode_gradient(replica.policy, rows, config.gamma, config.reward_to_go)
         try:
@@ -340,12 +340,13 @@ def test_stacked_learner_matches_per_cell_steps(head, env_kind, case, knobs):
     lengths = LEARNER_LENGTHS[case]
     agents, replicas = learner_pair(spec, len(lengths), **knobs)
     assert agents[0].policy.kind == head
+    cohort = Cohort(agents)
     rng = np.random.default_rng(len(lengths))
     count = knobs.get("episodes_per_round", 1)
     for _ in range(3):  # later rounds start from warm Adam moments
         episodes = [[synthetic_episode(rng, spec, lengths[(i + e) % len(lengths)])
                      for e in range(count)] for i in range(len(lengths))]
-        assert_learner_matches_per_cell(agents, replicas, episodes)
+        assert_learner_matches_per_cell(cohort, replicas, episodes)
 
 
 @pytest.mark.parametrize("head,env_kind", HEADS)
@@ -353,13 +354,14 @@ def test_stacked_learner_after_digestion_with_different_step_counts(head, env_ki
     spec = EnvSpec(env_kind, max_steps=40)
     states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=16, seed=3)
     agents, replicas = learner_pair(spec, 4)
+    cohort = Cohort(agents)
     rng = np.random.default_rng(5)
-    for round_index in range(3):
+    for _ in range(3):
         episodes = [[synthetic_episode(rng, spec, length)] for length in (1, 12, 40, 5)]
-        assert_learner_matches_per_cell(agents, replicas, episodes)
+        assert_learner_matches_per_cell(cohort, replicas, episodes)
         # cells 0 and 2 digest (as one cell would) into the same stacked rows
         for group in ((agents[0], agents[2]), (replicas[0], replicas[2])):
-            distillation_round(list(group), states, round_index)
+            distillation_round(list(group), states)
     assert [a.adam.step_count for a in agents] == [6, 3, 6, 3]
 
 
@@ -372,7 +374,7 @@ def test_non_finite_gradient_row_fails_only_its_cell(head, env_kind):
     rng = np.random.default_rng(6)
     episodes = [[synthetic_episode(rng, spec, 9, reward=1e308 if i == 1 else 1.0)]
                 for i in range(4)]
-    outcomes = assert_learner_matches_per_cell(agents, replicas, episodes)
+    outcomes = assert_learner_matches_per_cell(Cohort(agents), replicas, episodes)
     assert str(outcomes[1]) == "non-finite gradient in adam_step"
     assert all(isinstance(outcomes[i], tuple) for i in (0, 2, 3))
 
@@ -453,6 +455,39 @@ def test_non_finite_cell_fails_alone_in_a_group(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_run_builds_one_cohort_per_slot_and_again_only_after_a_cell_fails(monkeypatch):
+    # a NoFed cell and a d = 2 cell: distillation rounds restack nothing, and
+    # the d = 2 cell's failure in round 0 restacks the other cell's slots once
+    config = run_config()
+    slots = len(config.agent_configs)
+    states = generate_public_states(config.spec, warmup_rounds=0, rollouts=2, n=8, seed=3)
+    built = []
+
+    class CountedCohort(Cohort):
+        def __init__(self, agents):
+            built.append(len(agents))
+            super().__init__(agents)
+
+    monkeypatch.setattr(federation, "Cohort", CountedCohort)
+    assert all(isinstance(r, federation.RunResult)
+               for r in run(config, [(None, 3), (2, 4)], states))
+    assert built == [2] * slots
+    original = federation.make_agents
+
+    def make_agents(agent_configs, spec, seed):
+        agents = original(agent_configs, spec, seed)
+        if seed == 4:
+            blow_up(agents[1].policy)
+        return agents
+
+    monkeypatch.setattr(federation, "make_agents", make_agents)
+    built.clear()
+    clean, failed = run(config, [(None, 3), (2, 4)], states)
+    assert isinstance(failed, NumericError) and isinstance(clean, federation.RunResult)
+    assert built == [2] * slots + [1] * slots
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_cell_whose_two_slots_fail_in_one_round_reports_the_first(monkeypatch):
     # slot 1 fails in the round's rollout, before slot 0 fails in its learning
     # step: the cell still reports slot 0's error, as slot by slot training would
@@ -467,10 +502,10 @@ def test_a_cell_whose_two_slots_fail_in_one_round_reports_the_first(monkeypatch)
             blow_up(agents[1].policy)
         return agents
 
-    def failing_round(cls, agents, episodes):
-        outcomes = local_round(cls, agents, episodes)
+    def failing_round(cls, cohort, collected):
+        outcomes = local_round(cls, cohort, collected)
         return [NumericError("injected learner failure") if getattr(agent, "doomed", False)
-                else outcome for agent, outcome in zip(agents, outcomes)]
+                else outcome for agent, outcome in zip(cohort.agents, outcomes)]
 
     monkeypatch.setattr(federation, "make_agents", make_agents)
     monkeypatch.setattr(Agent, "local_round", classmethod(failing_round))
@@ -515,11 +550,15 @@ def test_failing_cell_fails_alone_in_a_grid(tmp_path, monkeypatch):
                  "--set", "fed.d = 3"]) == 0
 
     original = federation.distillation_round
+    calls = []
 
-    def distillation_round(agents, states, round_index=0):
-        if round_index == 4:  # only d = 5 distils on round 4 of 8
+    def distillation_round(agents, states):
+        calls.append(1)
+        # d = 3 distils on rounds 2 and 5 of 8, d = 5 on round 4: the third
+        # and fourth calls are the two d = 5 cells'
+        if len(calls) in (3, 4):
             raise NumericError("non-finite gradient in adam_step")
-        return original(agents, states, round_index)
+        return original(agents, states)
 
     monkeypatch.setattr(federation, "distillation_round", distillation_round)
     failing = tmp_path / "failing"

@@ -306,6 +306,38 @@ def test_adam_three_step_trace_matches_scalar_reference():
     assert state.step_count == 3
 
 
+def scalar_adam_step(theta, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One step of `scalar_adam_reference` from moments m and v to step count
+    t, every operation on Python floats and ints."""
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    return theta - lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps), m, v
+
+
+def test_adam_bias_correction_is_python_float_power_at_numpy_step_counts():
+    # at the counts picked here numpy's power and Python's float ** round
+    # 1 - 0.999**t apart, so a step count held as a numpy int must still be
+    # corrected by Python's power, in the vector and the stacked step alike
+    counts = [1, 2] + [t for t in range(1, 400)
+                       if 1.0 - 0.999**t != 1.0 - np.power(0.999, np.int64(t))][:6]
+    rng = np.random.default_rng(41)
+    params, grads, m = rng.normal(size=(3, len(counts), 5))
+    v = rng.random((len(counts), 5))
+    want = np.array([[scalar_adam_step(*args, t, lr=1e-2)[0]
+                      for args in zip(*(a.tolist() for a in (params[i], m[i], v[i], grads[i])))]
+                     for i, t in enumerate(counts)])
+    for i, t in enumerate(counts):
+        row = params[i].copy()
+        state = AdamState(m[i].copy(), v[i].copy(), np.int64(t - 1))
+        adam_step(row, grads[i], state, lr=1e-2)
+        assert_same_bits(row, want[i])
+        assert state.step_count == t
+    stacked = AdamState(m.copy(), v.copy(), [np.int64(t - 1) for t in counts])
+    adam_step(params, grads, stacked, lr=1e-2)
+    assert_same_bits(params, want)
+    assert stacked.step_count == counts
+
+
 def test_adam_rejects_non_finite_gradient():
     with pytest.raises(NumericError):
         adam_step(np.zeros(2), np.array([np.nan, 0.0]), AdamState.zeros(2), lr=0.1)

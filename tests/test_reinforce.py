@@ -11,6 +11,7 @@ from fedhpd.public_states import generate_public_states
 from fedhpd.reinforce import (
     Agent,
     AgentConfig,
+    Cohort,
     Episode,
     collect_trajectories,
     local_update,
@@ -49,8 +50,8 @@ def test_collect_is_deterministic_given_seed():
     cfg = agent_config(episodes_per_round=3)
     a = Agent(cfg, SPEC, np.random.SeedSequence(5))
     b = Agent(cfg, SPEC, np.random.SeedSequence(5))
-    (ta,), = collect_trajectories([[a]])
-    (tb,), = collect_trajectories([[b]])
+    (ta,), = collect_trajectories([Cohort([a])])
+    (tb,), = collect_trajectories([Cohort([b])])
     assert len(ta) == len(tb) == 3
     for x, y in zip(ta, tb):
         assert np.array_equal(x.states, y.states)
@@ -60,7 +61,7 @@ def test_collect_is_deterministic_given_seed():
 def test_trajectory_lengths_within_horizon():
     cfg = agent_config(episodes_per_round=5)
     agent = Agent(cfg, SPEC, np.random.SeedSequence(6))
-    for episode in collect_trajectories([[agent]])[0][0]:
+    for episode in collect_trajectories([Cohort([agent])])[0][0]:
         assert 1 <= len(episode.rewards) <= SPEC.max_steps
         for t in range(len(episode.rewards) - 1):
             nxt, _, _ = step(SPEC, episode.states[t], int(episode.actions[t]))
@@ -139,7 +140,7 @@ def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         assert agent.policy.kind == head
-        (trajectories,), = collect_trajectories([[agent]])
+        (trajectories,), = collect_trajectories([Cohort([agent])])
         got = gradient(agent.policy, trajectories, cfg)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
@@ -165,7 +166,7 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     cfg = agent_config()
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
-        traj = collect_trajectories([[agent]])[0][0][0]
+        traj = collect_trajectories([Cohort([agent])])[0][0][0]
         grad = gradient(agent.policy, [traj], cfg)
         log_lik_dir = np.zeros(agent.policy.num_params)
         for state, action in zip(traj.states, traj.actions):
@@ -236,9 +237,9 @@ def test_bandit_gradient_estimate_is_unbiased():
 
 
 def test_round_stats_returns_nonnegative():
-    agents = make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20)
+    cohort = Cohort(make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20))
     for _ in range(5):
-        for episode_return, _, grad_norm in raise_failures(train_round([agents])[0]):
+        for episode_return, _, grad_norm in raise_failures(train_round([cohort])[0]):
             assert episode_return >= 1.0
             assert grad_norm >= 0.0
 
