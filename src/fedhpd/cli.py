@@ -23,7 +23,7 @@ from .env import EnvSpec, load_state_set
 from .errors import ArtifactIOError, ConfigurationError, NumericError
 from .experiment import (
     ExperimentConfig,
-    fmt,
+    csv_text,
     load_experiment_config,
     train_experiment,
     write_file,
@@ -170,10 +170,7 @@ def cmd_diagnose(args) -> int:
     rows.append({"probe": "smoothness", **vars(probe)})
 
     target = Path(config["run.output_dir"]) / "diagnostics.csv"
-    lines = [",".join(DIAGNOSTICS_COLUMNS)]
-    lines.extend(",".join(fmt(row.get(column)) for column in DIAGNOSTICS_COLUMNS)
-                 for row in rows)
-    write_file(target, "\n".join(lines) + "\n")
+    write_file(target, csv_text(DIAGNOSTICS_COLUMNS, rows))
     print(f"wrote {target}")
     return 0
 

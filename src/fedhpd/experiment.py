@@ -12,8 +12,12 @@ Every known key has a default, and its values must have the default's type;
 unknown keys and mistyped values are rejected by name before any computation
 starts. A training invocation expands into a grid of cells
 (mode, interval, seed) - the NoFed baseline plus one federated variant per
-interval - and each cell writes one metrics CSV. Reals are printed with 17
-significant digits so downstream comparisons can reproduce results exactly.
+interval. `run_cell` turns a finished cell into its summary row and one list
+of (relative path, contents): the metrics CSV, the snapshots and any kept
+consensus broadcasts, which `train_experiment` writes in one loop. Every CSV
+table (metrics, `summary.csv`, `diagnostics.csv`) is a column list and dict
+rows, formatted by `csv_text`: a key a row lacks is a blank field, and reals
+are printed with 17 significant digits so comparisons reproduce exactly.
 
 The cells of a grid share their lineup, so they train together in lockstep
 (`run_group`, `federation.run`): one group at `run.workers = 1`, otherwise the
@@ -343,10 +347,18 @@ def experiment_cells(config: ExperimentConfig) -> list[Cell]:
     return [Cell(d, seed) for d in intervals for seed in config["run.seeds"]]
 
 
-def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
-    """One row per agent per round plus a system row, already formatted."""
+def csv_text(columns: list[str], rows) -> str:
+    """A CSV table: the header, then each dict row's `fmt` value per column,
+    a key the row lacks being a blank field."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(fmt(row.get(column)) for column in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def metrics_rows(cell: Cell, result: RunResult) -> list[dict]:
+    """One row per agent per round plus a system row, by column name."""
+    base = {"run_id": cell.run_id, "seed": cell.seed, "mode": cell.mode, "d": cell.interval}
     rows = []
-    d_text = fmt(cell.interval)
     system_returns = result.system_returns().tolist()
     system_discs = result.discounted_return.mean(axis=1).tolist()
     for i, (returns, discs, norms) in enumerate(zip(
@@ -354,35 +366,33 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[list[str]]:
             result.grad_norm.tolist())):
         record = result.consensus_records.get(i)
         for k, agent_id in enumerate(result.agent_ids):
-            kl_loss = record.kl_losses[k] if record else None
-            kl_norm = record.kl_grad_norms[k] if record else None
-            rows.append([
-                cell.run_id, str(cell.seed), cell.mode, d_text, str(i), agent_id,
-                fmt(returns[k]), fmt(discs[k]), fmt(kl_loss), fmt(norms[k]), fmt(kl_norm), "",
-            ])
-        system_kl = float(np.mean(record.kl_losses)) if record else None
-        rows.append([
-            cell.run_id, str(cell.seed), cell.mode, d_text, str(i), "system",
-            fmt(system_returns[i]), fmt(system_discs[i]), fmt(system_kl), "", "",
-            str(record.bytes_communicated if record else 0),
-        ])
+            rows.append({**base, "round": i, "agent_id": agent_id, "episode_return": returns[k],
+                         "discounted_return": discs[k], "policy_grad_norm": norms[k],
+                         "kl_loss": record.kl_losses[k] if record else None,
+                         "kl_grad_norm": record.kl_grad_norms[k] if record else None})
+        rows.append({**base, "round": i, "agent_id": "system",
+                     "episode_return": system_returns[i], "discounted_return": system_discs[i],
+                     "kl_loss": float(np.mean(record.kl_losses)) if record else None,
+                     "bytes_communicated": record.bytes_communicated if record else 0})
     return rows
 
 
 def run_cell(cell: Cell, result: RunResult) -> dict:
-    """Format one finished cell: metrics CSV, summary scalars, snapshots, kept broadcasts."""
+    """Format one finished cell: its summary row, and its files in writing order
+    as (path in the output directory, contents): metrics CSV, snapshots, kept broadcasts."""
     system = result.system_returns()
     window = min(FINAL_WINDOW, system.size)
-    lines = [",".join(METRICS_COLUMNS)]
-    lines.extend(",".join(row) for row in metrics_rows(cell, result))
+    stem = f"{cell.run_id}-seed{cell.seed}"
     return {
         "cell": cell,
-        "csv": "\n".join(lines) + "\n",
-        "final_window_mean": float(system[-window:].mean()),
-        "overall_mean": float(system.mean()),
-        "snapshots": list(zip(result.agent_ids, result.final_snapshots)),
-        "consensus_dumps": [(i, record.broadcast) for i, record in
-                            result.consensus_records.items() if record.broadcast is not None],
+        "summary": {"mode": cell.mode, "d": cell.interval, "seed": cell.seed,
+                    "final_window_mean": float(system[-window:].mean()),
+                    "overall_mean": float(system.mean())},
+        "files": [(cell.file_name, csv_text(METRICS_COLUMNS, metrics_rows(cell, result)))]
+        + [(f"snapshots/{stem}-{agent_id}.fhpd", blob)
+           for agent_id, blob in zip(result.agent_ids, result.final_snapshots)]
+        + [(f"consensus/{stem}-round{i}.bin", record.broadcast)
+           for i, record in result.consensus_records.items() if record.broadcast is not None],
     }
 
 
@@ -421,11 +431,15 @@ def run_group(args) -> list[dict]:
     return outcomes
 
 
-def write_file(path: Path, data: str | bytes) -> None:
-    """Write one output file, creating its directory; failures are I/O errors."""
+def write_file(path: Path, data: str | bytes | None) -> None:
+    """Write one output file, creating its directory, or with `data` None remove
+    an earlier run's, now stale; failures are I/O errors."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data.encode() if isinstance(data, str) else data)
+        if data is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data.encode() if isinstance(data, str) else data)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
@@ -487,35 +501,22 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         cell = outcome["cell"]
         if "error" in outcome:
             failures.append(f"{cell.file_name}: {outcome['error']}")
+            write_file(output_dir / cell.file_name, None)  # an earlier run's, now stale
             continue
-        path = output_dir / cell.file_name
-        write_file(path, outcome["csv"])
-        written.append(path)
-        for agent_id, blob in outcome["snapshots"]:
-            name = f"{cell.run_id}-seed{cell.seed}-{agent_id}.fhpd"
-            write_file(output_dir / "snapshots" / name, blob)
-        for round_index, blob in outcome["consensus_dumps"]:
-            name = f"{cell.run_id}-seed{cell.seed}-round{round_index}.bin"
-            write_file(output_dir / "consensus" / name, blob)
-        means = (outcome["final_window_mean"], outcome["overall_mean"])
-        summary_rows.append([
-            cell.mode, fmt(cell.interval), str(cell.seed), fmt(means[0]), fmt(means[1]),
-        ])
-        pooled.setdefault((cell.mode, cell.interval), []).append(means)
+        for name, data in outcome["files"]:
+            write_file(output_dir / name, data)
+        written.append(output_dir / cell.file_name)
+        summary_rows.append(outcome["summary"])
+        pooled.setdefault((cell.mode, cell.interval), []).append(outcome["summary"])
 
-    for (mode, d), entries in sorted(pooled.items()):
-        finals, overalls = zip(*entries)
-        summary_rows.append([
-            mode, fmt(d), "pooled",
-            fmt(float(np.mean(finals))), fmt(float(np.mean(overalls))),
-        ])
+    for (mode, d), rows in sorted(pooled.items()):
+        summary_rows.append({"mode": mode, "d": d, "seed": "pooled", **{
+            key: float(np.mean([row[key] for row in rows]))
+            for key in ("final_window_mean", "overall_mean")}})
     summary_path = output_dir / "summary.csv"
-    summary_lines = [",".join(SUMMARY_COLUMNS)]
-    summary_lines.extend(",".join(row) for row in summary_rows)
-    write_file(summary_path, "\n".join(summary_lines) + "\n")
+    write_file(summary_path, csv_text(SUMMARY_COLUMNS, summary_rows))
 
-    if failures:
-        write_file(output_dir / "failures.txt", "\n".join(failures) + "\n")
+    write_file(output_dir / "failures.txt", "\n".join(failures) + "\n" if failures else None)
     return {
         "metrics_files": written,
         "summary_file": summary_path,

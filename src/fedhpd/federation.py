@@ -1,7 +1,7 @@
 """The federated distillation orchestrator.
 
-Every round all agents train locally; on rounds i with (i+1) % d == 0 a
-collaborative phase runs in three barrier-separated stages:
+Every round all agents train locally; on the rounds where `fires(i, d)`,
+(i+1) % d == 0, a collaborative phase runs in three barrier-separated stages:
 
 1. extraction - every agent evaluates its policy on the shared public state
    set and serializes the resulting distribution batch (the upload);
@@ -138,11 +138,10 @@ def distillation_round(agents: list[Agent], states: PublicStateSet) -> Consensus
     return ConsensusRecord(broadcast, kl_losses, kl_grad_norms, total_bytes)
 
 
-def distillation_rounds(rounds: int, interval: int | None) -> list[int]:
-    """The exact set of round indices on which collaboration fires."""
-    if interval is None:
-        return []
-    return [i for i in range(rounds) if (i + 1) % interval == 0]
+def fires(round_index: int, interval: int | None) -> bool:
+    """Whether collaboration runs on this round: every `interval`-th, never
+    without an interval."""
+    return interval is not None and (round_index + 1) % interval == 0
 
 
 def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
@@ -167,7 +166,6 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
         raise ConfigurationError("federated runs need a public state set")
     lineup = config.agent_configs
     agents = [make_agents(lineup, config.spec, seed) for _, seed in cells]
-    fires = [set(distillation_rounds(config.rounds, d)) for d in intervals]
     shape = (config.rounds, len(lineup))
     results: list = [RunResult([a.agent_id for a in lineup],
                                *(np.full(shape, np.nan) for _ in range(3))) for _ in cells]
@@ -195,7 +193,7 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
                      result.grad_norm[i, k]) = stats
         for c in running():
             result = results[c]
-            if i in fires[c]:
+            if fires(i, intervals[c]):
                 try:
                     record = distillation_round(agents[c], states)
                 except Exception as exc:

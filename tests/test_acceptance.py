@@ -18,7 +18,7 @@ from fedhpd.diagnostics import (
 )
 from fedhpd.env import EnvSpec
 from fedhpd.experiment import load_experiment_config, train_experiment
-from fedhpd.federation import FedRunConfig, distillation_round, distillation_rounds, run
+from fedhpd.federation import FedRunConfig, distillation_round, fires, run
 from fedhpd.nn_core import LayerSpec, glorot_init
 from fedhpd.policy import (
     CategoricalPolicy,
@@ -229,12 +229,11 @@ def test_criterion_5_fixed_points(cartpole_states):
     def run_fixed_point(agents, rounds=6, interval=2):
         losses = []
         unchanged = True
-        fire = set(distillation_rounds(rounds, interval))
         cohorts = [Cohort([agent]) for agent in agents]  # each agent trains alone
         for i in range(rounds):
             for cohort in cohorts:
                 raise_failures(train_round([cohort])[0])
-            if i in fire:
+            if fires(i, interval):
                 before = [a.policy.get_params() for a in agents]
                 record = distillation_round(agents, states)
                 losses.extend(record.kl_losses)
@@ -268,9 +267,9 @@ def test_criterion_5_fixed_points(cartpole_states):
 
 def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
     schedule_ok = (
-        distillation_rounds(10, 5) == [4, 9]
-        and distillation_rounds(12, 4) == [3, 7, 11]
-        and distillation_rounds(6, None) == []
+        [i for i in range(10) if fires(i, 5)] == [4, 9]
+        and [i for i in range(12) if fires(i, 4)] == [3, 7, 11]
+        and [i for i in range(6) if fires(i, None)] == []
     )
 
     configs = preset_agents("cartpole-4")

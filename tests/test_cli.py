@@ -1,12 +1,14 @@
 """Config grammar, sweep execution, CSV schemas, and CLI exit codes."""
 
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedhpd import cli, experiment
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
 from fedhpd.diagnostics import SmoothnessProbe, VarianceReport
 from fedhpd.env import PublicStateSet, save_state_set
@@ -15,7 +17,9 @@ from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes
 from fedhpd.experiment import (
     _KEY_DEFAULTS,
     METRICS_COLUMNS,
+    SUMMARY_COLUMNS,
     ExperimentConfig,
+    csv_text,
     experiment_cells,
     load_experiment_config,
     parse_agent_spec,
@@ -379,12 +383,39 @@ def test_cli_diagnose_overflowing_displacement_norm_is_a_numeric_error(tmp_path,
     assert not (tmp_path / "diag" / "diagnostics.csv").exists()
 
 
-def test_diagnostics_columns_are_the_report_and_probe_fields():
+def test_diagnostics_columns_are_the_report_and_probe_fields(tmp_path, monkeypatch):
     # each row is written by column name, so a renamed field would leave a blank
     names = ["probe", "round_index", "identity_residual", "chebyshev_n_j", "chebyshev_n_jprime"]
     for report in (VarianceReport, SmoothnessProbe):
         names += [field.name for field in dataclasses.fields(report)]
     assert sorted(DIAGNOSTICS_COLUMNS) == sorted(names)
+
+    # the same holds for the metrics and summary rows: record every table
+    # handed to `csv_text` by a grid whose interval fires, and a diagnose run
+    tables = {}
+
+    def recording_csv_text(columns, rows):
+        rows = list(rows)
+        tables.setdefault(tuple(columns), []).extend(rows)
+        return csv_text(columns, rows)
+
+    monkeypatch.setattr(experiment, "csv_text", recording_csv_text)
+    monkeypatch.setattr(cli, "csv_text", recording_csv_text)
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert main(["diagnose", "--config", str(path), "--output-dir", str(out),
+                 "--snapshot", str(out / "snapshots" / "fedhpd-d4-seed20-agent-1.fhpd"),
+                 "--states", str(out / "states.txt"), "--set", "diag.samples = 4",
+                 "--set", "diag.repeats = 1", "--set", "diag.pairs = 2"]) == 0
+    assert sorted(tables) == sorted(
+        tuple(columns) for columns in (METRICS_COLUMNS, SUMMARY_COLUMNS, DIAGNOSTICS_COLUMNS))
+    for columns, rows in tables.items():
+        # a key outside the columns would never be written ...
+        assert {key for row in rows for key in row} <= set(columns)
+        # ... and a misspelt key would leave its column blank on every row
+        blank = [c for c in columns if all(experiment.fmt(row.get(c)) == "" for row in rows)]
+        assert blank == []
 
 
 def test_cli_diagnose_uses_configured_gamma(tmp_path):
@@ -445,6 +476,66 @@ def test_cli_diagnose_self_consensus(tmp_path):
         assert main([*diagnose, "--output-dir", str(other), "--set",
                      f"diag.samples = {samples}", "--set", f"diag.repeats = {repeats}"]) == 0
         assert (other / "diagnostics.csv").read_text().splitlines()[-1] == SMOOTHNESS_ROW
+
+
+def test_rerun_removes_the_stale_failures_and_metrics_of_an_earlier_run(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+
+    def train(learning_rate):
+        return main(["train", "--config", str(path), "--output-dir", str(out),
+                     "--set", f'agents.spec = "4:relu@{learning_rate}"'])
+
+    names = ["run-fedhpd-d4-seed20.csv", "run-fedhpd-d4-seed25.csv",
+             "run-nofed-seed20.csv", "run-nofed-seed25.csv"]
+    assert train("1e-3") == 0
+    assert sorted(p.name for p in out.glob("run-*.csv")) == names
+    # every cell blows up: none of the first run's metrics CSVs may remain
+    assert train("1e300") == 3
+    assert sorted(line.split(":")[0] for line in
+                  (out / "failures.txt").read_text().splitlines()) == names
+    assert not list(out.glob("run-*.csv"))
+    # a clean run into the same directory leaves no failures behind
+    assert train("1e-3") == 0
+    assert not (out / "failures.txt").exists()
+    assert sorted(p.name for p in out.glob("run-*.csv")) == names
+
+
+def test_rerun_fails_on_a_stale_failures_file_it_cannot_remove(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "failures.txt").mkdir(parents=True)  # a directory: unlink fails
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 4
+
+
+PINNED_CONFIG = """
+env.kind = "cartpole-discrete"
+run.rounds = 6
+run.seeds = 20, 25
+fed.d = 2
+agents.preset = "cartpole-4"
+states.size = 16
+states.warmup_rounds = 0
+states.rollouts = 2
+"""
+
+# sha256 of the CSVs `PINNED_CONFIG` trains, as written by the version that
+# still built positional CSV rows; a change here is a schema or numeric change
+PINNED_CSV_SHA256 = {
+    "run-fedhpd-d2-seed20.csv": "f267d7e13ce3bf8a47589e10097b16f27c448c13a2a0f6714cc774734e9642bb",
+    "run-fedhpd-d2-seed25.csv": "99f1797c92b07035dd3e135024b410521ef7117974d21b09bec89e9d49ecae76",
+    "run-nofed-seed20.csv": "efca2002806dba5940f46f1f339da0f6e5de92f5b1c0d00377afe1c4f07e1767",
+    "run-nofed-seed25.csv": "cfb3373144eb8f4dde969b38fc04cf4b8ad72847ec3028e2352e3affe40d3848",
+    "summary.csv": "0598f02966978c0df35007cf06d46f768be41994c4a95c777927adcd732e656f",
+}
+
+
+def test_train_csvs_keep_their_pinned_bytes(tmp_path):
+    path = write_config(tmp_path, PINNED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == PINNED_CSV_SHA256
 
 
 def test_experiment_cells_enumeration():

@@ -9,7 +9,7 @@ from fedhpd.federation import (
     FedRunConfig,
     aggregate,
     distillation_round,
-    distillation_rounds,
+    fires,
     run,
 )
 from fedhpd.nn_core import adam_step
@@ -178,10 +178,10 @@ def test_distillation_byte_volume_matches_wire_format():
 
 
 def test_distillation_round_schedule():
-    assert distillation_rounds(10, 5) == [4, 9]
-    assert distillation_rounds(10, 3) == [2, 5, 8]
-    assert distillation_rounds(10, None) == []
-    assert distillation_rounds(5, 11) == []
+    assert [i for i in range(10) if fires(i, 5)] == [4, 9]
+    assert [i for i in range(10) if fires(i, 3)] == [2, 5, 8]
+    assert [i for i in range(10) if fires(i, None)] == []
+    assert [i for i in range(5) if fires(i, 11)] == []
 
 
 def run_config(rounds=6, k=2):

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedhpd.env import EnvSpec
@@ -343,6 +343,7 @@ def test_kl_categorical_rejects_length_mismatch():
     st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
     st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
 )
+@example(raw_p=[0.010000000000000002, 0.01], raw_q=[0.01, 0.01])  # unclamped: -1.1e-16
 @settings(max_examples=200, deadline=None)
 def test_kl_categorical_nonnegative(raw_p, raw_q):
     size = min(len(raw_p), len(raw_q))
