@@ -6,8 +6,8 @@
     fedhpd diagnose       --config exp.cfg --snapshot net.fhpd [--states f]
                           [--consensus batch.bin]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error (including
-failed sweep cells), 4 file I/O error.
+Exit codes: 0 success, 2 configuration error (including running out of
+memory), 3 numeric error (including failed sweep cells), 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .diagnostics import chebyshev_samples, gradient_variance, lipschitz_probe
 from .env import EnvSpec, load_state_set
 from .errors import ArtifactIOError, ConfigurationError, NumericError
 from .experiment import (
+    SIZE_KEYS,
     ExperimentConfig,
     csv_text,
     load_experiment_config,
@@ -196,6 +197,10 @@ def main(argv=None) -> int:
     except ArtifactIOError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print(f"configuration error: out of memory; lower {', '.join(SIZE_KEYS)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,16 +8,17 @@ Configs are flat text files of dotted keys (diff-friendly, no nesting):
     fed.d = 5, 10, 20
     agents.preset = "cartpole-4"
 
-Every known key has a default, and its values must have the default's type;
-unknown keys and mistyped values are rejected by name before any computation
-starts. A training invocation expands into a grid of cells
-(mode, interval, seed) - the NoFed baseline plus one federated variant per
-interval. `run_cell` turns a finished cell into its summary row and one list
-of (relative path, contents): the metrics CSV, the snapshots and any kept
-consensus broadcasts, which `train_experiment` writes in one loop. Every CSV
-table (metrics, `summary.csv`, `diagnostics.csv`) is a column list and dict
-rows, formatted by `csv_text`: a key a row lacks is a blank field, and reals
-are printed with 17 significant digits so comparisons reproduce exactly.
+Every known key has a default and a range (`_KEYS`); an unknown key, or a
+value of another type or out of range, is rejected by name before any work
+starts. A training invocation expands into a grid of cells (mode, interval,
+seed) - the NoFed baseline plus one federated variant per interval. `run_cell`
+turns a finished cell into its summary row and one list of (relative path,
+contents): the metrics CSV, the snapshots and any kept consensus broadcasts,
+which `train_experiment` writes in one loop after removing the cell's stale
+files. Every CSV table (metrics, `summary.csv`, `diagnostics.csv`) is a column
+list and dict rows, formatted by `csv_text`: a key a row lacks is a blank
+field, and reals are printed with 17 significant digits so comparisons
+reproduce exactly.
 
 The cells of a grid share their lineup, so they train together in lockstep
 (`run_group`, `federation.run`): one group at `run.workers = 1`, otherwise the
@@ -33,7 +34,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,41 +43,48 @@ from .env import ENV_KINDS, EnvSpec, PublicStateSet, load_state_set, save_state_
 from .errors import ArtifactIOError, ConfigurationError
 from .federation import FedRunConfig, RunResult, run
 from .nn_core import ACTIVATIONS
-from .presets import PRESET_NAMES, preset_agents, preset_env
+from .presets import PRESET_ENVS, preset_agents
 from .public_states import generate_public_states
 from .reinforce import AgentConfig
 
 # ------------------------------------------------------------------ config keys
 
-_KEY_DEFAULTS = {
-    "env.kind": "cartpole-discrete",
-    "env.max_steps": 500,
-    "run.rounds": 600,
-    "run.seeds": [20, 25, 30, 35, 40],
-    "run.gamma": 0.99,
-    "run.workers": 1,
-    "run.output_dir": "runs",
-    "run.episodes_per_round": 1,
-    "run.reward_to_go": False,
-    "run.dump_consensus": False,
-    "fed.d": [5, 10, 20],
-    "fed.include_nofed": True,
-    "agents.preset": "cartpole-4",
-    "agents.spec": "",
-    "states.source": "generate",
-    "states.path": "",
-    "states.size": 512,
-    "states.warmup_rounds": 200,
-    "states.rollouts": 20,
-    "states.seed": 7,
-    "diag.samples": 64,
-    "diag.repeats": 3,
-    "diag.pairs": 200,
-    "diag.radius": 0.05,
-    "diag.epsilon": 0.1,
-    "diag.delta": 0.05,
-    "diag.seed": 99,
+# key: (default, least, greatest): inclusive integer and exclusive real bounds,
+# on each entry of a list; a string takes one of its bounds; None is no bound.
+# Each size ceiling keeps a run under about 1 GB of resident memory (README).
+_KEYS = {
+    "env.kind": ("cartpole-discrete", *ENV_KINDS),
+    "env.max_steps": (500, 1, 5_000),
+    "run.rounds": (600, 1, 20_000),
+    "run.seeds": ([20, 25, 30, 35, 40], 0, None),
+    "run.gamma": (0.99, 0.0, 1.0),
+    "run.workers": (1, 1, 10),
+    "run.output_dir": ("runs", None, None),
+    "run.episodes_per_round": (1, 1, 100),
+    "run.reward_to_go": (False, None, None),
+    "run.dump_consensus": (False, None, None),
+    "fed.d": ([5, 10, 20], 1, None),
+    "fed.include_nofed": (True, None, None),
+    "agents.preset": ("cartpole-4", None, None),
+    "agents.spec": ("", None, None),
+    "states.source": ("generate", "generate", "file"),
+    "states.path": ("", None, None),
+    "states.size": (512, 1, 200_000),
+    "states.warmup_rounds": (200, 0, 500_000),
+    "states.rollouts": (20, 1, 100_000),
+    "states.seed": (7, 0, None),
+    "diag.samples": (64, 2, 20_000),
+    "diag.repeats": (3, 1, 10_000),
+    "diag.pairs": (200, 1, 2_000_000),
+    "diag.radius": (0.05, 0.0, math.inf),
+    "diag.epsilon": (0.1, 0.0, math.inf),
+    "diag.delta": (0.05, 0.0, math.inf),
+    "diag.seed": (99, 0, None),
 }
+
+# the widest `agents.spec` hidden layer, and the keys that size a run's arrays
+MAX_WIDTH = 500
+SIZE_KEYS = [key for key, (_, _, most) in _KEYS.items() if type(most) is int] + ["agents.spec"]
 
 
 # a quoted string (kept whole) or a comment from '#' to the end of the line
@@ -90,14 +98,11 @@ def _parse_scalar(raw: str):
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -111,17 +116,13 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigurationError(f"config line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_DEFAULTS:
+        if key not in _KEYS:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
         if "," in raw and not (raw.strip().startswith(("'", '"'))):
             values[key] = [_parse_scalar(part) for part in raw.split(",")]
         else:
             values[key] = _parse_scalar(raw)
     return values
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -132,12 +133,29 @@ def _is_real(value) -> bool:
         return False
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, list) else [value]
+def _check(key: str, value) -> None:
+    """Reject, naming `key`, a value that does not fit the key's `_KEYS` entry."""
+    default, least, greatest = _KEYS[key]
+    is_list = isinstance(default, list)
+    kind = type(default[0] if is_list else default)
+    for entry in value if is_list else [value]:
+        if kind is str:
+            ok = type(entry) is str and (least is None or entry in (least, greatest))
+            wanted = "a quoted string" if least is None else f"{least!r} or {greatest!r}"
+        elif kind is bool:
+            ok, wanted = type(entry) is bool, "true or false"
+        elif kind is float:
+            ok = _is_real(entry) and least < entry < greatest
+            wanted = f"a finite number in ({least}, {greatest})"
+        else:
+            ok = type(entry) is int and least <= entry and (greatest is None or entry <= greatest)
+            wanted = (f"an integer >= {least}" if greatest is None
+                      else f"an integer in [{least}, {greatest}]")
+        if not ok:
+            raise ConfigurationError(f"{key}: {'each entry ' if is_list else ''}must be {wanted}")
 
 
-def parse_agent_spec(spec: str, episodes_per_round: int, reward_to_go: bool,
-                     gamma: float) -> list[AgentConfig]:
+def parse_agent_spec(spec: str) -> list[AgentConfig]:
     """Inline lineup grammar: '64:relu@1e-3; 16x16:relu,tanh@2e-3'."""
     agents = []
     for i, entry in enumerate(part for part in spec.split(";") if part.strip()):
@@ -157,9 +175,9 @@ def parse_agent_spec(spec: str, episodes_per_round: int, reward_to_go: bool,
                 f"but {len(acts)} activations"
             )
         for width, act in zip(widths, acts):
-            if width < 1:
-                raise ConfigurationError(
-                    f"agents.spec entry {entry.strip()!r}: width {width} is not positive")
+            if not 1 <= width <= MAX_WIDTH:
+                raise ConfigurationError(f"agents.spec entry {entry.strip()!r}: width "
+                                         f"{width} is not in [1, {MAX_WIDTH}]")
             if act not in ACTIVATIONS:
                 raise ConfigurationError(
                     f"agents.spec entry {entry.strip()!r}: unknown activation {act!r}; "
@@ -169,9 +187,6 @@ def parse_agent_spec(spec: str, episodes_per_round: int, reward_to_go: bool,
                 agent_id=f"agent-{i + 1}",
                 hidden=list(zip(widths, acts)),
                 learning_rate=lr,
-                episodes_per_round=episodes_per_round,
-                reward_to_go=reward_to_go,
-                gamma=gamma,
             )
         )
     if not agents:
@@ -184,66 +199,28 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(_KEY_DEFAULTS)
-        merged.update(self.values)
-        self.values = merged
-        self._validate()
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def _fail(self, key, message):
-        raise ConfigurationError(f"{key}: {message}")
-
-    def _validate(self):
-        v = self.values
+        v = self.values = {**{key: default for key, (default, _, _) in _KEYS.items()},
+                           **self.values}
         for key in v:
-            if key not in _KEY_DEFAULTS:
-                self._fail(key, "unknown config key")
-        for key, default in _KEY_DEFAULTS.items():
-            value = v[key]
-            if isinstance(default, str) and not isinstance(value, str):
-                self._fail(key, "must be a quoted string")
-            elif isinstance(default, bool) and not isinstance(value, bool):
-                self._fail(key, "must be true or false")
-            elif isinstance(default, float) and not _is_real(value):
-                self._fail(key, "must be a finite number")
-            elif _is_int(default) and not (_is_int(value) and value >= 0):
-                self._fail(key, "must be a non-negative integer")
-        if v["env.kind"] not in ENV_KINDS:
-            self._fail("env.kind", f"must be one of {', '.join(ENV_KINDS)}")
-        for key in ("env.max_steps", "run.rounds", "run.workers",
-                    "run.episodes_per_round", "states.size", "states.rollouts",
-                    "diag.repeats", "diag.pairs"):
-            if v[key] < 1:
-                self._fail(key, "must be a positive integer")
-        if v["diag.samples"] < 2:
-            self._fail("diag.samples", "must be at least 2: a variance needs two samples")
-        if not (0.0 < float(v["run.gamma"]) < 1.0):
-            self._fail("run.gamma", "must lie in (0, 1)")
-        seeds = _as_list(v["run.seeds"])
-        if not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
-            self._fail("run.seeds", "must be one or more non-negative integers")
-        v["run.seeds"] = seeds
-        ds = _as_list(v["fed.d"])
-        if not all(_is_int(d) and d >= 1 for d in ds):
-            self._fail("fed.d", "intervals must be integers >= 1")
-        for key, values in (("run.seeds", seeds), ("fed.d", ds)):
-            repeated = sorted({x for x in values if values.count(x) > 1})
+            if key not in _KEYS:
+                raise ConfigurationError(f"{key}: unknown config key")
+        for key, (default, _, _) in _KEYS.items():
+            if isinstance(default, list):
+                v[key] = list(v[key]) if isinstance(v[key], list) else [v[key]]
+            _check(key, v[key])
+        if not v["run.seeds"]:
+            raise ConfigurationError("run.seeds: must name at least one seed")
+        for key in ("run.seeds", "fed.d"):
+            repeated = sorted({x for x in v[key] if v[key].count(x) > 1})
             if repeated:
-                self._fail(key, f"duplicate entries {', '.join(map(str, repeated))}; "
-                                "each cell would run and write its files more than once")
-        if any(d > v["run.rounds"] for d in ds):
-            self._fail("fed.d", "intervals beyond run.rounds never fire; drop them "
-                                "or use fed.include_nofed")
-        v["fed.d"] = ds
-        if v["states.source"] not in ("generate", "file"):
-            self._fail("states.source", "must be 'generate' or 'file'")
+                raise ConfigurationError(
+                    f"{key}: duplicate entries {', '.join(map(str, repeated))}; each cell "
+                    "would run and write its files more than once")
+        if any(d > v["run.rounds"] for d in v["fed.d"]):
+            raise ConfigurationError("fed.d: intervals beyond run.rounds never fire; drop them "
+                                     "or use fed.include_nofed")
         if v["states.source"] == "file" and not v["states.path"]:
-            self._fail("states.path", "required when states.source = 'file'")
-        for key in ("diag.radius", "diag.epsilon", "diag.delta"):
-            if not float(v[key]) > 0.0:
-                self._fail(key, "must be positive")
+            raise ConfigurationError("states.path: required when states.source = 'file'")
         epsilon, delta = float(v["diag.epsilon"]), float(v["diag.delta"])
         if delta * epsilon * epsilon == 0.0:  # as `chebyshev_samples` forms it
             raise ConfigurationError(
@@ -251,24 +228,24 @@ class ExperimentConfig:
                 "underflows to 0, so the sample count Var / (delta * epsilon^2) is too "
                 "large for a float")
         if not v["agents.spec"]:
-            if v["agents.preset"] not in PRESET_NAMES:
-                self._fail("agents.preset", f"must be one of {', '.join(PRESET_NAMES)}")
-            if preset_env(v["agents.preset"]) != v["env.kind"]:
-                self._fail("agents.preset", f"is not a lineup for {v['env.kind']}")
+            if v["agents.preset"] not in PRESET_ENVS:
+                raise ConfigurationError(f"agents.preset: must be one of {', '.join(PRESET_ENVS)}")
+            if PRESET_ENVS[v["agents.preset"]] != v["env.kind"]:
+                raise ConfigurationError(f"agents.preset: is not a lineup for {v['env.kind']}")
         # build once so per-agent validation fires before any run starts
         self.agent_configs()
 
+    def __getitem__(self, key: str):
+        return self.values[key]
+
     def agent_configs(self) -> list[AgentConfig]:
+        """The lineup, each agent with this config's run knobs."""
         v = self.values
-        if v["agents.spec"]:
-            return parse_agent_spec(
-                v["agents.spec"], v["run.episodes_per_round"],
-                v["run.reward_to_go"], float(v["run.gamma"]),
-            )
-        return preset_agents(
-            v["agents.preset"], v["run.episodes_per_round"],
-            v["run.reward_to_go"], float(v["run.gamma"]),
-        )
+        lineup = (parse_agent_spec(v["agents.spec"]) if v["agents.spec"]
+                  else preset_agents(v["agents.preset"]))
+        return [replace(agent, episodes_per_round=v["run.episodes_per_round"],
+                        reward_to_go=v["run.reward_to_go"], gamma=float(v["run.gamma"]))
+                for agent in lineup]
 
     def resolved_text(self) -> str:
         lines = []
@@ -338,8 +315,12 @@ class Cell:
         return "nofed" if self.interval is None else f"fedhpd-d{self.interval}"
 
     @property
+    def stem(self) -> str:
+        return f"{self.run_id}-seed{self.seed}"
+
+    @property
     def file_name(self) -> str:
-        return f"run-{self.run_id}-seed{self.seed}.csv"
+        return f"run-{self.stem}.csv"
 
 
 def experiment_cells(config: ExperimentConfig) -> list[Cell]:
@@ -382,28 +363,29 @@ def run_cell(cell: Cell, result: RunResult) -> dict:
     as (path in the output directory, contents): metrics CSV, snapshots, kept broadcasts."""
     system = result.system_returns()
     window = min(FINAL_WINDOW, system.size)
-    stem = f"{cell.run_id}-seed{cell.seed}"
     return {
         "cell": cell,
         "summary": {"mode": cell.mode, "d": cell.interval, "seed": cell.seed,
                     "final_window_mean": float(system[-window:].mean()),
                     "overall_mean": float(system.mean())},
         "files": [(cell.file_name, csv_text(METRICS_COLUMNS, metrics_rows(cell, result)))]
-        + [(f"snapshots/{stem}-{agent_id}.fhpd", blob)
+        + [(f"snapshots/{cell.stem}-{agent_id}.fhpd", blob)
            for agent_id, blob in zip(result.agent_ids, result.final_snapshots)]
-        + [(f"consensus/{stem}-round{i}.bin", record.broadcast)
+        + [(f"consensus/{cell.stem}-round{i}.bin", record.broadcast)
            for i, record in result.consensus_records.items() if record.broadcast is not None],
     }
 
 
 def _cell_outcome(cell: Cell, result) -> dict:
     """A finished cell's outputs, or its failure; cell failures are recorded,
-    not fatal."""
+    not fatal, but running out of memory is."""
     try:
         if not isinstance(result, Exception):
             return run_cell(cell, result)
     except Exception as exc:
         result = exc
+    if isinstance(result, MemoryError):  # a resource fault, not the cell's: `cli.main` names it
+        raise result
     return {"cell": cell, "error": f"{type(result).__name__}: {result}"}
 
 
@@ -499,11 +481,17 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     written = []
     for outcome in outcomes:
         cell = outcome["cell"]
+        files = dict(outcome.get("files", ()))
+        # an earlier run's file of this cell that this run does not write is stale
+        for pattern in (cell.file_name, f"snapshots/{cell.stem}-*.fhpd",
+                        f"consensus/{cell.stem}-round*.bin"):
+            for path in output_dir.glob(pattern):
+                if path.relative_to(output_dir).as_posix() not in files:
+                    write_file(path, None)
         if "error" in outcome:
             failures.append(f"{cell.file_name}: {outcome['error']}")
-            write_file(output_dir / cell.file_name, None)  # an earlier run's, now stale
             continue
-        for name, data in outcome["files"]:
+        for name, data in files.items():
             write_file(output_dir / name, data)
         written.append(output_dir / cell.file_name)
         summary_rows.append(outcome["summary"])

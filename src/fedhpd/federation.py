@@ -144,6 +144,7 @@ def fires(round_index: int, interval: int | None) -> bool:
     return interval is not None and (round_index + 1) % interval == 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness checks name the fault
 def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
         states: PublicStateSet | None, trace_params: bool = False,
         keep_broadcasts: bool = False) -> list:
@@ -156,8 +157,9 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
     each cell runs its own distillation if its interval fires. A cell whose
     code raises stops there: its slot holds its first failing agent's
     exception instead of a `RunResult`, and the others run on with exactly
-    the numbers they would have had alone. Each consensus record keeps its
-    broadcast bytes only with `keep_broadcasts`.
+    the numbers they would have had alone. A `MemoryError` is raised, not
+    recorded: it is the run's sizes at fault, not the cell. Each consensus
+    record keeps its broadcast bytes only with `keep_broadcasts`.
     """
     intervals = [interval for interval, _ in cells]
     if any(d is not None and d < 1 for d in intervals):
@@ -186,6 +188,8 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
                 result = results[c]
                 if not isinstance(result, RunResult):  # an earlier slot failed
                     continue
+                if isinstance(stats, MemoryError):  # a resource fault, not the cell's
+                    raise stats
                 if isinstance(stats, Exception):
                     results[c] = stats
                 else:
@@ -196,6 +200,8 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
             if fires(i, intervals[c]):
                 try:
                     record = distillation_round(agents[c], states)
+                except MemoryError:
+                    raise
                 except Exception as exc:
                     results[c] = exc
                     continue

@@ -51,10 +51,10 @@ _PRESET_TABLES = {
 }
 
 PRESET_NAMES = tuple(_PRESET_TABLES)
+PRESET_ENVS = {name: env for name, (env, _) in _PRESET_TABLES.items()}
 
 
-def preset_agents(name: str, episodes_per_round: int = 1, reward_to_go: bool = False,
-                  gamma: float = 0.99) -> list[AgentConfig]:
+def preset_agents(name: str) -> list[AgentConfig]:
     if name not in _PRESET_TABLES:
         raise ConfigurationError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
@@ -64,15 +64,6 @@ def preset_agents(name: str, episodes_per_round: int = 1, reward_to_go: bool = F
             agent_id=agent_id,
             hidden=[tuple(layer) for layer in hidden],
             learning_rate=lr,
-            episodes_per_round=episodes_per_round,
-            reward_to_go=reward_to_go,
-            gamma=gamma,
         )
         for agent_id, hidden, lr in _PRESET_TABLES[name][1]
     ]
-
-
-def preset_env(name: str) -> str:
-    if name not in _PRESET_TABLES:
-        raise ConfigurationError(f"unknown preset {name!r}")
-    return _PRESET_TABLES[name][0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import re
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from fedhpd.env import PublicStateSet, save_state_set
 from fedhpd.errors import ConfigurationError
 from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes
 from fedhpd.experiment import (
-    _KEY_DEFAULTS,
+    _KEYS,
+    MAX_WIDTH,
     METRICS_COLUMNS,
+    SIZE_KEYS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
     csv_text,
@@ -110,20 +113,82 @@ def test_config_values_are_type_checked_by_name(line):
         load_experiment_config(None, [line])
 
 
+def readme_cells(default, least, greatest):
+    """The default and range cells of a key's README row."""
+    kind = type(default[0] if isinstance(default, list) else default)
+    if kind is bool:
+        shown = "true" if default else "false"
+    else:
+        shown = ", ".join(map(str, default)) if isinstance(default, list) else str(default)
+    if least is None:
+        span = ""
+    elif kind is str:
+        span = f"`{least}` or `{greatest}`"
+    elif kind is float:
+        span = f"({least:g}, {greatest:g})" if greatest < math.inf else f"> {least:g}"
+    else:
+        span = f"{least} to {greatest:,}" if greatest is not None else f">= {least}"
+    return f"`{shown}`" if shown else "", span
+
+
 def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    documented = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", readme, flags=re.MULTILINE)
-    assert sorted(documented) == sorted(_KEY_DEFAULTS)
+    rows = {cells[0].strip("`"): tuple(cells[1:3]) for cells in (
+        [cell.strip() for cell in line.split("|")[1:-1]] for line in readme.splitlines()
+        if re.match(r"\| `[a-z_]+\.[a-z_]+` \|", line))}
+    assert sorted(rows) == sorted(_KEYS)
+    for key, cells in rows.items():
+        assert cells == readme_cells(*_KEYS[key]), key
+
+
+@pytest.mark.parametrize("key,ceiling", [
+    (key, MAX_WIDTH if key == "agents.spec" else _KEYS[key][2]) for key in SIZE_KEYS])
+def test_a_size_above_its_ceiling_is_a_config_error_by_name(tmp_path, capsys, key, ceiling):
+    def setting(value):
+        return f'agents.spec = "{value}:relu@1e-3"' if key == "agents.spec" else f"{key} = {value}"
+
+    ExperimentConfig(parse_config_text(setting(ceiling)))  # the ceiling itself is accepted
+    out = tmp_path / "out"
+    assert main(["train", "--output-dir", str(out), "--set", setting(ceiling + 1)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["states.size = 4611686018427387904",
+                                     "run.rounds = 4611686018427387904",
+                                     'agents.spec = "4611686018427387904:relu@1e-3"'])
+@pytest.mark.parametrize("command", ["generate-states", "train"])
+def test_a_size_of_two_to_the_62_fails_before_any_work(tmp_path, capsys, setting, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", setting]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {setting.split()[0]}")
+    assert not out.exists()
+
+
+def test_running_out_of_memory_is_a_config_error_naming_the_sizes(tmp_path, capsys,
+                                                                  monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("fedhpd.federation.distillation_round", exhausted)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out of memory; lower ")
+    assert all(key in err for key in SIZE_KEYS)
+    assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
 
 
 def test_agent_spec_grammar():
-    agents = parse_agent_spec("64:relu@1e-3; 16x16:relu,tanh@2e-3", 1, False, 0.99)
+    agents = parse_agent_spec("64:relu@1e-3; 16x16:relu,tanh@2e-3")
     assert [a.agent_id for a in agents] == ["agent-1", "agent-2"]
     assert agents[0].hidden == [(64, "relu")]
     assert agents[1].hidden == [(16, "relu"), (16, "tanh")]
     assert agents[1].learning_rate == 2e-3
     with pytest.raises(ConfigurationError):
-        parse_agent_spec("16x16:relu,tanh,relu@1e-3", 1, False, 0.99)
+        parse_agent_spec("16x16:relu,tanh,relu@1e-3")
     for spec in ("0:relu@1e-3", "8x-2:relu@1e-3", "4:sigmoid@1e-3"):
         with pytest.raises(ConfigurationError, match="agents.spec"):
             load_experiment_config(None, [f'agents.spec = "{spec}"'])
@@ -484,27 +549,48 @@ def test_rerun_removes_the_stale_failures_and_metrics_of_an_earlier_run(tmp_path
 
     def train(learning_rate):
         return main(["train", "--config", str(path), "--output-dir", str(out),
-                     "--set", f'agents.spec = "4:relu@{learning_rate}"'])
+                     "--set", f'agents.spec = "4:relu@{learning_rate}"',
+                     "--set", "run.dump_consensus = true"])
+
+    def cell_files():
+        return sorted(p.relative_to(out).as_posix() for pattern in (
+            "run-*.csv", "snapshots/*", "consensus/*") for p in out.glob(pattern))
 
     names = ["run-fedhpd-d4-seed20.csv", "run-fedhpd-d4-seed25.csv",
              "run-nofed-seed20.csv", "run-nofed-seed25.csv"]
     assert train("1e-3") == 0
     assert sorted(p.name for p in out.glob("run-*.csv")) == names
-    # every cell blows up: none of the first run's metrics CSVs may remain
+    files = cell_files()
+    assert len(files) == 4 + 4 + 4  # metrics, one snapshot per agent, two dumps per seed
+    # every cell blows up: none of the first run's metrics CSVs, snapshots or
+    # consensus dumps may remain
     assert train("1e300") == 3
-    assert sorted(line.split(":")[0] for line in
-                  (out / "failures.txt").read_text().splitlines()) == names
-    assert not list(out.glob("run-*.csv"))
+    failures = (out / "failures.txt").read_text().splitlines()
+    assert sorted(line.split(":")[0] for line in failures) == names
+    # the package's own finiteness check names the fault, whatever the
+    # warnings filter (here pytest's error::RuntimeWarning)
+    assert all(": NumericError: " in line for line in failures)
+    assert cell_files() == []
     # a clean run into the same directory leaves no failures behind
     assert train("1e-3") == 0
     assert not (out / "failures.txt").exists()
-    assert sorted(p.name for p in out.glob("run-*.csv")) == names
+    assert cell_files() == files
 
 
 def test_rerun_fails_on_a_stale_failures_file_it_cannot_remove(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
     (out / "failures.txt").mkdir(parents=True)  # a directory: unlink fails
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 4
+
+
+@pytest.mark.parametrize("stale", ["snapshots/nofed-seed20-agent-9.fhpd",
+                                   "consensus/fedhpd-d4-seed25-round1.bin"])
+def test_rerun_fails_on_a_stale_cell_file_it_cannot_remove(tmp_path, stale):
+    # a file of a cell this run trains but does not write is an earlier run's
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / stale).mkdir(parents=True)  # a directory: unlink fails
     assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 4
 
 

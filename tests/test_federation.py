@@ -239,3 +239,15 @@ def test_run_config_validation():
         run(run_config(), [(None, 1), (0, 2)], small_states(seed=11))
     with pytest.raises(ConfigurationError, match="public state set"):
         run(run_config(), [(2, 42)], states=None)
+
+
+@pytest.mark.parametrize("target", ["fedhpd.env.step", "fedhpd.federation.distillation_round"])
+def test_running_out_of_memory_is_raised_not_recorded_against_a_cell(monkeypatch, target):
+    states = small_states(seed=11)
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    with pytest.raises(MemoryError):
+        run(run_config(rounds=2), [(None, 1), (1, 2)], states)

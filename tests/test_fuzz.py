@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fedhpd.env import STATE_FILE_HEADER, load_state_set
 from fedhpd.errors import ArtifactIOError, ConfigurationError
-from fedhpd.experiment import _KEY_DEFAULTS, ExperimentConfig, parse_config_text
+from fedhpd.experiment import _KEYS, ExperimentConfig, parse_config_text
 from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes, network_to_bytes
 from fedhpd.policy import DistributionBatch
 
@@ -99,7 +99,7 @@ _VALUES = st.one_of(
     st.sampled_from(["true", "false", '""', '"x"', "1, 2", "0.5, abc", "8:tanh@1e-3",
                      '"4x4:relu@nan"', '"cartpole-continuous"', '"pendulum-4"']),
 )
-_LINES = st.builds("{} = {}".format, st.sampled_from(sorted(_KEY_DEFAULTS)), _VALUES)
+_LINES = st.builds("{} = {}".format, st.sampled_from(sorted(_KEYS)), _VALUES)
 
 
 @given(st.one_of(st.text(max_size=80), st.lists(_LINES, max_size=5).map("\n".join)))
