@@ -131,12 +131,19 @@ def cmd_diagnose(args) -> int:
 
     forward = policy.net.forward(states)  # serves the self-consensus and the KL gradient
     if args.consensus:
+        path = args.consensus
         try:
-            consensus = DistributionBatch.from_bytes(Path(args.consensus).read_bytes())
+            consensus = DistributionBatch.from_bytes(Path(path).read_bytes())
         except OSError as exc:
-            raise ArtifactIOError(f"cannot read consensus {args.consensus}: {exc}") from exc
-        if consensus.kind != policy.kind or consensus.n_states != states.shape[0]:
-            raise ConfigurationError("consensus file does not match snapshot/states")
+            raise ArtifactIOError(f"cannot read consensus {path}: {exc}") from exc
+        except ArtifactIOError as exc:
+            raise ArtifactIOError(f"consensus {path}: {exc}") from exc
+        if (consensus.kind, consensus.n_states, consensus.dim) != (
+                policy.kind, states.shape[0], policy.net.output_dim):
+            raise ConfigurationError(
+                f"consensus {path}: a {consensus.kind} batch of {consensus.n_states} states x "
+                f"{consensus.dim} does not fit the {policy.kind} snapshot's "
+                f"{policy.net.output_dim} outputs on {states.shape[0]} states")
     else:
         consensus = policy.extract_batch(states, forward)
     _, grad_kl = policy.kl_batch_loss(states, consensus, forward)

@@ -210,6 +210,9 @@ class ExperimentConfig:
             _check(key, v[key])
         if not v["run.seeds"]:
             raise ConfigurationError("run.seeds: must name at least one seed")
+        if not v["fed.d"] and not v["fed.include_nofed"]:
+            raise ConfigurationError("fed.d: is empty and fed.include_nofed is false, so the "
+                                     "grid has no cells")
         for key in ("run.seeds", "fed.d"):
             repeated = sorted({x for x in v[key] if v[key].count(x) > 1})
             if repeated:

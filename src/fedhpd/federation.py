@@ -86,7 +86,7 @@ class RunResult:
 
 
 def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
-    """Elementwise mean of distribution batches.
+    """Elementwise mean of distribution batches, each field on its own.
 
     Categorical rows stay on the simplex; Gaussian batches are combined by
     averaging means and variances separately (a single moment-matched
@@ -99,14 +99,8 @@ def aggregate(batches: list[DistributionBatch]) -> DistributionBatch:
     for b in batches:
         if b.kind != kind or (b.n_states, b.dim) != shape:
             raise ConfigurationError("aggregate: mismatched batch kinds or shapes")
-    if kind == "categorical":
-        return DistributionBatch("categorical",
-                                 probs=np.mean([b.probs for b in batches], axis=0))
-    return DistributionBatch(
-        "gaussian",
-        mean=np.mean([b.mean for b in batches], axis=0),
-        var=np.mean([b.var for b in batches], axis=0),
-    )
+    return DistributionBatch.from_fields(
+        kind, [np.mean(matrices, axis=0) for matrices in zip(*(b.fields for b in batches))])
 
 
 def distillation_round(agents: list[Agent], states: PublicStateSet) -> ConsensusRecord:

@@ -361,9 +361,13 @@ def network_from_bytes(blob: bytes) -> tuple[MlpNetwork, np.ndarray]:
 
 
 def load_network(path) -> tuple[MlpNetwork, np.ndarray]:
+    """`network_from_bytes` of the file at `path`; every error names it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise ArtifactIOError(f"cannot read snapshot {path}: {exc}") from exc
-    return network_from_bytes(blob)
+    try:
+        return network_from_bytes(blob)
+    except ArtifactIOError as exc:
+        raise ArtifactIOError(f"snapshot {path}: {exc}") from exc

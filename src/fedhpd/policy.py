@@ -47,18 +47,20 @@ PROB_FLOOR = 1e-12
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
-_KIND_TAGS = {"categorical": 0, "gaussian": 1}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+# each batch kind's matrices in wire order, with the word its errors use; a
+# kind's wire tag is its place in this table
+_FIELDS = {
+    "categorical": {"probs": "probability"},
+    "gaussian": {"mean": "mean", "var": "variance"},
+}
+_TAG_KINDS = list(_FIELDS)
 
 
 @dataclass
 class DistributionBatch:
-    """Per-state action distributions over a public state set.
-
-    kind == "categorical": `probs` is [n_states x n_actions], rows on the
-    simplex. kind == "gaussian": `mean` and `var` are [n_states x a_dim],
-    variances strictly positive.
-    """
+    """Per-state action distributions over a public state set: the matrices
+    `_FIELDS` names for `kind`, each [n_states x dim]. Categorical rows lie
+    on the simplex, and Gaussian variances are strictly positive."""
 
     kind: str
     probs: np.ndarray | None = None
@@ -66,71 +68,64 @@ class DistributionBatch:
     var: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _FIELDS:
+            raise ConfigurationError(f"unknown batch kind {self.kind!r}")
+        words, fields = _FIELDS[self.kind], self.fields
+        if any(m is None or m.ndim != 2 or m.shape != fields[0].shape for m in fields):
+            raise ConfigurationError(
+                f"{self.kind} batch needs 2-D {'/'.join(words)} matrices of one shape")
+        for matrix, word in zip(fields, words.values()):
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+            if bad.size:
+                raise ConfigurationError(f"non-finite {word} in batch row {bad[0]}")
         if self.kind == "categorical":
-            if self.probs is None or self.probs.ndim != 2:
-                raise ConfigurationError("categorical batch needs a 2-D probs matrix")
-            _reject_nonfinite_rows(self.probs, "probability")
             if np.any(self.probs < 0.0):
                 raise ConfigurationError("negative probability in batch")
             if np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-9:
                 raise ConfigurationError("categorical rows must sum to 1")
-        elif self.kind == "gaussian":
-            if (self.mean is None or self.var is None or self.mean.ndim != 2
-                    or self.mean.shape != self.var.shape):
-                raise ConfigurationError("gaussian batch needs matching 2-D mean/var matrices")
-            _reject_nonfinite_rows(self.mean, "mean")
-            _reject_nonfinite_rows(self.var, "variance")
-            if np.any(self.var <= 0.0):
-                raise ConfigurationError("gaussian variances must be positive")
-        else:
-            raise ConfigurationError(f"unknown batch kind {self.kind!r}")
+        elif np.any(self.var <= 0.0):
+            raise ConfigurationError("gaussian variances must be positive")
+
+    @classmethod
+    def from_fields(cls, kind: str, fields) -> "DistributionBatch":
+        """The batch of a `_FIELDS` kind whose matrices, in wire order, are `fields`."""
+        return cls(kind, **dict(zip(_FIELDS[kind], fields)))
+
+    @property
+    def fields(self) -> list[np.ndarray]:
+        """The kind's matrices in wire order."""
+        return [getattr(self, name) for name in _FIELDS[self.kind]]
 
     @property
     def n_states(self) -> int:
-        rows = self.probs if self.kind == "categorical" else self.mean
-        return rows.shape[0]
+        return self.fields[0].shape[0]
 
     @property
     def dim(self) -> int:
-        rows = self.probs if self.kind == "categorical" else self.mean
-        return rows.shape[1]
+        return self.fields[0].shape[1]
 
     def to_bytes(self) -> bytes:
         """Wire format: kind tag u8, n_states u32, dim u32, then f64-LE rows."""
-        head = struct.pack("<BII", _KIND_TAGS[self.kind], self.n_states, self.dim)
-        if self.kind == "categorical":
-            body = self.probs.astype("<f8").tobytes()
-        else:
-            body = self.mean.astype("<f8").tobytes() + self.var.astype("<f8").tobytes()
-        return head + body
+        head = struct.pack("<BII", _TAG_KINDS.index(self.kind), self.n_states, self.dim)
+        return head + b"".join(matrix.astype("<f8").tobytes() for matrix in self.fields)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DistributionBatch":
         if len(blob) < 9 or (len(blob) - 9) % 8:
             raise ArtifactIOError(f"truncated batch of {len(blob)} bytes")
         tag, n, dim = struct.unpack_from("<BII", blob, 0)
-        if tag not in _TAG_KINDS:
+        if tag >= len(_TAG_KINDS):
             raise ArtifactIOError(f"unknown batch kind tag {tag}")
         kind = _TAG_KINDS[tag]
         rows = np.frombuffer(blob, dtype="<f8", offset=9).astype(np.float64)
-        matrices = 1 if kind == "categorical" else 2
         if n == 0 or dim == 0:
             raise ArtifactIOError(f"batch declares {n} states of dimension {dim}")
-        if rows.size != matrices * n * dim:
+        if rows.size != len(_FIELDS[kind]) * n * dim:
             raise ArtifactIOError("batch payload size mismatch")
-        fields = rows.reshape(matrices, n, dim)
         try:
-            if kind == "categorical":
-                return cls(kind, probs=fields[0])
-            return cls(kind, mean=fields[0], var=fields[1])
+            return cls.from_fields(kind, rows.reshape(-1, n, dim))
         except ConfigurationError as exc:
             raise ArtifactIOError(f"invalid batch: {exc}") from exc
-
-
-def _reject_nonfinite_rows(matrix: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ConfigurationError(f"non-finite {what} in batch row {bad[0]}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -286,7 +281,7 @@ class _Head:
 
     def snapshot(self) -> bytes:
         """The network snapshot, with the log-std entries (if any) as its tail."""
-        return network_to_bytes(self.net, self.log_std if self.log_std.size else None)
+        return network_to_bytes(self.net, self.log_std)
 
     def _outputs(self, states: np.ndarray, forward: tuple | None = None) -> np.ndarray:
         outputs = (self.net.forward(states) if forward is None else forward)[0]
@@ -298,9 +293,9 @@ class _Head:
         """d log pi(action | state) for one state vector: one single-row
         forward and backward pass, the head's own entries last."""
         outputs, cache = self.net.forward(state)
-        seed, tail = self.score_seed(outputs, action, log_std=self.log_std)
-        grad = self.net.backward(cache, seed)
-        return grad if tail is None else np.concatenate([grad, tail])
+        seed, tail = self.score_seed(outputs[None], action, log_std=self.log_std)
+        grad = self.net.backward(cache, seed[0])
+        return grad if tail is None else np.concatenate([grad, tail[0]])
 
     def score_grads(self, states: np.ndarray, actions: np.ndarray,
                     forward: tuple | None = None) -> np.ndarray:
@@ -367,15 +362,11 @@ class CategoricalPolicy(_Head):
     @staticmethod
     def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,
                    log_std: None = None) -> tuple[np.ndarray, None]:
-        """d log pi(a|s) with respect to the logits, onehot(a) - probs: for one
-        state and action, or for rows of them, each row scaled by its weight
-        if `weights` is given. The head has no parameters beyond the network,
-        hence the None."""
+        """d log pi(a|s) with respect to the logits, onehot(a) - probs, for rows
+        of states and actions, each scaled by its weight if `weights` is given.
+        The head has no parameters beyond the network, hence the None."""
         seed = -softmax(logits)
-        if seed.ndim == 1:
-            seed[actions] += 1.0
-        else:
-            seed[np.arange(seed.shape[0]), actions] += 1.0
+        seed[np.arange(seed.shape[0]), actions] += 1.0
         if weights is not None:
             seed *= weights[:, None]
         return seed, None
@@ -550,8 +541,7 @@ class PolicyStack:
         every row: clamp a Gaussian log-std. Returns the mask of rows whose
         network parameters are not all finite."""
         n = self.net.num_params
-        if self.params.shape[1] > n:
-            np.clip(self.params[:, n:], LOG_STD_MIN, LOG_STD_MAX, out=self.params[:, n:])
+        np.clip(self.params[:, n:], LOG_STD_MIN, LOG_STD_MAX, out=self.params[:, n:])
         return ~np.isfinite(self.params[:, :n]).all(axis=1)
 
 

@@ -1,5 +1,6 @@
 """Config grammar, sweep execution, CSV schemas, and CLI exit codes."""
 
+import csv
 import dataclasses
 import hashlib
 import math
@@ -29,6 +30,7 @@ from fedhpd.experiment import (
     parse_config_text,
     train_experiment,
 )
+from fedhpd.policy import DistributionBatch
 from oracles import save_network
 
 SMALL_CONFIG = """
@@ -266,6 +268,11 @@ def test_nofed_only_grid_needs_no_state_file(tmp_path):
     outcome = train_experiment(nofed_only, tmp_path / "out2")
     assert len(outcome["metrics_files"]) == 2
     assert not (tmp_path / "out2" / "states.txt").exists()
+
+
+def test_a_grid_with_no_cells_is_a_config_error_naming_both_keys():
+    with pytest.raises(ConfigurationError, match="fed.d: .*fed.include_nofed"):
+        ExperimentConfig({"fed.d": [], "fed.include_nofed": False, "run.rounds": 2})
 
 
 def test_summary_contains_pooled_rows(tmp_path):
@@ -543,6 +550,65 @@ def test_cli_diagnose_self_consensus(tmp_path):
         assert (other / "diagnostics.csv").read_text().splitlines()[-1] == SMOOTHNESS_ROW
 
 
+def test_cli_diagnose_reads_a_dumped_consensus(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "train-out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out),
+                 "--set", "run.dump_consensus = true"]) == 0
+    diagnose = ["diagnose", "--config", str(path), "--states", str(out / "states.txt"),
+                "--snapshot", str(out / "snapshots" / "fedhpd-d4-seed20-agent-1.fhpd"),
+                "--set", "diag.samples = 4", "--set", "diag.repeats = 2",
+                "--set", "diag.pairs = 1"]
+    ratios = {}
+    for name, consensus in (("self", []),
+                            ("dump", ["--consensus", str(out / "consensus" /
+                                                         "fedhpd-d4-seed20-round7.bin")])):
+        assert main([*diagnose, *consensus, "--output-dir", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "diagnostics.csv", newline="") as fh:
+            ratios[name] = [row["grad_norm_ratio"] for row in csv.DictReader(fh)
+                            if row["probe"].startswith("variance")]
+    # the agent's own batch has a vanishing KL gradient; the consensus its
+    # cell broadcast in the last round does not
+    assert ratios["self"] == ["0", "0"]
+    assert all(float(ratio) > 0.0 for ratio in ratios["dump"]) and len(ratios["dump"]) == 2
+
+
+@pytest.mark.parametrize("consensus,code,message", [
+    (DistributionBatch("gaussian", mean=np.zeros((6, 2)), var=np.ones((6, 2))).to_bytes(),
+     2, "a gaussian batch of 6 states x 2 does not fit the categorical snapshot's "
+        "2 outputs on 6 states"),
+    (DistributionBatch("categorical", probs=np.full((5, 2), 0.5)).to_bytes(),
+     2, "a categorical batch of 5 states x 2 does not fit"),
+    (DistributionBatch("categorical", probs=np.tile([0.25, 0.25, 0.5], (6, 1))).to_bytes(),
+     2, "a categorical batch of 6 states x 3 does not fit"),
+    (DistributionBatch("categorical", probs=np.full((6, 2), 0.5)).to_bytes()[:-8],
+     4, "batch payload size mismatch"),
+], ids=["gaussian", "one-state-short", "three-actions", "truncated"])
+def test_cli_diagnose_names_a_consensus_file_that_does_not_fit(tmp_path, capsys, consensus,
+                                                               code, message):
+    # `quick_diagnose` runs a two-action categorical snapshot on six states
+    dump = tmp_path / "consensus.bin"
+    dump.write_bytes(consensus)
+    assert main([*quick_diagnose(tmp_path), "--consensus", str(dump)]) == code
+    err = capsys.readouterr().err
+    prefix = {2: "configuration error", 4: "I/O error"}[code]
+    assert err.startswith(f"{prefix}: consensus {dump}: ")
+    assert message in err
+    assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda blob: blob[:-1], "snapshot payload is not a whole number of f64 values"),
+    (lambda blob: b"XXXX" + blob[4:], "bad snapshot magic"),
+], ids=["truncated", "bad-magic"])
+def test_cli_diagnose_names_a_damaged_snapshot(tmp_path, capsys, damage, message):
+    argv = quick_diagnose(tmp_path)
+    snapshot = Path(argv[argv.index("--snapshot") + 1])
+    snapshot.write_bytes(damage(snapshot.read_bytes()))
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"I/O error: snapshot {snapshot}: {message}\n"
+
+
 def test_rerun_removes_the_stale_failures_and_metrics_of_an_earlier_run(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -605,23 +671,108 @@ states.warmup_rounds = 0
 states.rollouts = 2
 """
 
-# sha256 of the CSVs `PINNED_CONFIG` trains, as written by the version that
-# still built positional CSV rows; a change here is a schema or numeric change
-PINNED_CSV_SHA256 = {
-    "run-fedhpd-d2-seed20.csv": "f267d7e13ce3bf8a47589e10097b16f27c448c13a2a0f6714cc774734e9642bb",
-    "run-fedhpd-d2-seed25.csv": "99f1797c92b07035dd3e135024b410521ef7117974d21b09bec89e9d49ecae76",
-    "run-nofed-seed20.csv": "efca2002806dba5940f46f1f339da0f6e5de92f5b1c0d00377afe1c4f07e1767",
-    "run-nofed-seed25.csv": "cfb3373144eb8f4dde969b38fc04cf4b8ad72847ec3028e2352e3affe40d3848",
-    "summary.csv": "0598f02966978c0df35007cf06d46f768be41994c4a95c777927adcd732e656f",
+# a Gaussian grid whose interval fires, with its consensus broadcasts kept
+PINNED_GAUSSIAN_CONFIG = """
+env.kind = "cartpole-continuous"
+run.rounds = 4
+run.seeds = 20
+fed.d = 2
+run.dump_consensus = true
+agents.preset = "pendulum-4"
+states.size = 16
+states.warmup_rounds = 0
+states.rollouts = 2
+"""
+
+# sha256 of the CSVs, snapshots and consensus dumps each config trains; the
+# cartpole CSVs are as written by the version that still built positional CSV
+# rows. A change here is a schema, wire-format or numeric change.
+PINNED_SHA256 = {
+    "cartpole": (PINNED_CONFIG, {
+        "run-fedhpd-d2-seed20.csv":
+            "f267d7e13ce3bf8a47589e10097b16f27c448c13a2a0f6714cc774734e9642bb",
+        "run-fedhpd-d2-seed25.csv":
+            "99f1797c92b07035dd3e135024b410521ef7117974d21b09bec89e9d49ecae76",
+        "run-nofed-seed20.csv":
+            "efca2002806dba5940f46f1f339da0f6e5de92f5b1c0d00377afe1c4f07e1767",
+        "run-nofed-seed25.csv":
+            "cfb3373144eb8f4dde969b38fc04cf4b8ad72847ec3028e2352e3affe40d3848",
+        "summary.csv":
+            "0598f02966978c0df35007cf06d46f768be41994c4a95c777927adcd732e656f",
+        "snapshots/fedhpd-d2-seed20-agent-1.fhpd":
+            "19eb7bccb8f70b2b44aa23d31eedfa6389ce434ac7ebc4a3f72641d87df3f776",
+        "snapshots/fedhpd-d2-seed20-agent-10.fhpd":
+            "a8e84214f6c7df94aa60b073daa6cc53f42267378399651fd6b56342043c7ee5",
+        "snapshots/fedhpd-d2-seed20-agent-2.fhpd":
+            "5f7e06c07afb2e280946d39c2fb3dc8cb1d6c418514041f937af3a04067523e2",
+        "snapshots/fedhpd-d2-seed20-agent-6.fhpd":
+            "b703e80c4d57d65ac8093037e069cf9a24205535b03a4716f67342fbed135938",
+        "snapshots/fedhpd-d2-seed25-agent-1.fhpd":
+            "28b21b29208f012cd2d510a2e12294eab9234010666288a29e8045121b7d0840",
+        "snapshots/fedhpd-d2-seed25-agent-10.fhpd":
+            "44ef7a5a88ca3303c59fdb36c819425e8504bbcf2ca7a77fa2c3d5aa0e64a31d",
+        "snapshots/fedhpd-d2-seed25-agent-2.fhpd":
+            "72f500124effc2caecef153d762486abfcea50a88e0f76a29f0ce9a7fc0589d3",
+        "snapshots/fedhpd-d2-seed25-agent-6.fhpd":
+            "ea745e913d710d19b0d08aa0a1f28f5c57f75d754d1387cb77d184be765552c1",
+        "snapshots/nofed-seed20-agent-1.fhpd":
+            "35d525c5036b43d971ec332d4788fd2e0adac29d048ffd23c12d40b7419c0e94",
+        "snapshots/nofed-seed20-agent-10.fhpd":
+            "12ef1de773bb89a1af78f3fc650cab068ff96573ca9fc91a1e8348233e4b4b0a",
+        "snapshots/nofed-seed20-agent-2.fhpd":
+            "56ffd45893c03bc6c7564f173a3b153d5c184714a145c63f7ef12f42127cfe32",
+        "snapshots/nofed-seed20-agent-6.fhpd":
+            "33c2a624f7b9ac070475a866401244afc33183921b8eb96ef1cf5a7a38cd07b2",
+        "snapshots/nofed-seed25-agent-1.fhpd":
+            "051ecf09d3f8972e98b51b5fa2522686de5978758dcaf1c425c5d75ff24321d7",
+        "snapshots/nofed-seed25-agent-10.fhpd":
+            "72d0b83f514c379c0928c588e338304c870bd5ed36143ce2064625a301775944",
+        "snapshots/nofed-seed25-agent-2.fhpd":
+            "76fdcdd47ff5385782f0bc1d8faed7d13f1a7813e814b8df32800831f62a1153",
+        "snapshots/nofed-seed25-agent-6.fhpd":
+            "2aba69a2a189dda46aa6444fbe05c9b3c6356e0fa51d5316ead4ae04e800dae2",
+    }),
+    "pendulum": (PINNED_GAUSSIAN_CONFIG, {
+        "run-fedhpd-d2-seed20.csv":
+            "f17e2775b7c2ad9987210797cdcaca3c2ddcb9f6d6cdf942ffc2a771d1d65f56",
+        "run-nofed-seed20.csv":
+            "bb67c17bb21231a9989e2f1d7032cf10ad3f96da380cbe6011ce5dc92f834d40",
+        "summary.csv":
+            "1aac867c8bdbd0d9681b4851b0538f4a53b690b04716b2a4488c1aec936173af",
+        "snapshots/fedhpd-d2-seed20-agent-1.fhpd":
+            "6df320f4fbf4ce8d9af24241eab7ca04f8b6453150e8740eba9c04a7e34c9960",
+        "snapshots/fedhpd-d2-seed20-agent-10.fhpd":
+            "854c3bca8df1dd351ff5318f3f49a72e4482c56a7f3b7b5cae77a8c914b35f7f",
+        "snapshots/fedhpd-d2-seed20-agent-2.fhpd":
+            "1d7b9294605c2cdbcca2ad7d2e214e7deb6e44a5531cfad0c893e93c580fc455",
+        "snapshots/fedhpd-d2-seed20-agent-6.fhpd":
+            "21506cb8f7015249abf925b1643fe9c8a9ce5e25ad31b511f12f6b71e218c5d8",
+        "snapshots/nofed-seed20-agent-1.fhpd":
+            "dbb7d27a26f4ec968ef0a3587c940267479beae305e827ea2bfa45d6326db1c1",
+        "snapshots/nofed-seed20-agent-10.fhpd":
+            "3b524a5e437d8eb873a24c8943854a920cd75826d5237729d5cc2918f78c3d8f",
+        "snapshots/nofed-seed20-agent-2.fhpd":
+            "037c02a5f9d15684c65184043ffffc63895e7e235ef76aafb214a8492af27562",
+        "snapshots/nofed-seed20-agent-6.fhpd":
+            "29d421899d52a7c0c2541a0b7b686e0147261519278dbfa54364edb334a051b0",
+        "consensus/fedhpd-d2-seed20-round1.bin":
+            "1096e3a9f7d62ff6ff5f25dd7251befa8fc11035d1da8c2f5fd512b9b904585f",
+        "consensus/fedhpd-d2-seed20-round3.bin":
+            "a4faaa7d68db2d7f4d641f4b6fce519ea3eb99c9e3a66f841bfd57798107bebc",
+    }),
 }
 
 
-def test_train_csvs_keep_their_pinned_bytes(tmp_path):
-    path = write_config(tmp_path, PINNED_CONFIG)
+@pytest.mark.parametrize("grid", sorted(PINNED_SHA256))
+def test_train_outputs_keep_their_pinned_bytes(tmp_path, grid):
+    text, pinned = PINNED_SHA256[grid]
     out = tmp_path / "out"
-    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
-    assert digests == PINNED_CSV_SHA256
+    assert main(["train", "--config", str(write_config(tmp_path, text)),
+                 "--output-dir", str(out)]) == 0
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for pattern in ("*.csv", "snapshots/*", "consensus/*")
+               for p in sorted(out.glob(pattern))}
+    assert digests == pinned
 
 
 def test_experiment_cells_enumeration():

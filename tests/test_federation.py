@@ -58,6 +58,19 @@ def test_aggregate_gaussian_moments():
     np.testing.assert_allclose(merged.var, 2.0)
 
 
+def test_aggregate_takes_each_fields_own_mean():
+    # nine one-state, one-dimension batches: numpy sums these pairwise in an
+    # order a mean over one stacked [K, 2, 1, 1] array would not keep
+    rng = np.random.default_rng(2)
+    means = [rng.normal(size=(1, 1)) for _ in range(9)]
+    variances = [rng.uniform(0.1, 3.0, (1, 1)) for _ in range(9)]
+    merged = aggregate([DistributionBatch("gaussian", mean=m, var=v)
+                        for m, v in zip(means, variances)])
+    assert merged.kind == "gaussian"
+    assert merged.mean.tobytes() == np.mean(means, axis=0).tobytes()
+    assert merged.var.tobytes() == np.mean(variances, axis=0).tobytes()
+
+
 def test_aggregate_rejects_mismatches():
     with pytest.raises(ConfigurationError):
         aggregate([])
