@@ -16,6 +16,7 @@ the dynamics.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,8 @@ class PublicStateSet:
 
 
 STATE_FILE_HEADER = "# fedhpd-states v1"
+# the whole first line of a state file; the row count in ASCII digits
+_HEADER_LINE = re.compile(rf"{re.escape(STATE_FILE_HEADER)} dim={STATE_DIM} n=([0-9]+)")
 
 
 def save_state_set(states: PublicStateSet, path) -> None:
@@ -166,14 +169,15 @@ def load_state_set(path) -> PublicStateSet:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactIOError(f"cannot read state set {path}: {exc}") from exc
-    if not lines or not lines[0].startswith(STATE_FILE_HEADER):
-        raise ArtifactIOError(f"{path} is not a state-set file")
+    header = _HEADER_LINE.fullmatch(lines[0]) if lines else None
+    if header is None:
+        raise ArtifactIOError(f"{path} is not a state-set file: its first line must be "
+                              f"'{STATE_FILE_HEADER} dim={STATE_DIM} n=<rows>'")
     try:
         states = PublicStateSet(np.array([[float(v) for v in line.split(",")]
                                           for line in lines[1:] if line.strip()]))
     except (ValueError, ConfigurationError) as exc:
         raise ArtifactIOError(f"{path} is not a valid state set: {exc}") from exc
-    declared = lines[0].split("n=")[-1]
-    if declared.strip().isdecimal() and int(declared) != states.size:
-        raise ArtifactIOError(f"{path} declares n={declared} but has {states.size} rows")
+    if int(header[1]) != states.size:
+        raise ArtifactIOError(f"{path} declares n={header[1]} but has {states.size} rows")
     return states

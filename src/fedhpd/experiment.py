@@ -34,7 +34,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +107,10 @@ def _parse_scalar(raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, commas make lists."""
+    """Parse `key = value` lines; '#' starts a comment, commas make lists,
+    and each key may appear once."""
     values = {}
+    linenos = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.sub(lambda m: m.group(1) or "", line).strip()
         if not stripped:
@@ -118,6 +120,10 @@ def parse_config_text(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise ConfigurationError(f"config lines {linenos[key]} and {lineno}: {key} is set "
+                                     "twice; each key may appear once")
+        linenos[key] = lineno
         if "," in raw and not (raw.strip().startswith(("'", '"'))):
             values[key] = [_parse_scalar(part) for part in raw.split(",")]
         else:
@@ -242,13 +248,10 @@ class ExperimentConfig:
         return self.values[key]
 
     def agent_configs(self) -> list[AgentConfig]:
-        """The lineup, each agent with this config's run knobs."""
+        """The lineup: `agents.spec`'s, else the preset's."""
         v = self.values
-        lineup = (parse_agent_spec(v["agents.spec"]) if v["agents.spec"]
-                  else preset_agents(v["agents.preset"]))
-        return [replace(agent, episodes_per_round=v["run.episodes_per_round"],
-                        reward_to_go=v["run.reward_to_go"], gamma=float(v["run.gamma"]))
-                for agent in lineup]
+        return (parse_agent_spec(v["agents.spec"]) if v["agents.spec"]
+                else preset_agents(v["agents.preset"]))
 
     def resolved_text(self) -> str:
         lines = []
@@ -399,10 +402,12 @@ def run_group(args) -> list[dict]:
     try:
         results = run(
             FedRunConfig(
-                env_kind=config["env.kind"],
+                spec=EnvSpec(config["env.kind"], config["env.max_steps"]),
                 rounds=config["run.rounds"],
                 agent_configs=config.agent_configs(),
-                max_steps=config["env.max_steps"],
+                episodes_per_round=config["run.episodes_per_round"],
+                gamma=float(config["run.gamma"]),
+                reward_to_go=config["run.reward_to_go"],
             ),
             [(cell.interval, cell.seed) for cell in cells],
             states,

@@ -16,9 +16,9 @@ function of pre-digestion parameters. Communication is simulated through the
 actual wire format so byte volumes are real, not estimated.
 
 `run` trains the cells of one group together: one `FedRunConfig` (env,
-rounds, lineup) and one (interval, seed) pair per cell. Setting a cell's
-interval to None disables its collaborative phase entirely and reproduces
-independent training bit for bit.
+rounds, lineup, round knobs) and one (interval, seed) pair per cell. Setting
+a cell's interval to None disables its collaborative phase entirely and
+reproduces independent training bit for bit.
 
 Every agent's head follows the environment's action space, so all uploads of
 a run share one batch kind. The server takes the plain elementwise mean, and
@@ -40,23 +40,26 @@ from .reinforce import Agent, AgentConfig, Cohort, make_agents, train_round
 
 @dataclass
 class FedRunConfig:
-    """What the cells of a lockstep group share: the env, T rounds and the
-    lineup of K agents."""
+    """What the cells of a lockstep group share: the env, T rounds, the
+    lineup of K agents, and each local round's episodes per agent, discount
+    and reward-to-go switch."""
 
-    env_kind: str
+    spec: EnvSpec
     rounds: int
     agent_configs: list[AgentConfig]
-    max_steps: int = 500
+    episodes_per_round: int = 1
+    gamma: float = 0.99
+    reward_to_go: bool = False
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
         if not self.agent_configs:
             raise ConfigurationError("a run needs at least one agent")
-
-    @property
-    def spec(self) -> EnvSpec:
-        return EnvSpec(self.env_kind, self.max_steps)
+        if self.episodes_per_round < 1:
+            raise ConfigurationError("episodes_per_round must be >= 1")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigurationError("gamma must be in (0, 1)")
 
 
 @dataclass
@@ -177,7 +180,8 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
         if now != live:  # round 0, or a cell failed: restack the cells left
             live = now
             cohorts = [Cohort([agents[c][k] for c in live]) for k in range(len(lineup))]
-        for k, outcomes in enumerate(train_round(cohorts)):
+        for k, outcomes in enumerate(train_round(cohorts, config.spec, config.episodes_per_round,
+                                                 config.gamma, config.reward_to_go)):
             for c, stats in zip(live, outcomes):
                 result = results[c]
                 if not isinstance(result, RunResult):  # an earlier slot failed

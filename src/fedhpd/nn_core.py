@@ -269,16 +269,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one flat parameter vector, or for
-    the rows of a [B, P] stack with one step count per row."""
+    """First/second moment accumulators and int64 step counts, updated in
+    place: one [P] vector with a [] count, or the rows of a [B, P] stack with
+    one count per row ([B])."""
 
     m: np.ndarray
     v: np.ndarray
-    step_count: int | list[int] = 0
+    step_count: np.ndarray
 
     @classmethod
     def zeros(cls, num_params: int) -> "AdamState":
-        return cls(m=np.zeros(num_params), v=np.zeros(num_params))
+        return cls(np.zeros(num_params), np.zeros(num_params), np.zeros((), np.int64))
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
@@ -293,15 +294,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
         raise ConfigurationError("adam_step shape mismatch")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient in adam_step")
-    # int(t): Python's float power, which numpy's differs from at some step counts
-    if params.ndim == 1:
-        state.step_count = int(state.step_count) + 1
-        c1 = 1.0 - ADAM_BETA1**state.step_count
-        c2 = 1.0 - ADAM_BETA2**state.step_count
-    else:
-        state.step_count = [int(t) + 1 for t in state.step_count]
-        c1 = np.array([[1.0 - ADAM_BETA1**t] for t in state.step_count])
-        c2 = np.array([[1.0 - ADAM_BETA2**t] for t in state.step_count])
+    state.step_count += 1
+    # Python's float power of each count, which numpy's differs from at some
+    # counts; shaped [1] or [B, 1] to broadcast over each row
+    counts = state.step_count.reshape(-1).tolist()
+    shape = state.step_count.shape + (1,)
+    c1 = np.array([1.0 - ADAM_BETA1**t for t in counts]).reshape(shape)
+    c2 = np.array([1.0 - ADAM_BETA2**t for t in counts]).reshape(shape)
     m, v = state.m, state.v
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad

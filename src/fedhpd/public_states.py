@@ -38,7 +38,8 @@ def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: 
     agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
     cohort = Cohort([agent])
     for _ in range(warmup_rounds):
-        raise_failures(train_round([cohort])[0])
+        raise_failures(train_round([cohort], spec, episodes_per_round=1, gamma=0.99,
+                                   reward_to_go=False)[0])
 
     pool = np.concatenate([
         raise_failures(rollout([cohort.policies], spec, [agent.rng]))[0].states

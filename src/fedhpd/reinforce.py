@@ -37,23 +37,17 @@ from .policy import PolicyStack, make_policy
 
 @dataclass
 class AgentConfig:
-    """One heterogeneous agent: hidden stack and training knobs. Its policy
-    head is not configured: it follows the env (`policy.make_policy`)."""
+    """One lineup entry, a heterogeneous agent: hidden stack and learning
+    rate. The knobs of a round (episodes, discount, reward-to-go) are the
+    run's, and its policy head follows the env (`policy.make_policy`)."""
 
     agent_id: str
     hidden: list[tuple[int, str]]  # (width, activation) per hidden layer
     learning_rate: float
-    episodes_per_round: int = 1
-    reward_to_go: bool = False
-    gamma: float = 0.99
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigurationError(f"agent {self.agent_id}: learning rate must be finite, > 0")
-        if self.episodes_per_round < 1:
-            raise ConfigurationError(f"agent {self.agent_id}: episodes_per_round must be >= 1")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigurationError(f"agent {self.agent_id}: gamma must be in (0, 1)")
 
 
 def build_policy(config: AgentConfig, spec: envmod.EnvSpec, rng: np.random.Generator):
@@ -173,17 +167,16 @@ def raise_failures(results: list) -> list:
     return results
 
 
-def collect_trajectories(cohorts: list["Cohort"]) -> list:
-    """`episodes_per_round` episodes from each agent of each cohort (lineup
-    slots of one env), episode e of every cohort in one lockstep `rollout`.
+def collect_trajectories(cohorts: list["Cohort"], spec: envmod.EnvSpec,
+                         episodes_per_round: int) -> list:
+    """`episodes_per_round` episodes on `spec` from each agent of each cohort
+    (lineup slots), episode e of every cohort in one lockstep `rollout`.
     collected[c][j] is agent j of cohort c's episode list, or the exception
     its episode raised (its later episodes still run, and are dropped)."""
-    counts = [cohort.config.episodes_per_round for cohort in cohorts]
     collected: list = [[[] for _ in cohort.agents] for cohort in cohorts]
-    for e in range(max(counts)):
-        part = [c for c, count in enumerate(counts) if e < count]
-        slots = [(c, j) for c in part for j in range(len(cohorts[c].agents))]
-        episodes = rollout([cohorts[c].policies for c in part], cohorts[0].agents[0].spec,
+    slots = [(c, j) for c, cohort in enumerate(cohorts) for j in range(len(cohort.agents))]
+    for _ in range(episodes_per_round):
+        episodes = rollout([cohort.policies for cohort in cohorts], spec,
                            [cohorts[c].agents[j].rng for c, j in slots])
         for (c, j), episode in zip(slots, episodes):
             rows = collected[c][j]
@@ -249,13 +242,13 @@ class Agent:
     def __init__(self, config: AgentConfig, spec: envmod.EnvSpec,
                  seed_seq: np.random.SeedSequence):
         self.config = config
-        self.spec = spec
         self.rng = np.random.Generator(np.random.PCG64(seed_seq))
         self.policy = build_policy(config, spec, self.rng)
         self.adam = AdamState.zeros(self.policy.num_params)
 
     @classmethod
-    def local_round(cls, cohort: "Cohort", collected: list) -> list:
+    def local_round(cls, cohort: "Cohort", collected: list, gamma: float,
+                    reward_to_go: bool) -> list:
         """Gradient and Adam step for a cohort from this round's episodes,
         collected[i] for its agent i: an episode list (empty: left out) or
         the exception an episode raised. Per agent, (mean episode return,
@@ -263,20 +256,16 @@ class Agent:
         episodes = [[] if isinstance(rows, Exception) else rows for rows in collected]
         if not any(episodes):
             return list(collected)
-        config = cohort.config
-        grads = policy_gradient(cohort.policies, episodes, config.gamma, config.reward_to_go)
-        adam = AdamState(cohort.m, cohort.v, [agent.adam.step_count for agent in cohort.agents])
-        failures = local_update(cohort.policies, adam, grads, config.learning_rate)
+        grads = policy_gradient(cohort.policies, episodes, gamma, reward_to_go)
+        failures = local_update(cohort.policies, cohort.adam, grads, cohort.config.learning_rate)
         outcomes = []
-        for agent, step_count, rows, grad, failure in zip(
-                cohort.agents, adam.step_count, collected, grads, failures):
-            agent.adam.step_count = step_count
+        for rows, grad, failure in zip(collected, grads, failures):
             if isinstance(rows, Exception):
                 failure = rows
             elif failure is None and rows:
                 failure = (
                     _mean([float(e.rewards.sum()) for e in rows]),
-                    _mean([envmod.discounted_return(e.rewards, config.gamma) for e in rows]),
+                    _mean([envmod.discounted_return(e.rewards, gamma) for e in rows]),
                     float(np.linalg.norm(grad)),
                 )
             outcomes.append(failure)
@@ -284,35 +273,39 @@ class Agent:
 
 
 class Cohort:
-    """Agent k of every cell of a lockstep group: one lineup slot, so one env
-    and one `AgentConfig` (`config`) but for `agent_id`. Their parameters
-    (`policies`) and Adam moments (`m`, `v`) are the rows of [B, P] arrays,
-    and each agent's policy and moments are views of its row, so stacked
-    steps and per-agent writes (distillation) land in the same place."""
+    """Agent k of every cell of a lockstep group: one lineup slot, so one
+    `AgentConfig` (`config`) but for `agent_id`. Their parameters
+    (`policies`) and Adam state (`adam`: [B, P] moments, [B] step counts)
+    are stacked by row, and each agent's policy and Adam state are views of
+    its row (its count the 0-d `step_count[i, ...]`), so stacked steps and
+    per-agent writes (distillation) land in the same place."""
 
     def __init__(self, agents: list[Agent]):
         first = agents[0]
         for agent in agents[1:]:
-            if (agent.spec, replace(agent.config, agent_id=first.config.agent_id)) != (
-                    first.spec, first.config):
+            if replace(agent.config, agent_id=first.config.agent_id) != first.config:
                 raise ConfigurationError(
                     f"cohort agents {first.config.agent_id} and {agent.config.agent_id} "
-                    "differ in env or training config; a cohort is one lineup slot")
+                    "differ in lineup entry; a cohort is one lineup slot")
         self.agents = list(agents)
         self.config = first.config
         self.policies = PolicyStack([agent.policy for agent in agents])
-        self.m = np.stack([agent.adam.m for agent in agents])
-        self.v = np.stack([agent.adam.v for agent in agents])
-        for agent, m, v in zip(agents, self.m, self.v):
-            agent.adam = AdamState(m, v, agent.adam.step_count)
+        self.adam = AdamState(np.stack([agent.adam.m for agent in agents]),
+                              np.stack([agent.adam.v for agent in agents]),
+                              np.stack([agent.adam.step_count for agent in agents]))
+        for i, agent in enumerate(agents):
+            agent.adam = AdamState(self.adam.m[i], self.adam.v[i], self.adam.step_count[i, ...])
 
 
-def train_round(cohorts: list[Cohort]) -> list:
-    """One local round for cohorts of lineup slots: lockstep episodes, then
-    one stacked gradient and Adam step per cohort (`Agent.local_round`).
-    outcomes[c][j]: agent j of cohort c's outcome or the exception it raised."""
-    return [Agent.local_round(cohort, collected)
-            for cohort, collected in zip(cohorts, collect_trajectories(cohorts))]
+def train_round(cohorts: list[Cohort], spec: envmod.EnvSpec, episodes_per_round: int,
+                gamma: float, reward_to_go: bool) -> list:
+    """One local round on `spec` for cohorts of lineup slots: lockstep
+    episodes, then one stacked gradient and Adam step per cohort
+    (`Agent.local_round`). outcomes[c][j]: agent j of cohort c's outcome or
+    the exception it raised."""
+    collected = collect_trajectories(cohorts, spec, episodes_per_round)
+    return [Agent.local_round(cohort, rows, gamma, reward_to_go)
+            for cohort, rows in zip(cohorts, collected)]
 
 
 def make_agents(configs: list[AgentConfig], spec: envmod.EnvSpec, seed: int) -> list[Agent]:

@@ -82,20 +82,20 @@ def adam_ascent(policy, adam, ascent_grad: np.ndarray, lr: float) -> None:
     policy.set_params(params)
 
 
-def train_independent(agents, rounds: int, trace_params: bool = False) -> dict:
-    """The NoFed baseline: every agent trains alone for `rounds` rounds.
+def train_independent(agents, config, trace_params: bool = False) -> dict:
+    """The NoFed baseline: every agent trains alone for the `config.rounds`
+    rounds of a `FedRunConfig`, with its env and round knobs.
     `stats[i][k]` is agent k's (mean episode return, mean discounted return,
     gradient norm) in round i."""
     stats: list[list[tuple]] = []
     traces: list[list[np.ndarray]] = []
-    for _ in range(rounds):
+    for _ in range(config.rounds):
         per_agent = []
         for agent in agents:
-            config = agent.config
-            episodes = [play_episode(agent.policy, agent.spec, agent.rng)
+            episodes = [play_episode(agent.policy, config.spec, agent.rng)
                         for _ in range(config.episodes_per_round)]
             grad = episode_gradient(agent.policy, episodes, config.gamma, config.reward_to_go)
-            adam_ascent(agent.policy, agent.adam, grad, config.learning_rate)
+            adam_ascent(agent.policy, agent.adam, grad, agent.config.learning_rate)
             per_agent.append((
                 float(np.mean([float(e.rewards.sum()) for e in episodes])),
                 float(np.mean([discounted_return(e.rewards, config.gamma) for e in episodes])),

@@ -79,7 +79,8 @@ def make_policy(kind, seed, hidden=(6,)):
 def final_window_system_means(env_kind, preset, interval, states, rounds=600,
                               seeds=SEEDS, window=100):
     values = []
-    config = FedRunConfig(env_kind=env_kind, rounds=rounds, agent_configs=preset_agents(preset))
+    config = FedRunConfig(spec=EnvSpec(env_kind), rounds=rounds,
+                          agent_configs=preset_agents(preset))
     for result in raise_failures(run(config, [(interval, seed) for seed in seeds], states)):
         values.append(float(result.system_returns()[-window:].mean()))
     return np.array(values)
@@ -232,7 +233,7 @@ def test_criterion_5_fixed_points(cartpole_states):
         cohorts = [Cohort([agent]) for agent in agents]  # each agent trains alone
         for i in range(rounds):
             for cohort in cohorts:
-                raise_failures(train_round([cohort])[0])
+                raise_failures(train_round([cohort], spec, 1, 0.99, False)[0])
             if fires(i, interval):
                 before = [a.policy.get_params() for a in agents]
                 record = distillation_round(agents, states)
@@ -273,10 +274,11 @@ def test_criterion_6_scheduler_and_nofed_equivalence(cartpole_states):
     )
 
     configs = preset_agents("cartpole-4")
-    fed_config = FedRunConfig(env_kind="cartpole-discrete", rounds=12, agent_configs=configs)
+    fed_config = FedRunConfig(spec=EnvSpec("cartpole-discrete"), rounds=12,
+                              agent_configs=configs)
     fed, = run(fed_config, [(None, 20)], None, trace_params=True)
     agents = make_agents(configs, EnvSpec("cartpole-discrete"), seed=20)
-    alone = train_independent(agents, rounds=12, trace_params=True)
+    alone = train_independent(agents, fed_config, trace_params=True)
     equal = all(
         np.array_equal(x, y)
         for pa, pb in zip(fed.param_traces, alone["param_traces"])

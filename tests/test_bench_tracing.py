@@ -92,7 +92,7 @@ def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
     with load_tracing().Tracer().installed() as tracer:
         public_states.generate_public_states(spec, warmup_rounds=2, rollouts=1, n=8, seed=0)
         generated = {span: tracer.count(span) for span in SAMPLE_SPANS}
-        reinforce.train_round([reinforce.Cohort(cells)])  # 2 cells: the tail runs alone
+        reinforce.train_round([reinforce.Cohort(cells)], spec, 1, 0.99, False)  # 2 cells: the tail runs alone
     assert all(generated.values()), generated
     assert all(tracer.count(span) > generated[span] for span in SAMPLE_SPANS)
 
@@ -101,9 +101,9 @@ def test_one_episode_rollouts_record_sample_and_step_spans(env_kind):
 def test_one_collect_span_covers_every_slot_of_a_round(env_kind):
     # every lineup slot's episodes run in one lockstep rollout per round, so
     # every training env.step lies directly under that round's collect span
-    config = federation.FedRunConfig(env_kind, 4, [
+    config = federation.FedRunConfig(EnvSpec(env_kind, 60), 4, [
         reinforce.AgentConfig("a", [(8, "tanh")], 1e-3),
-        reinforce.AgentConfig("b", [(6, "relu"), (6, "relu")], 1e-3)], max_steps=60)
+        reinforce.AgentConfig("b", [(6, "relu"), (6, "relu")], 1e-3)])
     tracing = load_tracing()
     with tracing.Tracer().installed() as tracer:
         federation.run(config, [(None, 3), (None, 4), (None, 5)], None)

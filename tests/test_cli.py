@@ -90,6 +90,19 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("run.rounds")
 
 
+def test_a_key_repeated_in_one_file_is_a_config_error_naming_both_lines(tmp_path, capsys):
+    text = "fed.d = 5\nrun.rounds = 5\n# a comment\nrun.rounds = 7\n"
+    with pytest.raises(ConfigurationError,
+                       match="config lines 2 and 4: run.rounds is set twice"):
+        parse_config_text(text)
+    assert main(["train", "--config", str(write_config(tmp_path, text))]) == 2
+    assert "run.rounds" in capsys.readouterr().err
+    # one override per key still replaces the file's value, and a later one an earlier one
+    config = load_experiment_config(write_config(tmp_path, "fed.d = 5\nrun.rounds = 5\n"),
+                                    ["run.rounds = 6", "run.rounds = 7"])
+    assert config["run.rounds"] == 7
+
+
 def test_validation_names_the_bad_field():
     with pytest.raises(ConfigurationError, match="run.rounds"):
         ExperimentConfig({"run.rounds": 0})
@@ -671,6 +684,13 @@ states.warmup_rounds = 0
 states.rollouts = 2
 """
 
+# the round knobs off their defaults, on two workers
+PINNED_KNOBS_CONFIG = PINNED_CONFIG + """run.workers = 2
+run.episodes_per_round = 2
+run.reward_to_go = true
+run.gamma = 0.9
+"""
+
 # a Gaussian grid whose interval fires, with its consensus broadcasts kept
 PINNED_GAUSSIAN_CONFIG = """
 env.kind = "cartpole-continuous"
@@ -759,6 +779,50 @@ PINNED_SHA256 = {
             "1096e3a9f7d62ff6ff5f25dd7251befa8fc11035d1da8c2f5fd512b9b904585f",
         "consensus/fedhpd-d2-seed20-round3.bin":
             "a4faaa7d68db2d7f4d641f4b6fce519ea3eb99c9e3a66f841bfd57798107bebc",
+    }),
+    "knobs": (PINNED_KNOBS_CONFIG, {
+        "run-fedhpd-d2-seed20.csv":
+            "be65ea23c41967fa4cdd4170a9e43b16afda232faf0eaa71336b343f4e42bd86",
+        "run-fedhpd-d2-seed25.csv":
+            "a246af3c23031d2c91e298956087ea43683d8293488ccfee3c22dc6fb3758c84",
+        "run-nofed-seed20.csv":
+            "769e85469ba8d029413168a841722fa3bba93048f04856bc5fd918bce258769f",
+        "run-nofed-seed25.csv":
+            "87a9138f7f873764a4857fb7a63f2123e7826a66a07561324d136f072b66d501",
+        "summary.csv":
+            "fb3cbf245aff52cd54832a90329859b2121d6dcdf50573465173eb5a3d2b671e",
+        "snapshots/fedhpd-d2-seed20-agent-1.fhpd":
+            "75f4291ee586801334d073f5d2e89410d547a3eb8abe4e343ed64bb2e0842be1",
+        "snapshots/fedhpd-d2-seed20-agent-10.fhpd":
+            "7c420af0fb02ec50f4e90c75c0bdb72ee61e64b0a18069f61520c282985fa063",
+        "snapshots/fedhpd-d2-seed20-agent-2.fhpd":
+            "3f0cd727ed3a3cbf86d2eaffb5ddb55fb6d42238d4337d3b7f6e3fb4bcf96f8b",
+        "snapshots/fedhpd-d2-seed20-agent-6.fhpd":
+            "4857a05991897942e1abf0015c98271944d385c8e3a38b508da26de082b6468b",
+        "snapshots/fedhpd-d2-seed25-agent-1.fhpd":
+            "66701505fd87b51576fec7b13469a0da6e7b62312636ea2304268744b6043d12",
+        "snapshots/fedhpd-d2-seed25-agent-10.fhpd":
+            "ddd37a974e6b19ea8827310af5e7e8e17246455c3c8b8403250a63076e5b25c3",
+        "snapshots/fedhpd-d2-seed25-agent-2.fhpd":
+            "6bb372bf846128eff08f234e740587f81069bf97304f28ddc8105307dec166c6",
+        "snapshots/fedhpd-d2-seed25-agent-6.fhpd":
+            "edc7e54acb4bcd95e21196c9310f7908360733f7f1dceba240390715ffcabd6a",
+        "snapshots/nofed-seed20-agent-1.fhpd":
+            "fb58f59b9caab0738595d51f6adda30e5170b9b03df732c126c0d3cf09e8075d",
+        "snapshots/nofed-seed20-agent-10.fhpd":
+            "ed6c5a728ae322e650f38bd4ce7b43adeed773418724cf9e92b06aa00d384c36",
+        "snapshots/nofed-seed20-agent-2.fhpd":
+            "8c46898d66a3fb9b38317d8898f475374741f81b8bc014e98d8e8feec2eafe98",
+        "snapshots/nofed-seed20-agent-6.fhpd":
+            "864f8b133e8ab54c32eb46e3c80325b44d60f34dc585a3c68ee7519e49cf8b8f",
+        "snapshots/nofed-seed25-agent-1.fhpd":
+            "52c49ceee448d5aa98aba108fe0418f3da59326eceb105a9d0f639a0c0d38eca",
+        "snapshots/nofed-seed25-agent-10.fhpd":
+            "8a25d9282c574c79278f428258163339106c7015c8ecf9ab358d9726f42f9a84",
+        "snapshots/nofed-seed25-agent-2.fhpd":
+            "72190bd8e384b6009e4613a3feeef3df57e2744ad047d7a029fded89b912f76b",
+        "snapshots/nofed-seed25-agent-6.fhpd":
+            "4dc29a73743d404e121aef0ef1f4343b9f0ebdc8a6e2b3c34a1da56f5267f25c",
     }),
 }
 

@@ -156,6 +156,20 @@ def test_state_set_rejects_garbage(tmp_path):
         load_state_set(path)
 
 
+@pytest.mark.parametrize("header", [
+    "# fedhpd-states v12 dim=4 n=3", "# fedhpd-states v1 dim=9 n=3", "# fedhpd-states v1",
+    "# fedhpd-states v1 dim=4 n=abc", "# fedhpd-states v1 dim=4 n=-3",
+    "# fedhpd-states v1 dim=4 n=3 junk", "# fedhpd-states v1 dim=4 n=2",
+    "# fedhpd-states v1 dim=4 n=\u0663"])
+def test_state_set_header_is_checked_exactly(tmp_path, header):
+    path = tmp_path / "states.txt"
+    path.write_text(f"{header}\n0,0,0,0\n1,1,1,1\n2,2,2,2\n", encoding="utf-8")
+    with pytest.raises(ArtifactIOError, match="states.txt"):
+        load_state_set(path)
+    path.write_text("# fedhpd-states v1 dim=4 n=3\n0,0,0,0\n1,1,1,1\n2,2,2,2\n")
+    assert load_state_set(path).size == 3
+
+
 @pytest.mark.parametrize("row", ["1,2,x,4", "1,2,3", "1,,3,4"])
 def test_state_set_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "bad.txt"

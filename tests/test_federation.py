@@ -96,9 +96,10 @@ def test_single_agent_distillation_is_exact_fixed_point():
     agents = make_agents([agent_config(0)], SPEC, seed=21)
     cohort = Cohort(agents)
     for _ in range(3):  # warm the Adam moments so the guard actually matters
-        raise_failures(train_round([cohort])[0])
+        raise_failures(train_round([cohort], SPEC, 1, 0.99, False)[0])
     before = agents[0].policy.get_params()
-    adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(), agents[0].adam.step_count)
+    adam_before = (agents[0].adam.m.copy(), agents[0].adam.v.copy(),
+                   agents[0].adam.step_count.copy())
     record = distillation_round(agents, states)
     assert record.kl_losses == [0.0]
     assert record.kl_grad_norms == [0.0]
@@ -116,7 +117,7 @@ def test_identical_agents_distillation_is_exact_fixed_point(k):
     ]
     cohort = Cohort(agents)
     for _ in range(2):
-        raise_failures(train_round([cohort])[0])
+        raise_failures(train_round([cohort], SPEC, 1, 0.99, False)[0])
     before = [a.policy.get_params() for a in agents]
     record = distillation_round(agents, states)
     assert record.kl_losses == [0.0] * k
@@ -198,7 +199,7 @@ def test_distillation_round_schedule():
 
 
 def run_config(rounds=6, k=2):
-    return FedRunConfig(env_kind="cartpole-discrete", rounds=rounds,
+    return FedRunConfig(spec=SPEC, rounds=rounds,
                         agent_configs=[agent_config(i) for i in range(k)])
 
 
@@ -216,7 +217,7 @@ def test_nofed_run_matches_standalone_trainer_bitwise():
     config = run_config(rounds=5)
     fed, = run(config, [(None, 13)], None, trace_params=True)
     agents = make_agents(config.agent_configs, SPEC, seed=13)
-    alone = train_independent(agents, rounds=5, trace_params=True)
+    alone = train_independent(agents, config, trace_params=True)
     for pa, pb in zip(fed.param_traces, alone["param_traces"]):
         for x, y in zip(pa, pb):
             assert np.array_equal(x, y)
@@ -239,7 +240,7 @@ def test_run_emits_consensus_on_schedule_and_counts_bytes():
 def test_gaussian_run_consensus_variances_positive():
     spec = EnvSpec("cartpole-continuous")
     states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=8, seed=14)
-    config = FedRunConfig(env_kind="cartpole-continuous", rounds=4,
+    config = FedRunConfig(spec=spec, rounds=4,
                           agent_configs=[agent_config(i) for i in range(2)])
     result, = run(config, [(2, 15)], states, keep_broadcasts=True)
     assert result.consensus_records

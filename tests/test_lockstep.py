@@ -24,9 +24,8 @@ from oracles import (FixedUniform, adam_ascent, episode_gradient, play_episode, 
 HEADS = [("categorical", "cartpole-discrete"), ("gaussian", "cartpole-continuous")]
 
 
-def make_agent(spec, seed, episodes_per_round=1):
-    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-3,
-                         episodes_per_round=episodes_per_round)
+def make_agent(spec, seed):
+    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-3)
     return Agent(config, spec, np.random.SeedSequence([seed, 3]))
 
 
@@ -93,14 +92,11 @@ def test_a_cohort_is_one_lineup_slot():
     def agent(config, spec=spec):
         return Agent(config, spec, np.random.SeedSequence([1, 2]))
 
-    assert collect_trajectories([Cohort([agent(config), agent(replace(config, agent_id="b"))])])
-    with pytest.raises(ConfigurationError, match="cohort agents a and a differ in env"):
-        Cohort([agent(config), agent(config, EnvSpec(spec.kind, max_steps=5))])
-    for knob in ({"learning_rate": 2e-3}, {"gamma": 0.9}, {"reward_to_go": True},
-                 {"episodes_per_round": 2}):
-        other = agent(replace(config, agent_id="b", **knob))
-        with pytest.raises(ConfigurationError, match="cohort agents a and b differ in env"):
-            Cohort([agent(config), other])
+    assert collect_trajectories(
+        [Cohort([agent(config), agent(replace(config, agent_id="b"))])], spec, 1)
+    other = agent(replace(config, agent_id="b", learning_rate=2e-3))
+    with pytest.raises(ConfigurationError, match="cohort agents a and b differ in lineup entry"):
+        Cohort([agent(config), other])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -274,9 +270,9 @@ def test_lockstep_stacks_share_one_head():
 @pytest.mark.parametrize("head,env_kind", HEADS)
 def test_lockstep_collection_matches_sequential_episodes(head, env_kind):
     spec = EnvSpec(env_kind, max_steps=30)
-    agents = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
-    replicas = [make_agent(spec, seed, episodes_per_round=2) for seed in range(5)]
-    collected, = collect_trajectories([Cohort(agents)])
+    agents = [make_agent(spec, seed) for seed in range(5)]
+    replicas = [make_agent(spec, seed) for seed in range(5)]
+    collected, = collect_trajectories([Cohort(agents)], spec, 2)
     for episodes, agent, replica in zip(collected, agents, replicas):
         assert len(episodes) == 2
         for episode in episodes:
@@ -293,9 +289,9 @@ LEARNER_LENGTHS = {
 }
 
 
-def learner_pair(spec, n, **knobs):
+def learner_pair(spec, n):
     """n agents of one lineup slot, and independent replicas of them."""
-    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-2, **knobs)
+    config = AgentConfig("a", [(16, "relu"), (8, "tanh")], 1e-2)
     return tuple([Agent(config, spec, np.random.SeedSequence([seed, 4])) for seed in range(n)]
                  for _ in range(2))
 
@@ -309,21 +305,20 @@ def synthetic_episode(rng, spec, length, reward=1.0):
     return Episode(states, actions, np.full(length, reward))
 
 
-def assert_learner_matches_per_cell(cohort, replicas, episodes):
+def assert_learner_matches_per_cell(cohort, replicas, episodes, gamma=0.99, reward_to_go=False):
     """One stacked `Agent.local_round` equals, bit for bit, each replica's own
     gradient (one network pass per episode) and one-vector Adam step."""
-    outcomes = Agent.local_round(cohort, episodes)
+    outcomes = Agent.local_round(cohort, episodes, gamma, reward_to_go)
     for agent, replica, rows, outcome in zip(cohort.agents, replicas, episodes, outcomes):
-        config = replica.config
-        grad = episode_gradient(replica.policy, rows, config.gamma, config.reward_to_go)
+        grad = episode_gradient(replica.policy, rows, gamma, reward_to_go)
         try:
-            adam_ascent(replica.policy, replica.adam, grad, config.learning_rate)
+            adam_ascent(replica.policy, replica.adam, grad, replica.config.learning_rate)
         except NumericError as exc:
             assert isinstance(outcome, NumericError) and str(outcome) == str(exc)
             continue
         assert outcome[2] == float(np.linalg.norm(grad))
         assert outcome[:2] == (float(np.mean([e.rewards.sum() for e in rows])),
-                               float(np.mean([envmod.discounted_return(e.rewards, config.gamma)
+                               float(np.mean([envmod.discounted_return(e.rewards, gamma)
                                               for e in rows])))
         assert np.array_equal(agent.policy.get_params(), replica.policy.get_params())
         assert np.array_equal(agent.adam.m, replica.adam.m)
@@ -338,7 +333,7 @@ def assert_learner_matches_per_cell(cohort, replicas, episodes):
 def test_stacked_learner_matches_per_cell_steps(head, env_kind, case, knobs):
     spec = EnvSpec(env_kind)
     lengths = LEARNER_LENGTHS[case]
-    agents, replicas = learner_pair(spec, len(lengths), **knobs)
+    agents, replicas = learner_pair(spec, len(lengths))
     assert agents[0].policy.kind == head
     cohort = Cohort(agents)
     rng = np.random.default_rng(len(lengths))
@@ -346,7 +341,8 @@ def test_stacked_learner_matches_per_cell_steps(head, env_kind, case, knobs):
     for _ in range(3):  # later rounds start from warm Adam moments
         episodes = [[synthetic_episode(rng, spec, lengths[(i + e) % len(lengths)])
                      for e in range(count)] for i in range(len(lengths))]
-        assert_learner_matches_per_cell(cohort, replicas, episodes)
+        assert_learner_matches_per_cell(cohort, replicas, episodes,
+                                        reward_to_go=knobs.get("reward_to_go", False))
 
 
 @pytest.mark.parametrize("head,env_kind", HEADS)
@@ -379,29 +375,25 @@ def test_non_finite_gradient_row_fails_only_its_cell(head, env_kind):
     assert all(isinstance(outcomes[i], tuple) for i in (0, 2, 3))
 
 
-def run_config(rounds=6, **agent_knobs):
-    lineup = [AgentConfig(f"a{k}", hidden, lr, **agent_knobs) for k, (hidden, lr) in
+def run_config(rounds=6, **knobs):
+    lineup = [AgentConfig(f"a{k}", hidden, lr) for k, (hidden, lr) in
               enumerate([([(8, "tanh")], 1e-3), ([(6, "relu"), (6, "relu")], 2e-3)])]
-    return FedRunConfig("cartpole-discrete", rounds, lineup, max_steps=60)
+    return FedRunConfig(EnvSpec("cartpole-discrete", 60), rounds, lineup, **knobs)
 
 
 def nofed(seeds):
     return [(None, seed) for seed in seeds]
 
 
-@pytest.mark.parametrize("knobs", [[{}, {}], [{"episodes_per_round": 2, "reward_to_go": True}] * 2,
-                                   [{}, {"episodes_per_round": 3}]])
+@pytest.mark.parametrize("knobs", [{}, {"episodes_per_round": 2, "reward_to_go": True}])
 def test_lockstep_run_matches_the_sequential_oracle(knobs):
-    # per lineup slot; slots with different episode counts share each round's
-    # first rollout
-    config = run_config()
-    config.agent_configs = [replace(c, **k) for c, k in zip(config.agent_configs, knobs)]
+    config = run_config(**knobs)
     seeds = [3, 4, 5]
     results = run(config, nofed(seeds), None, trace_params=True)
     for seed, result in zip(seeds, results):
         agents = [Agent(c, config.spec, np.random.SeedSequence([seed, k]))
                   for k, c in enumerate(config.agent_configs)]
-        alone = train_independent(agents, config.rounds, trace_params=True)
+        alone = train_independent(agents, config, trace_params=True)
         for got, want in zip(result.param_traces, alone["param_traces"]):
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
         assert run_stats(result) == alone["stats"]
@@ -502,8 +494,8 @@ def test_a_cell_whose_two_slots_fail_in_one_round_reports_the_first(monkeypatch)
             blow_up(agents[1].policy)
         return agents
 
-    def failing_round(cls, cohort, collected):
-        outcomes = local_round(cls, cohort, collected)
+    def failing_round(cls, cohort, collected, gamma, reward_to_go):
+        outcomes = local_round(cls, cohort, collected, gamma, reward_to_go)
         return [NumericError("injected learner failure") if getattr(agent, "doomed", False)
                 else outcome for agent, outcome in zip(cohort.agents, outcomes)]
 

@@ -332,10 +332,10 @@ def test_adam_bias_correction_is_python_float_power_at_numpy_step_counts():
         adam_step(row, grads[i], state, lr=1e-2)
         assert_same_bits(row, want[i])
         assert state.step_count == t
-    stacked = AdamState(m.copy(), v.copy(), [np.int64(t - 1) for t in counts])
+    stacked = AdamState(m.copy(), v.copy(), np.array(counts, np.int64) - 1)
     adam_step(params, grads, stacked, lr=1e-2)
     assert_same_bits(params, want)
-    assert stacked.step_count == counts
+    assert stacked.step_count.tolist() == counts
 
 
 def test_adam_rejects_non_finite_gradient():

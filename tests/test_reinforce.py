@@ -5,6 +5,7 @@ import pytest
 
 from fedhpd.env import EnvSpec, THETA_THRESHOLD, X_THRESHOLD, reset, step
 from fedhpd.errors import ConfigurationError
+from fedhpd.federation import FedRunConfig
 from fedhpd.nn_core import AdamState, LayerSpec, MlpNetwork
 from fedhpd.policy import CategoricalPolicy, PolicyStack
 from fedhpd.public_states import generate_public_states
@@ -24,16 +25,18 @@ from fedhpd.reinforce import (
 from oracles import action_distribution
 
 SPEC = EnvSpec("cartpole-discrete")
+GAMMA = 0.99
 
 
-def gradient(policy, episodes, cfg):
+def gradient(policy, episodes, reward_to_go=False):
     """`policy_gradient` for one policy."""
-    return policy_gradient(PolicyStack([policy]), [episodes], cfg.gamma, cfg.reward_to_go)[0]
+    return policy_gradient(PolicyStack([policy]), [episodes], GAMMA, reward_to_go)[0]
 
 
 def stacked_adam(policy):
-    """Zero Adam moments for a stack of one policy."""
-    return AdamState(np.zeros((1, policy.num_params)), np.zeros((1, policy.num_params)), [0])
+    """Zero Adam moments and step count for a stack of one policy."""
+    return AdamState(np.zeros((1, policy.num_params)), np.zeros((1, policy.num_params)),
+                     np.zeros(1, np.int64))
 
 
 def agent_config(**overrides):
@@ -47,11 +50,11 @@ def agent_config(**overrides):
 
 
 def test_collect_is_deterministic_given_seed():
-    cfg = agent_config(episodes_per_round=3)
+    cfg = agent_config()
     a = Agent(cfg, SPEC, np.random.SeedSequence(5))
     b = Agent(cfg, SPEC, np.random.SeedSequence(5))
-    (ta,), = collect_trajectories([Cohort([a])])
-    (tb,), = collect_trajectories([Cohort([b])])
+    (ta,), = collect_trajectories([Cohort([a])], SPEC, 3)
+    (tb,), = collect_trajectories([Cohort([b])], SPEC, 3)
     assert len(ta) == len(tb) == 3
     for x, y in zip(ta, tb):
         assert np.array_equal(x.states, y.states)
@@ -59,9 +62,9 @@ def test_collect_is_deterministic_given_seed():
 
 
 def test_trajectory_lengths_within_horizon():
-    cfg = agent_config(episodes_per_round=5)
+    cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(6))
-    for episode in collect_trajectories([Cohort([agent])])[0][0]:
+    for episode in collect_trajectories([Cohort([agent])], SPEC, 5)[0][0]:
         assert 1 <= len(episode.rewards) <= SPEC.max_steps
         for t in range(len(episode.rewards) - 1):
             nxt, _, _ = step(SPEC, episode.states[t], int(episode.actions[t]))
@@ -115,7 +118,7 @@ def test_zero_rewards_give_zero_gradient():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(10))
     traj = synthetic_trajectory(rng, agent.policy, 6, rewards=[0.0] * 6)
-    grad = gradient(agent.policy, [traj], cfg)
+    grad = gradient(agent.policy, [traj])
     assert np.array_equal(grad, np.zeros(agent.policy.num_params))
 
 
@@ -124,7 +127,7 @@ def test_one_step_trajectory_is_scaled_log_prob_grad():
     cfg = agent_config()
     agent = Agent(cfg, SPEC, np.random.SeedSequence(11))
     traj = synthetic_trajectory(rng, agent.policy, 1, rewards=[2.5])
-    grad = gradient(agent.policy, [traj], cfg)
+    grad = gradient(agent.policy, [traj])
     expected = 2.5 * agent.policy.log_prob_grad(traj.states[0], int(traj.actions[0]))
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-14)
 
@@ -136,18 +139,18 @@ def test_one_step_trajectory_is_scaled_log_prob_grad():
 @pytest.mark.parametrize("reward_to_go", [False, True])
 def test_gradient_matches_term_by_term_oracle(head, env_kind, reward_to_go):
     spec = EnvSpec(env_kind)
-    cfg = agent_config(reward_to_go=reward_to_go, episodes_per_round=2)
+    cfg = agent_config()
     for case in range(20):
         agent = Agent(cfg, spec, np.random.SeedSequence([500, case]))
         assert agent.policy.kind == head
-        (trajectories,), = collect_trajectories([Cohort([agent])])
-        got = gradient(agent.policy, trajectories, cfg)
+        (trajectories,), = collect_trajectories([Cohort([agent])], spec, 2)
+        got = gradient(agent.policy, trajectories, reward_to_go)
 
         # oracle: rebuild the estimate from per-step log-prob gradients
         expected = np.zeros(agent.policy.num_params)
         for traj in trajectories:
             rewards = traj.rewards
-            discounts = cfg.gamma ** np.arange(len(rewards))
+            discounts = GAMMA ** np.arange(len(rewards))
             if reward_to_go:
                 weights = [
                     float(np.sum(discounts[t:] * rewards[t:])) for t in range(len(rewards))
@@ -166,8 +169,8 @@ def test_positive_rewards_align_gradient_with_log_likelihood():
     cfg = agent_config()
     for case in range(10):
         agent = Agent(cfg, SPEC, np.random.SeedSequence([600, case]))
-        traj = collect_trajectories([Cohort([agent])])[0][0][0]
-        grad = gradient(agent.policy, [traj], cfg)
+        traj = collect_trajectories([Cohort([agent])], SPEC, 1)[0][0][0]
+        grad = gradient(agent.policy, [traj])
         log_lik_dir = np.zeros(agent.policy.num_params)
         for state, action in zip(traj.states, traj.actions):
             log_lik_dir += agent.policy.log_prob_grad(state, action)
@@ -239,7 +242,7 @@ def test_bandit_gradient_estimate_is_unbiased():
 def test_round_stats_returns_nonnegative():
     cohort = Cohort(make_agents([agent_config(agent_id=f"a{i}") for i in range(2)], SPEC, seed=20))
     for _ in range(5):
-        for episode_return, _, grad_norm in raise_failures(train_round([cohort])[0]):
+        for episode_return, _, grad_norm in raise_failures(train_round([cohort], SPEC, 1, GAMMA, False)[0]):
             assert episode_return >= 1.0
             assert grad_norm >= 0.0
 
@@ -247,8 +250,11 @@ def test_round_stats_returns_nonnegative():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         agent_config(learning_rate=0.0)
-    with pytest.raises(ConfigurationError):
-        agent_config(episodes_per_round=0)
+    with pytest.raises(ConfigurationError, match="episodes_per_round"):
+        FedRunConfig(SPEC, 1, [agent_config()], episodes_per_round=0)
+    for gamma in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            FedRunConfig(SPEC, 1, [agent_config()], gamma=gamma)
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ConfigurationError):
             agent_config(learning_rate=lr)
