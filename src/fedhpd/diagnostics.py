@@ -202,23 +202,36 @@ class SmoothnessProbe:
     theory_bound: float  # G * (2 + log n_actions); softmax-derived
 
 
-# states per stacked pass of the G sweep: a [32 * pairs per state, P] block
-# of gradients, 230 KB for the 450 parameters of cartpole-4's agent-1
-_SWEEP_STATES = 32
+# states per chunk of the G sweep (at 256 its forward arrays page-fault)
+_SWEEP_STATES = 128
 # M's central-difference step, and its probes per parameter point
 _HESSIAN_STEP, _HESSIAN_PROBES = 1e-4, 5
 
 
 def _grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:
     """G: the largest ||grad log pi(a|s)|| over the head's `probe_pairs` of
-    every state, one stacked `score_grads` pass per chunk of states.
-    sqrt(g . g) is how `np.linalg.norm` computes it, and the `(1, P) @ (P, 1)`
-    slices of one stacked matmul are each row's `g.dot(g)`. `fmax` skips a
-    NaN norm as `max(best, norm)` does."""
+    every state, a chunk of states at a time. A screen, `score_square_norms`,
+    forms each row's g . g in factored form, the same products summed in
+    another order, so the two norms differ by about (P + 2 * depth) * 2^-53
+    relative (3e-11 at P = 254k), and forms no row's gradient. Only rows
+    within 1e-6 of the chunk's top screened norm, or whose screen is not
+    finite, are confirmed: their exact `score_grads` row and sqrt(g . g), as
+    `np.linalg.norm` computes it (the `(1, P) @ (P, 1)` slices of one
+    stacked matmul are each row's `g.dot(g)`). The row with the largest
+    exact norm is always confirmed, so G keeps its bits. A top that is not
+    finite or lies outside [1e-100, 1e100], where overflow or underflow could
+    break the bound, confirms every row. `fmax` skips a NaN norm as
+    `max(best, norm)` does."""
     best = 0.0
     for start in range(0, states.shape[0], _SWEEP_STATES):
-        pairs = policy.probe_pairs(states[start : start + _SWEEP_STATES], rng)
-        grads = policy.score_grads(*pairs)
+        rows, actions, forward = policy.probe_pairs(states[start : start + _SWEEP_STATES], rng)
+        screen = np.sqrt(policy.score_square_norms(actions, forward))
+        top = np.fmax.reduce(screen)
+        if 1e-100 <= top <= 1e100:
+            picked = np.flatnonzero(~(screen < top * (1.0 - 1e-6)))
+            rows, actions = rows[picked], actions[picked]
+            forward = forward[0][picked], [(x[picked], out[picked]) for x, out in forward[1]]
+        grads = policy.score_grads(rows, actions, forward)
         squares = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
         best = float(np.fmax.reduce(np.sqrt(squares), initial=best))
     return best

@@ -8,8 +8,10 @@ Every round all agents train locally; on the rounds where `fires(i, d)`,
 2. aggregation - the server averages the batches elementwise into the
    consensus and serializes it once (the broadcast);
 3. digestion - every agent takes one gradient step on the KL divergence
-   from its own distribution to the consensus, at its own learning rate,
-   through the same Adam state its local training uses.
+   from its own distribution to the consensus, at its own learning rate:
+   one Adam step through the same Adam state its local training uses, so
+   the REINFORCE moments carry into it (on cartpole-4 at d = 5 the KL
+   term's median share of the step's norm was 1-3 x 10^-4).
 
 All extraction happens before any digestion, so every uploaded batch is a
 function of pre-digestion parameters. Communication is simulated through the

@@ -243,6 +243,28 @@ class MlpNetwork:
             offset = w_start
         return grad
 
+    def grad_square_norms(self, cache: list, output_grad: np.ndarray) -> np.ndarray:
+        """Row i: the squared norm of row i of `backward(cache, output_grad)`
+        after a forward pass of [N, 1, in] single rows, without forming the
+        [N, P] gradients. A layer's weight gradient is the outer product of
+        x_in and dz, so with its bias it adds (||x_in||^2 + 1) * ||dz||^2.
+        `dz` walks `backward`'s recursion on the same shapes and calls, so
+        it has the same bits; the sum differs from `g . g` only by rounding."""
+        d_post = output_grad
+        total = 0.0
+        for layer in reversed(range(len(self.layers))):
+            spec, (w, _), (x_in, out) = self.layers[layer], self._views[layer], cache[layer]
+            if spec.activation == "identity":
+                dz = d_post
+            else:
+                dz = _activation_deriv(spec.activation, out)
+                dz *= d_post
+            x_sq = np.einsum("...i,...i->...", x_in, x_in) + 1.0
+            total = total + x_sq * np.einsum("...i,...i->...", dz, dz)
+            if layer:
+                d_post = dz @ w.T
+        return total[:, 0]
+
     def step_rows(self, x: np.ndarray) -> np.ndarray:
         """For a stack: row i of `x` [B, in] through network i, one
         `(B, 1, in) @ (B, in, out)` matmul per layer; returns [B, out]."""

@@ -309,6 +309,14 @@ class _Head:
         grads = self.net.backward(cache, seed[:, None])
         return grads if tail is None else np.concatenate([grads, tail], axis=1)
 
+    def score_square_norms(self, actions: np.ndarray, forward: tuple) -> np.ndarray:
+        """Row i: the squared norm of `score_grads` row i, in the factored
+        form of `net.grad_square_norms`, from the rows' single-row `forward`."""
+        outputs, cache = forward
+        seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
+        squares = self.net.grad_square_norms(cache, seed[:, None])
+        return squares if tail is None else squares + np.einsum("ij,ij->i", tail, tail)
+
     def _kl_batch_loss(self, states: np.ndarray, consensus: DistributionBatch,
                        forward: tuple | None = None) -> tuple[float, np.ndarray]:
         """Mean over states of KL(local row || consensus row), with its

@@ -3,6 +3,7 @@ smoothness probes."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,8 +369,9 @@ def sweep_states(n, seed):
     return np.random.default_rng(seed).normal(scale=0.8, size=(n, 4))
 
 
-# 1 and 31 states fit in one chunk of the sweep (32 states); 65 spans three
-SWEEP_CASES = pytest.mark.parametrize("n_states", [1, 31, 65])
+# 1 to 127 states fit in one chunk of the sweep (128 states), 129 spans two
+# and 257 three
+SWEEP_CASES = pytest.mark.parametrize("n_states", [1, 31, 65, 127, 129, 257])
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
@@ -385,19 +387,160 @@ def test_stacked_sweep_matches_the_per_state_oracle(kind, activation, n_states):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def fixed_gradient_rows(monkeypatch, policy, states, grads, screen=None):
+    """Make the head's gradient rows `grads`, [(state, action) rows, P], and
+    their screen `screen` (default: the rows' own squared norms). Returns the
+    list of rows each confirm pass asked for."""
+    count = grads.shape[0] // states.shape[0]
+    if screen is None:
+        with np.errstate(invalid="ignore"):
+            screen = (grads * grads).sum(axis=1)
+    asked = []
+
+    def rows_of(rows, actions):
+        index = [int(np.flatnonzero((states == row).all(axis=1))[0]) for row in rows]
+        return count * np.array(index, dtype=int) + actions
+
+    def score_square_norms(actions, forward):
+        return screen[rows_of(forward[1][0][0][:, 0], actions)]
+
+    def score_grads(rows, actions, forward):
+        asked.append(rows_of(rows, actions).tolist())
+        return grads[rows_of(rows, actions)]
+
+    monkeypatch.setattr(policy, "score_square_norms", score_square_norms)
+    monkeypatch.setattr(policy, "score_grads", score_grads)
+    return asked
+
+
 def test_stacked_sweep_skips_nan_norms_as_max_does(monkeypatch):
     # a NaN norm leaves G unchanged, as `max(best, norm)` does, in the first
-    # row or later
+    # row or later; a NaN screen reaches the confirm step, with the top row
     policy = sweep_policy("categorical", "tanh", seed=2)
     states = sweep_states(2, seed=3)
     rows = [[np.nan, 0.0, 1.0], [1.0, 2.0, 2.0], [np.nan] * 3, [0.0, 4.0, 0.0], [1.0] * 3]
     grads = np.zeros((6, policy.num_params))
     grads[:, :3] = rows + [[2.0, np.nan, 0.0]]
-    monkeypatch.setattr(policy, "score_grads", lambda *pairs: grads)
+    asked = fixed_gradient_rows(monkeypatch, policy, states, grads)
     want = 0.0
     for grad in grads:
         want = max(want, float(np.linalg.norm(grad)))
     assert _grad_log_prob_max(policy, states, None) == want == 4.0
+    assert asked == [[0, 2, 3, 5]]
+
+
+@pytest.mark.parametrize("scale", [1e-220, 1e220, np.inf, np.nan])
+def test_a_screen_top_out_of_range_confirms_every_row(monkeypatch, scale):
+    # the screen ranks the rows wrongly, by a margin no rounding makes; a top
+    # screened norm (the root of `scale * 6`) that is not finite or lies
+    # outside [1e-100, 1e100] must not be trusted, so every row is confirmed
+    # and G is the largest exact norm
+    policy = sweep_policy("categorical", "tanh", seed=2)
+    states = sweep_states(2, seed=3)
+    grads = np.zeros((6, policy.num_params))
+    grads[:, 0] = [1.0, 2.0, 5.0, 3.0, 4.0, 1.0]
+    screen = scale * np.array([6.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    asked = fixed_gradient_rows(monkeypatch, policy, states, grads, screen)
+    assert _grad_log_prob_max(policy, states, None) == 5.0
+    assert asked == [list(range(6))]
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_sweep_matches_the_oracle_at_parameter_scales_with_tied_states(kind, activation,
+                                                                       scale):
+    # 257 states over three chunks, each distinct state three times: a
+    # categorical head's largest norm is tied across and within chunks
+    policy = sweep_policy(kind, activation, seed=3)
+    policy.set_params(policy.get_params() * scale)
+    states = np.tile(sweep_states(86, seed=4), (3, 1))[:257]
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    g = _grad_log_prob_max(policy, states, rng)
+    assert g > 0.0
+    assert g == grad_log_prob_max(policy, states, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if kind == "categorical":
+        norms = [np.linalg.norm(policy.log_prob_grad(s, a)) for s in states for a in range(3)]
+        assert norms.count(g) >= 2
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_sweep_where_the_screen_overflows_matches_the_oracle(activation):
+    # a fifth of the states carry 1e155, so their ||x||^2 overflows, and the
+    # layer-2 weights (the 7 x 5 after layer 1's 35 parameters) are scaled
+    # by 1e-160. tanh saturates on those states,
+    # so dz = 0 and their screens are inf * 0 = NaN, while their exact norms
+    # are finite and one of them is G; relu's screens and norms there are inf
+    policy = sweep_policy("categorical", activation, seed=0)
+    params = policy.get_params()
+    params[35:70] *= 1e-160
+    policy.set_params(params)
+    states = sweep_states(130, seed=7)
+    states[::5, 0] = 1e155
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, actions, forward = policy.probe_pairs(states[:128], None)
+        screen = policy.score_square_norms(actions, forward)
+        g = _grad_log_prob_max(policy, states, None)
+        assert g == grad_log_prob_max(policy, states, None)
+    if activation == "tanh":
+        assert np.isnan(screen.reshape(-1, 3)[::5]).all() and np.isfinite(g)
+        assert g > np.sqrt(np.fmax.reduce(screen))
+    else:
+        assert np.isinf(screen.reshape(-1, 3)[::5]).all() and g == np.inf
+
+
+def test_sweep_confirms_rows_the_screen_ranks_below_a_near_tie():
+    # 128 states a few ulps apart: the screened and exact norms round apart,
+    # and the screen can rank near-tied rows opposite to their exact norms
+    # (it does for this net under numpy 2.4 with OpenBLAS), so the confirm
+    # step must take rows just below the top as well
+    rng = np.random.default_rng(16)
+    layers = [LayerSpec(4, 64, "relu"), LayerSpec(64, 64, "relu"), LayerSpec(64, 3, "identity")]
+    policy = CategoricalPolicy(glorot_init(layers, rng))
+    states = rng.normal(size=4) * (1 + rng.integers(-40, 40, size=(128, 4)) * 2.0**-52)
+    assert _grad_log_prob_max(policy, states, None) == grad_log_prob_max(policy, states, None)
+
+
+def test_sweep_skips_the_rows_of_non_finite_states_as_the_oracle_does():
+    # NaN and inf states give NaN screens and norms while the other rows'
+    # top stays in range: those rows are confirmed and skipped
+    policy = sweep_policy("categorical", "relu", seed=8)
+    states = sweep_states(140, seed=9)
+    states[[3, 50, 131], 0] = [np.nan, np.inf, -np.inf]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _grad_log_prob_max(policy, states, None)
+        assert g == grad_log_prob_max(policy, states, None) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_score_square_norms_are_the_squared_norms_of_score_grads(kind, activation):
+    policy = sweep_policy(kind, activation, seed=10)
+    rows, actions, forward = policy.probe_pairs(sweep_states(40, seed=11),
+                                                np.random.default_rng(12))
+    grads = policy.score_grads(rows, actions, forward)
+    squares = policy.score_square_norms(actions, forward)
+    assert squares.shape == (rows.shape[0],)
+    assert np.allclose(squares, (grads * grads).sum(axis=1), rtol=1e-13, atol=0.0)
+
+
+def test_sweep_of_a_wide_network_stays_small():
+    # 4-500-500-2 (254,002 parameters) over 512 states: every row's gradient
+    # at once would be a [256, 254002] block per 128-state chunk
+    rng = np.random.default_rng(13)
+    layers = [LayerSpec(4, 500, "relu"), LayerSpec(500, 500, "relu"),
+              LayerSpec(500, 2, "identity")]
+    policy = CategoricalPolicy(glorot_init(layers, rng))
+    states = sweep_states(512, seed=14)
+    tracemalloc.start()
+    try:
+        g = _grad_log_prob_max(policy, states, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g > 0.0
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])
