@@ -7,7 +7,8 @@
                           [--consensus batch.bin]
 
 Exit codes: 0 success, 2 configuration error (including running out of
-memory), 3 numeric error (including failed sweep cells), 4 file I/O error.
+memory or a worker process ending abruptly), 3 numeric error (including
+failed sweep cells), 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ def cmd_sweep(args) -> int:
     return cmd_train(args)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by NumericError
 def cmd_diagnose(args) -> int:
     config = _load_config(args)
     spec = EnvSpec(config["env.kind"], config["env.max_steps"])

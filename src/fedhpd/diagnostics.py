@@ -215,26 +215,22 @@ def _grad_log_prob_max(policy, states: np.ndarray, rng: np.random.Generator) -> 
     another order, so the two norms differ by about (P + 2 * depth) * 2^-53
     relative (3e-11 at P = 254k), and forms no row's gradient. Only rows
     within 1e-6 of the chunk's top screened norm, or whose screen is not
-    finite, are confirmed: their exact `score_grads` row and sqrt(g . g), as
-    `np.linalg.norm` computes it (the `(1, P) @ (P, 1)` slices of one
-    stacked matmul are each row's `g.dot(g)`). The row with the largest
-    exact norm is always confirmed, so G keeps its bits. A top that is not
-    finite or lies outside [1e-100, 1e100], where overflow or underflow could
-    break the bound, confirms every row. `fmax` skips a NaN norm as
-    `max(best, norm)` does."""
+    finite, are confirmed, one `log_prob_grad` call and `np.linalg.norm` each,
+    so the row with the largest exact norm is always confirmed and G keeps
+    its bits. A top that is not finite or lies outside [1e-100, 1e100], where
+    overflow or underflow could break the bound, confirms every row. `fmax`
+    skips a NaN norm as `max(best, norm)` does."""
     best = 0.0
     for start in range(0, states.shape[0], _SWEEP_STATES):
         rows, actions, forward = policy.probe_pairs(states[start : start + _SWEEP_STATES], rng)
         screen = np.sqrt(policy.score_square_norms(actions, forward))
         top = np.fmax.reduce(screen)
+        picked = range(rows.shape[0])
         if 1e-100 <= top <= 1e100:
             picked = np.flatnonzero(~(screen < top * (1.0 - 1e-6)))
-            rows, actions = rows[picked], actions[picked]
-            forward = forward[0][picked], [(x[picked], out[picked]) for x, out in forward[1]]
-        grads = policy.score_grads(rows, actions, forward)
-        squares = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
-        best = float(np.fmax.reduce(np.sqrt(squares), initial=best))
-    return best
+        for i in picked:
+            best = np.fmax(best, np.linalg.norm(policy.log_prob_grad(rows[i], actions[i])))
+    return float(best)
 
 
 def _hessian_dir_max(policy, states: np.ndarray, rng: np.random.Generator) -> float:

@@ -476,9 +476,14 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     else:
         # imported here: the pool's modules would add about 15 ms to every process
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(run_group, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                grouped = list(pool.map(run_group, jobs))
+        except BrokenProcessPool as exc:  # e.g. the kernel killed it for memory
+            raise ConfigurationError(
+                f"a worker process ended abruptly; lower {', '.join(SIZE_KEYS)}") from exc
     outcomes: list = [None] * len(cells)
     for g, group in enumerate(grouped):
         outcomes[g::workers] = group

@@ -11,9 +11,10 @@ Two heads cover the two action-space regimes:
 
 Each head's `score_seed` is the one place its score function d log pi(a|s)
 lives: `log_prob_grad` runs it through the network on one state,
-`score_grads` on single rows, one gradient per row, and REINFORCE's stacked
-pass (`PolicyStack.score_grad`, at every stack size) on weighted blocks of
-states, one block per stacked policy.
+`score_square_norms` on single rows, one squared gradient norm per row and
+no gradient, and REINFORCE's stacked pass (`PolicyStack.score_grad`, at
+every stack size) on weighted blocks of states, one block per stacked
+policy.
 
 The environment's action space decides the head: `make_policy` maps an
 `EnvSpec` to one, `snapshot` writes a head and `load_policy` restores it.
@@ -297,21 +298,10 @@ class _Head:
         grad = self.net.backward(cache, seed[0])
         return grad if tail is None else np.concatenate([grad, tail[0]])
 
-    def score_grads(self, states: np.ndarray, actions: np.ndarray,
-                    forward: tuple | None = None) -> np.ndarray:
-        """Row i: d log pi(actions[i] | states[i]), [N, P]. Every state runs
-        through the network as a single row, and `backward` forms each row's
-        weight gradient as elementwise products (one row is a K = 1 matmul),
-        so row i is bit-identical to `log_prob_grad(states[i], actions[i])`.
-        `forward`, if given, is `net.forward(states[:, None, :])`, already run."""
-        outputs, cache = self.net.forward(states[:, None, :]) if forward is None else forward
-        seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
-        grads = self.net.backward(cache, seed[:, None])
-        return grads if tail is None else np.concatenate([grads, tail], axis=1)
-
     def score_square_norms(self, actions: np.ndarray, forward: tuple) -> np.ndarray:
-        """Row i: the squared norm of `score_grads` row i, in the factored
-        form of `net.grad_square_norms`, from the rows' single-row `forward`."""
+        """Row i: the squared norm of `log_prob_grad(rows[i], actions[i])`, in
+        the factored form of `net.grad_square_norms`, from the rows'
+        single-row `forward`."""
         outputs, cache = forward
         seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
         squares = self.net.grad_square_norms(cache, seed[:, None])
@@ -390,10 +380,9 @@ class CategoricalPolicy(_Head):
 
     def probe_pairs(self, states: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The (state, action) rows the probe's score-norm sweep covers, as
-        `score_grads` arguments: every action of every state, in (state,
-        action) order, with the rows' single-row forward pass. Nothing is
-        drawn."""
+        """The (state, action) rows the probe's score-norm sweep covers:
+        every action of every state, in (state, action) order, with the rows'
+        single-row forward pass. Nothing is drawn."""
         count = self.action_count
         rows = np.repeat(states, count, axis=0)
         actions = np.arange(rows.shape[0]) % count
@@ -469,11 +458,11 @@ class GaussianPolicy(_Head):
 
     def probe_pairs(self, states: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The (state, action) rows the probe's score-norm sweep covers, as
-        `score_grads` arguments: two `sample_action` draws per state, in
-        (state, draw) order, with the rows' single-row forward pass. Single
-        rows round alone, so a row's mean is its state's `sample_action`
-        mean, and the draws are one `_draw_gaussian` call over the rows."""
+        """The (state, action) rows the probe's score-norm sweep covers:
+        two `sample_action` draws per state, in (state, draw) order, with the
+        rows' single-row forward pass. Single rows round alone, so a row's
+        mean is its state's `sample_action` mean, and the draws are one
+        `_draw_gaussian` call over the rows."""
         rows = np.repeat(states, 2, axis=0)
         forward = self.net.forward(rows[:, None, :])
         actions = _draw_gaussian(self._outputs(rows, forward)[:, 0], self.std(), rng)

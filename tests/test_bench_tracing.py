@@ -57,9 +57,9 @@ def test_trace_targets_install_and_restore():
 
 
 def test_lipschitz_probe_records_single_state_score_spans():
-    # the G sweep's stacked score_grads pass records batch spans only, so on
-    # either head the Hessian probes' log_prob_grad calls are what records
-    # these spans of the diagnose workload's expected_spans
+    # on either head the G sweep's confirmed rows and the Hessian probes are
+    # single-state log_prob_grad calls, which record these spans of the
+    # diagnose workload's expected_spans
     spans = ("policy.log_prob_grad", "nn_core.backward.single")
     assert set(spans) <= set(load_bench_module("workloads").WORKLOADS["diagnose"].expected_spans)
     states = np.random.default_rng(0).normal(scale=0.5, size=(40, 4))

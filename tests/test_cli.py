@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import re
 from pathlib import Path
 
@@ -193,6 +194,21 @@ def test_running_out_of_memory_is_a_config_error_naming_the_sizes(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error: out of memory; lower ")
     assert all(key in err for key in SIZE_KEYS)
+    assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
+
+
+def dying_group(job):
+    os._exit(9)  # ends the worker as the kernel's out-of-memory killer would
+
+
+def test_a_worker_that_dies_is_a_config_error_naming_the_sizes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "run_group", dying_group)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", "run.workers = 2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a worker process ended abruptly; lower ")
+    assert all(key in err for key in SIZE_KEYS) and err.count("\n") == 1
     assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
 
 
@@ -452,6 +468,19 @@ def test_cli_diagnose_overflowing_probe_radius_is_a_numeric_error(tmp_path, caps
     # would be skipped by `max` and the run would report an estimate of 0
     code = main(quick_diagnose(tmp_path, f"diag.radius = {radius}"))
     assert code == 3
+    assert capsys.readouterr().err == "numeric error: non-finite policy logits\n"
+    assert not (tmp_path / "diag" / "diagnostics.csv").exists()
+
+
+def test_cli_diagnose_of_an_overflowing_snapshot_is_a_numeric_error(tmp_path, capsys):
+    # the snapshot's own logits overflow: the package's message, and no numpy
+    # warning (an error under this suite's filter) before it
+    argv = quick_diagnose(tmp_path)
+    snapshot = Path(argv[argv.index("--snapshot") + 1])
+    net, _ = network_from_bytes(snapshot.read_bytes())
+    net.set_params(net.params * 1e200)
+    save_network(net, snapshot)
+    assert main(argv) == 3
     assert capsys.readouterr().err == "numeric error: non-finite policy logits\n"
     assert not (tmp_path / "diag" / "diagnostics.csv").exists()
 
