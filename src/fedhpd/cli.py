@@ -7,8 +7,8 @@
                           [--consensus batch.bin]
 
 Exit codes: 0 success, 2 configuration error (including running out of
-memory or a worker process ending abruptly), 3 numeric error (including
-failed sweep cells), 4 file I/O error.
+memory, a worker process ending abruptly or worker processes that cannot
+start), 3 numeric error (including failed sweep cells), 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.d:
+    if args.d is not None:
         args.overrides.append(f"fed.d = {args.d}")
-    if args.seeds:
+    if args.seeds is not None:
         args.overrides.append(f"run.seeds = {args.seeds}")
     return cmd_train(args)
 

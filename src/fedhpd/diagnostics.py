@@ -74,7 +74,6 @@ def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> Va
     n = samples.shape[0]
 
     kl_samples = np.broadcast_to(grad_kl, samples.shape)
-    diff_samples = samples - kl_samples
 
     def trace_var(x):
         return float(np.sum(np.var(x, axis=0, ddof=1)))
@@ -82,11 +81,10 @@ def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> Va
     mean_g = samples.mean(axis=0)
     var_j = trace_var(samples)
     var_kl = trace_var(kl_samples)
-    dev_g = samples - mean_g
-    dev_kl = kl_samples - kl_samples.mean(axis=0)
-    cov = float(np.sum(dev_g * dev_kl) / (n - 1))
+    # every row of the KL samples deviates from their mean by this one row
+    cov = float(np.sum((samples - mean_g) * (grad_kl - kl_samples.mean(axis=0))) / (n - 1))
 
-    var_direct = trace_var(diff_samples)
+    var_direct = trace_var(samples - grad_kl)
     var_reconstructed = var_j + var_kl - 2.0 * cov
 
     norm_g = float(np.linalg.norm(mean_g))
@@ -143,7 +141,7 @@ def sample_trajectory_gradients(
     streams = rng.bit_generator.seed_seq.spawn(n_samples)
     twin = copy.deepcopy(policy)  # the stacks bind it, never the caller's policy
     stack = PolicyStack([twin] * min(n_samples, _SAMPLE_BLOCK))
-    samples = []
+    samples = np.empty((n_samples, stack.params.shape[1]))
     for start in range(0, n_samples, _SAMPLE_BLOCK):
         block = streams[start : start + _SAMPLE_BLOCK]
         if len(block) < len(stack.policies):  # a partly filled last block
@@ -152,8 +150,9 @@ def sample_trajectory_gradients(
         episodes = raise_failures(rollout([stack], spec, rngs))
         for first in range(0, len(block), _GRADIENT_BLOCK):
             part = [[episode] for episode in episodes[first : first + _GRADIENT_BLOCK]]
-            samples.append(policy_gradient(stack, part, gamma, reward_to_go))
-    return np.concatenate(samples)
+            row = start + first
+            samples[row : row + len(part)] = policy_gradient(stack, part, gamma, reward_to_go)
+    return samples
 
 
 def gradient_variance(

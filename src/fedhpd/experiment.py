@@ -42,8 +42,7 @@ import numpy as np
 from .env import ENV_KINDS, EnvSpec, PublicStateSet, load_state_set, save_state_set
 from .errors import ArtifactIOError, ConfigurationError
 from .federation import FedRunConfig, RunResult, run
-from .nn_core import ACTIVATIONS
-from .presets import PRESET_ENVS, preset_agents
+from .presets import MAX_WIDTH, PRESET_ENVS, ascii_number, parse_agent_spec, preset_agents
 from .public_states import generate_public_states
 from .reinforce import AgentConfig
 
@@ -82,8 +81,7 @@ _KEYS = {
     "diag.seed": (99, 0, None),
 }
 
-# the widest `agents.spec` hidden layer, and the keys that size a run's arrays
-MAX_WIDTH = 500
+# the keys that size a run's arrays; `agents.spec` by its widths, each at most MAX_WIDTH
 SIZE_KEYS = [key for key, (_, _, most) in _KEYS.items() if type(most) is int] + ["agents.spec"]
 
 
@@ -100,15 +98,16 @@ def _parse_scalar(raw: str):
         return lowered == "true"
     for parse in (int, float):
         try:
-            return parse(text)
+            return ascii_number(text, parse)
         except ValueError:
             pass
     return text
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, commas make lists,
-    and each key may appear once."""
+    """Parse `key = value` lines; '#' starts a comment, and each key may
+    appear once. A list key's value is its comma-separated entries, an empty
+    value the empty list; any other key keeps its commas as text."""
     values = {}
     linenos = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -124,8 +123,8 @@ def parse_config_text(text: str) -> dict:
             raise ConfigurationError(f"config lines {linenos[key]} and {lineno}: {key} is set "
                                      "twice; each key may appear once")
         linenos[key] = lineno
-        if "," in raw and not (raw.strip().startswith(("'", '"'))):
-            values[key] = [_parse_scalar(part) for part in raw.split(",")]
+        if isinstance(_KEYS[key][0], list):
+            values[key] = [_parse_scalar(part) for part in raw.split(",")] if raw else []
         else:
             values[key] = _parse_scalar(raw)
     return values
@@ -159,45 +158,6 @@ def _check(key: str, value) -> None:
                       else f"an integer in [{least}, {greatest}]")
         if not ok:
             raise ConfigurationError(f"{key}: {'each entry ' if is_list else ''}must be {wanted}")
-
-
-def parse_agent_spec(spec: str) -> list[AgentConfig]:
-    """Inline lineup grammar: '64:relu@1e-3; 16x16:relu,tanh@2e-3'."""
-    agents = []
-    for i, entry in enumerate(part for part in spec.split(";") if part.strip()):
-        try:
-            arch, lr_text = entry.rsplit("@", 1)
-            widths_text, acts_text = arch.split(":")
-            widths = [int(w) for w in widths_text.strip().split("x")]
-            acts = [a.strip() for a in acts_text.split(",")]
-            lr = float(lr_text)
-        except ValueError as exc:
-            raise ConfigurationError(f"agents.spec entry {entry.strip()!r}: {exc}") from exc
-        if len(acts) == 1:
-            acts = acts * len(widths)
-        if len(acts) != len(widths):
-            raise ConfigurationError(
-                f"agents.spec entry {entry.strip()!r}: {len(widths)} widths "
-                f"but {len(acts)} activations"
-            )
-        for width, act in zip(widths, acts):
-            if not 1 <= width <= MAX_WIDTH:
-                raise ConfigurationError(f"agents.spec entry {entry.strip()!r}: width "
-                                         f"{width} is not in [1, {MAX_WIDTH}]")
-            if act not in ACTIVATIONS:
-                raise ConfigurationError(
-                    f"agents.spec entry {entry.strip()!r}: unknown activation {act!r}; "
-                    f"choose one of {', '.join(ACTIVATIONS)}")
-        agents.append(
-            AgentConfig(
-                agent_id=f"agent-{i + 1}",
-                hidden=list(zip(widths, acts)),
-                learning_rate=lr,
-            )
-        )
-    if not agents:
-        raise ConfigurationError("agents.spec is empty")
-    return agents
 
 
 @dataclass
@@ -273,7 +233,7 @@ def load_experiment_config(path=None, overrides: list[str] | None = None) -> Exp
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         values.update(parse_config_text(text))
@@ -484,6 +444,9 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
         except BrokenProcessPool as exc:  # e.g. the kernel killed it for memory
             raise ConfigurationError(
                 f"a worker process ended abruptly; lower {', '.join(SIZE_KEYS)}") from exc
+        except OSError as exc:  # e.g. fork at the process limit
+            raise ConfigurationError(
+                f"cannot start {workers} worker processes ({exc}); lower run.workers") from exc
     outcomes: list = [None] * len(cells)
     for g, group in enumerate(grouped):
         outcomes[g::workers] = group

@@ -13,10 +13,11 @@ import numpy as np
 
 from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
-from .reinforce import Agent, AgentConfig, Cohort, raise_failures, rollout, train_round
+from .presets import parse_agent
+from .reinforce import Agent, Cohort, raise_failures, rollout, train_round
 
-VIRTUAL_AGENT_HIDDEN = [(32, "tanh"), (32, "tanh")]
-VIRTUAL_AGENT_LR = 1e-3
+# the virtual agent, as a lineup entry
+VIRTUAL_AGENT = "32x32:tanh@1e-3"
 
 
 def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: int,
@@ -30,12 +31,8 @@ def generate_public_states(spec: EnvSpec, warmup_rounds: int, rollouts: int, n: 
         raise ConfigurationError("public state set size must be >= 1")
     if warmup_rounds < 0 or rollouts < 1:
         raise ConfigurationError("warmup_rounds must be >= 0 and rollouts >= 1")
-    config = AgentConfig(
-        agent_id="virtual",
-        hidden=list(VIRTUAL_AGENT_HIDDEN),
-        learning_rate=VIRTUAL_AGENT_LR,
-    )
-    agent = Agent(config, spec, np.random.SeedSequence([seed, 0x5AFE]))
+    agent = Agent(parse_agent(VIRTUAL_AGENT, "virtual"), spec,
+                  np.random.SeedSequence([seed, 0x5AFE]))
     cohort = Cohort([agent])
     for _ in range(warmup_rounds):
         raise_failures(train_round([cohort], spec, episodes_per_round=1, gamma=0.99,

@@ -1,7 +1,10 @@
 """Config grammar, sweep execution, CSV schemas, and CLI exit codes."""
 
+import codecs
+import concurrent.futures
 import csv
 import dataclasses
+import errno
 import hashlib
 import math
 import os
@@ -32,6 +35,8 @@ from fedhpd.experiment import (
     train_experiment,
 )
 from fedhpd.policy import DistributionBatch
+from fedhpd.presets import PRESET_NAMES, parse_agent, preset_agents
+from fedhpd.public_states import VIRTUAL_AGENT
 from oracles import save_network
 
 SMALL_CONFIG = """
@@ -64,12 +69,45 @@ def test_parse_config_text_types():
         "run.gamma = 0.95\n"
         "fed.include_nofed = false\n"
         "run.seeds = 1, 2, 3\n"
+        "fed.d =\n"
+        "run.output_dir = a, b\n"
     )
     assert values["env.kind"] == "cartpole-discrete"
     assert values["run.rounds"] == 12
     assert values["run.gamma"] == 0.95
     assert values["fed.include_nofed"] is False
+    # a value is a list because its key is a list key; any other key keeps its commas
     assert values["run.seeds"] == [1, 2, 3]
+    assert values["fed.d"] == []
+    assert values["run.output_dir"] == "a, b"
+    assert parse_config_text("run.seeds = 7")["run.seeds"] == [7]
+
+
+@pytest.mark.parametrize("setting,name", [
+    ("run.rounds = \u0661\u0660", "run.rounds"),  # Arabic-Indic digits for 10
+    ("run.rounds = 1_0", "run.rounds"),
+    ("run.gamma = 0.9_9", "run.gamma"),
+    ("run.seeds = 2_0, 25", "run.seeds"),
+    ('agents.spec = "6_4:relu@1e-3"', "agents.spec entry '6_4:relu@1e-3'"),
+    ('agents.spec = "\u0666\u0664:relu@1e-3"', "agents.spec entry"),
+    ('agents.spec = "64:relu@1_0e-3"', "agents.spec entry '64:relu@1_0e-3'"),
+    ('agents.spec = "64:relu@\u0661e-3"', "agents.spec entry"),
+])
+def test_numbers_in_config_text_are_ascii_digits(tmp_path, capsys, setting, name):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {name}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + ("run.rounds = 4\n" + SMALL_CONFIG.replace(
+        "run.rounds = 8\n", "")).encode())
+    assert load_experiment_config(path)["run.rounds"] == 4
+    assert main(["train", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
 
 
 def test_parse_config_keeps_hash_inside_quotes():
@@ -212,6 +250,76 @@ def test_a_worker_that_dies_is_a_config_error_naming_the_sizes(tmp_path, capsys,
     assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
 
 
+def test_a_worker_pool_that_cannot_start_is_a_config_error_naming_run_workers(
+        tmp_path, capsys, monkeypatch):
+    def fork_fails(self, *args, **kwargs):  # as fork fails at the process limit
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", fork_fails)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", "run.workers = 2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot start 2 worker processes")
+    assert "lower run.workers" in err and err.count("\n") == 1
+    assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
+
+
+# each lineup as (agent id, hidden stack, learning rate), written out by hand
+REFERENCE_LINEUPS = {
+    "cartpole-4": [
+        ("agent-1", [(64, "relu")], 1e-3),
+        ("agent-2", [(16, "relu"), (16, "relu")], 2e-3),
+        ("agent-6", [(4, "relu"), (4, "relu")], 7e-4),
+        ("agent-10", [(16, "relu")], 8e-4),
+    ],
+    "cartpole-10": [
+        ("agent-1", [(128, "relu")], 1e-3),
+        ("agent-2", [(32, "relu"), (32, "relu")], 2e-3),
+        ("agent-3", [(16, "tanh"), (16, "tanh"), (32, "tanh")], 4e-3),
+        ("agent-4", [(8, "relu"), (8, "relu"), (8, "relu")], 5e-4),
+        ("agent-5", [(32, "tanh"), (32, "tanh"), (32, "tanh")], 3e-3),
+        ("agent-6", [(8, "relu"), (8, "relu")], 7e-4),
+        ("agent-7", [(64, "tanh"), (64, "tanh")], 1e-3),
+        ("agent-8", [(16, "relu"), (16, "relu")], 5e-4),
+        ("agent-9", [(16, "tanh"), (32, "tanh"), (16, "tanh")], 5e-4),
+        ("agent-10", [(32, "relu")], 8e-4),
+    ],
+    "pendulum-4": [
+        ("agent-1", [(16, "tanh"), (32, "tanh")], 1e-4),
+        ("agent-2", [(32, "relu"), (32, "relu")], 1e-4),
+        ("agent-6", [(64, "tanh"), (64, "tanh")], 8e-5),
+        ("agent-10", [(32, "relu"), (128, "relu")], 5e-5),
+    ],
+    "virtual": [("virtual", [(32, "tanh"), (32, "tanh")], 1e-3)],
+}
+
+
+def test_presets_and_the_virtual_agent_are_their_reference_lineups():
+    lineups = {name: preset_agents(name) for name in PRESET_NAMES}
+    lineups["virtual"] = [parse_agent(VIRTUAL_AGENT, "virtual")]
+    for name, agents in lineups.items():
+        got = [(a.agent_id, a.hidden, a.learning_rate) for a in agents]
+        assert got == REFERENCE_LINEUPS[name], name
+        assert all(type(a.learning_rate) is float and all(
+            type(width) is int and type(act) is str for width, act in a.hidden)
+            for a in agents), name
+    assert sorted(lineups) == sorted(REFERENCE_LINEUPS)
+
+
+def test_readme_gives_each_preset_as_its_agents_spec_text():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for name in PRESET_NAMES:
+        row = re.search(rf"^\| `{name}` \| `[a-z-]+` \| `([^`]+)` \| ([0-9, ]+) \|$", readme,
+                        re.MULTILINE)
+        assert row, name
+        agents = parse_agent_spec(row[1])
+        assert [(a.hidden, a.learning_rate) for a in agents] == [
+            (a.hidden, a.learning_rate) for a in preset_agents(name)], name
+        assert [f"agent-{i}" for i in row[2].split(", ")] == [
+            a.agent_id for a in preset_agents(name)], name
+
+
 def test_agent_spec_grammar():
     agents = parse_agent_spec("64:relu@1e-3; 16x16:relu,tanh@2e-3")
     assert [a.agent_id for a in agents] == ["agent-1", "agent-2"]
@@ -286,17 +394,34 @@ def test_train_is_byte_deterministic_across_worker_counts(tmp_path):
 
 
 def test_nofed_only_grid_needs_no_state_file(tmp_path):
-    config = load_experiment_config(
-        write_config(tmp_path), ["fed.d = 4", "fed.include_nofed = true"]
-    )
-    # drop the federated cells entirely via include toggle is not possible for
-    # fed.d, so check the reverse: nofed-only config works without states
-    values = dict(config.values)
-    values["fed.d"] = []
-    nofed_only = ExperimentConfig(values)
-    outcome = train_experiment(nofed_only, tmp_path / "out2")
-    assert len(outcome["metrics_files"]) == 2
-    assert not (tmp_path / "out2" / "states.txt").exists()
+    # `fed.d =` is the empty list: the grid is the NoFed baseline alone
+    nofed_only = tmp_path / "nofed.cfg"
+    nofed_only.write_text(SMALL_CONFIG.replace("fed.d = 4\n", "fed.d =\n"))
+    for n, argv in enumerate((["--config", str(nofed_only)],
+                              ["--config", str(write_config(tmp_path)), "--set", "fed.d="])):
+        out = tmp_path / f"out{n}"
+        assert main(["train", *argv, "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "run-nofed-seed20.csv", "run-nofed-seed25.csv", "summary.csv"]
+        assert len(list((out / "snapshots").glob("*.fhpd"))) == 2 * 2
+        assert not (out / "states.txt").exists()
+        assert load_experiment_config(out / "config.resolved")["fed.d"] == []
+
+
+@pytest.mark.parametrize("settings,message", [
+    (["fed.d =", "fed.include_nofed = false"],
+     "fed.d: is empty and fed.include_nofed is false, so the grid has no cells"),
+    (["run.seeds ="], "run.seeds: must name at least one seed"),
+])
+def test_an_empty_grid_list_is_a_config_error_when_no_cell_is_left(tmp_path, capsys,
+                                                                    settings, message):
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_a_grid_with_no_cells_is_a_config_error_naming_both_keys():
@@ -327,6 +452,18 @@ def test_cli_sweep_emits_grid_files(tmp_path):
     fed_files = sorted(p.name for p in out.glob("run-fedhpd-*.csv"))
     assert len(fed_files) == 3 * 2
     assert len(list(out.glob("run-nofed-*.csv"))) == 2
+
+
+def test_cli_sweep_passes_empty_lists_through(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--config", str(path), "--d", "", "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("run-*.csv")) == [
+        "run-nofed-seed20.csv", "run-nofed-seed25.csv"]
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--seeds", "",
+                 "--output-dir", str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err.endswith("run.seeds: must name at least one seed\n")
 
 
 def test_cli_generate_states_roundtrip_and_seed_sensitivity(tmp_path):

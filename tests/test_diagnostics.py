@@ -144,6 +144,42 @@ def test_cov_bounded_by_cauchy_schwarz():
     assert abs(report.cov_trace) <= bound + 1e-9
 
 
+def named_deviation_report(samples, grad_kl):
+    """The report's variance terms through named [n, P] deviation arrays."""
+    kl_samples = np.broadcast_to(grad_kl, samples.shape)
+    dev_g = samples - samples.mean(axis=0)
+    dev_kl = kl_samples - kl_samples.mean(axis=0)
+    return (np.sum(np.var(samples, axis=0, ddof=1)), np.sum(np.var(kl_samples, axis=0, ddof=1)),
+            np.sum(dev_g * dev_kl) / (samples.shape[0] - 1),
+            np.sum(np.var(samples - kl_samples, axis=0, ddof=1)))
+
+
+def test_report_keeps_the_bits_of_named_deviation_arrays():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        n, p = rng.integers(2, 70), rng.integers(1, 300)
+        scale = 10.0 ** rng.uniform(-5, 5)
+        samples = rng.normal(scale=scale, size=(n, p)) + rng.normal(scale=scale, size=p)
+        grad_kl = rng.normal(scale=scale, size=p)
+        report = variance_report_from_samples(samples, grad_kl)
+        assert_same_bits(np.array([report.var_j_trace, report.var_kl_trace, report.cov_trace,
+                                   report.var_jprime_direct]),
+                         np.array(named_deviation_report(samples, grad_kl)))
+
+
+def test_report_holds_at_most_two_sample_sized_arrays_at_once():
+    rng = np.random.default_rng(16)
+    samples = rng.normal(size=(64, 20_000))
+    grad_kl = rng.normal(size=20_000)
+    tracemalloc.start()
+    try:
+        variance_report_from_samples(samples, grad_kl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * samples.nbytes, peak / samples.nbytes
+
+
 def test_report_rejects_degenerate_inputs():
     with pytest.raises(ConfigurationError):
         variance_report_from_samples(np.zeros((1, 3)), np.zeros(3))

@@ -96,7 +96,8 @@ _VALUES = st.one_of(
     st.text(max_size=12),
     st.integers(-3, 10**6).map(str),
     st.floats().map(str),
-    st.sampled_from(["true", "false", '""', '"x"', "1, 2", "0.5, abc", "8:tanh@1e-3",
+    st.sampled_from(["true", "false", '""', '"x"', "1, 2", "0.5, abc", "1_0", "\u0661\u0660",
+                     "8:tanh@1e-3", '"6_4:relu@1e-3"',
                      '"4x4:relu@nan"', '"cartpole-continuous"', '"pendulum-4"']),
 )
 _LINES = st.builds("{} = {}".format, st.sampled_from(sorted(_KEYS)), _VALUES)
