@@ -85,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    overrides = list(args.overrides)
-    if args.output_dir:
-        overrides.append(f'run.output_dir = "{args.output_dir}"')
-    return load_experiment_config(args.config, overrides)
+    config = load_experiment_config(args.config, args.overrides)
+    if args.output_dir:  # a path, not config text, so any quotes in it are kept
+        config = ExperimentConfig({**config.values, "run.output_dir": args.output_dir})
+    return config
 
 
 def cmd_generate_states(args) -> int:

@@ -91,7 +91,10 @@ _COMMENT = re.compile(r"""("[^"]*"|'[^']*')|#.*""")
 
 def _parse_scalar(raw: str):
     text = raw.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
+    if text[:1] in ("'", '"'):
+        if len(text) < 2 or text[-1] != text[0] or text[0] in text[1:-1]:
+            raise ValueError(f"{text} opens a quote that must end the value, with no other "
+                             "copy of it inside")
         return text[1:-1]
     lowered = text.lower()
     if lowered in ("true", "false"):
@@ -107,7 +110,9 @@ def _parse_scalar(raw: str):
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment, and each key may
     appear once. A list key's value is its comma-separated entries, an empty
-    value the empty list; any other key keeps its commas as text."""
+    value the empty list; any other key keeps its commas as text. A value (or
+    entry) that opens with a quote ends with the same quote, its only other
+    copy; unquoted text keeps its quotes."""
     values = {}
     linenos = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -123,10 +128,13 @@ def parse_config_text(text: str) -> dict:
             raise ConfigurationError(f"config lines {linenos[key]} and {lineno}: {key} is set "
                                      "twice; each key may appear once")
         linenos[key] = lineno
-        if isinstance(_KEYS[key][0], list):
-            values[key] = [_parse_scalar(part) for part in raw.split(",")] if raw else []
-        else:
-            values[key] = _parse_scalar(raw)
+        try:
+            if isinstance(_KEYS[key][0], list):
+                values[key] = [_parse_scalar(part) for part in raw.split(",")] if raw else []
+            else:
+                values[key] = _parse_scalar(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"config line {lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -144,6 +152,8 @@ def _check(key: str, value) -> None:
     is_list = isinstance(default, list)
     kind = type(default[0] if is_list else default)
     for entry in value if is_list else [value]:
+        if type(entry) is str and "\0" in entry:
+            raise ConfigurationError(f"{key}: {entry!r} holds a NUL byte")
         if kind is str:
             ok = type(entry) is str and (least is None or entry in (least, greatest))
             wanted = "a quoted string" if least is None else f"{least!r} or {greatest!r}"
@@ -222,7 +232,8 @@ class ExperimentConfig:
             elif isinstance(value, bool):
                 rendered = "true" if value else "false"
             elif isinstance(value, str):
-                rendered = f'"{value}"'
+                quote = "'" if '"' in value else '"'
+                rendered = f"{quote}{value}{quote}"
             else:
                 rendered = str(value)
             lines.append(f"{key} = {rendered}")

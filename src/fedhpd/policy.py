@@ -10,11 +10,13 @@ Two heads cover the two action-space regimes:
   vector is the network parameters followed by the log-std entries.
 
 Each head's `score_seed` is the one place its score function d log pi(a|s)
-lives: `log_prob_grad` runs it through the network on one state,
-`score_square_norms` on single rows, one squared gradient norm per row and
-no gradient, and REINFORCE's stacked pass (`PolicyStack.score_grad`, at
-every stack size) on weighted blocks of states, one block per stacked
-policy.
+lives. It and `kl_seed` take the head's log-std and return the network's
+seed and the block of the head's own entries (empty for a categorical head),
+so no caller tells the heads apart. `log_prob_grad` runs `score_seed`
+through the network on one state, `score_square_norms` on single rows, one
+squared gradient norm per row and no gradient, and REINFORCE's stacked pass
+(`PolicyStack.score_grad`, at every stack size) on weighted blocks of
+states, one block per stacked policy.
 
 The environment's action space decides the head: `make_policy` maps an
 `EnvSpec` to one, `snapshot` writes a head and `load_policy` restores it.
@@ -294,18 +296,16 @@ class _Head:
         """d log pi(action | state) for one state vector: one single-row
         forward and backward pass, the head's own entries last."""
         outputs, cache = self.net.forward(state)
-        seed, tail = self.score_seed(outputs[None], action, log_std=self.log_std)
-        grad = self.net.backward(cache, seed[0])
-        return grad if tail is None else np.concatenate([grad, tail[0]])
+        seed, own = self.score_seed(outputs[None], action, np.ones(1), self.log_std)
+        return np.concatenate([self.net.backward(cache, seed[0]), own[0]])
 
     def score_square_norms(self, actions: np.ndarray, forward: tuple) -> np.ndarray:
         """Row i: the squared norm of `log_prob_grad(rows[i], actions[i])`, in
         the factored form of `net.grad_square_norms`, from the rows'
         single-row `forward`."""
         outputs, cache = forward
-        seed, tail = self.score_seed(outputs[:, 0], actions, log_std=self.log_std)
-        squares = self.net.grad_square_norms(cache, seed[:, None])
-        return squares if tail is None else squares + np.einsum("ij,ij->i", tail, tail)
+        seed, own = self.score_seed(outputs[:, 0], actions, np.ones(len(actions)), self.log_std)
+        return self.net.grad_square_norms(cache, seed[:, None]) + np.einsum("ij,ij->i", own, own)
 
     def _kl_batch_loss(self, states: np.ndarray, consensus: DistributionBatch,
                        forward: tuple | None = None) -> tuple[float, np.ndarray]:
@@ -321,9 +321,8 @@ class _Head:
         if consensus.n_states != states.shape[0] or consensus.dim != self.net.output_dim:
             raise ConfigurationError("consensus shape does not match state set")
         forward = self.net.forward(states) if forward is None else forward
-        loss, seeds, tail = self.kl_seed(self._outputs(states, forward), consensus)
-        grad = self.net.backward(forward[1], seeds)
-        return loss, grad if tail is None else np.concatenate([grad, tail])
+        loss, seeds, own = self.kl_seed(self._outputs(states, forward), consensus, self.log_std)
+        return loss, np.concatenate([self.net.backward(forward[1], seeds), own])
 
 
 class CategoricalPolicy(_Head):
@@ -358,16 +357,15 @@ class CategoricalPolicy(_Head):
         return _draw_categorical([x / total for x in e], rng)
 
     @staticmethod
-    def score_seed(logits: np.ndarray, actions, weights: np.ndarray | None = None,
-                   log_std: None = None) -> tuple[np.ndarray, None]:
+    def score_seed(logits: np.ndarray, actions, weights: np.ndarray,
+                   log_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d log pi(a|s) with respect to the logits, onehot(a) - probs, for rows
-        of states and actions, each scaled by its weight if `weights` is given.
-        The head has no parameters beyond the network, hence the None."""
+        of states and actions, each scaled by its weight, and the head's own
+        entries' block: [rows, 0], as the head has none."""
         seed = -softmax(logits)
         seed[np.arange(seed.shape[0]), actions] += 1.0
-        if weights is not None:
-            seed *= weights[:, None]
-        return seed, None
+        seed *= weights[:, None]
+        return seed, np.empty((seed.shape[0], 0))
 
     def log_prob_grad(self, state: np.ndarray, action: int) -> np.ndarray:
         if not 0 <= action < self.action_count:
@@ -394,18 +392,19 @@ class CategoricalPolicy(_Head):
         return DistributionBatch("categorical", probs=softmax(self._outputs(states, forward)))
 
     @staticmethod
-    def kl_seed(logits: np.ndarray,
-                consensus: DistributionBatch) -> tuple[float, np.ndarray, None]:
-        """The mean over rows of KL(softmax(logits) row || consensus row), and
-        its logit-space seeds: per state p * (ln(p/q) - KL) / n, which follows
-        from the softmax Jacobian applied to the KL sum. No tail: the head
-        has no parameters beyond the network."""
+    def kl_seed(logits: np.ndarray, consensus: DistributionBatch,
+                log_std: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The mean over rows of KL(softmax(logits) row || consensus row), its
+        logit-space seeds: per state p * (ln(p/q) - KL) / n, which follows
+        from the softmax Jacobian applied to the KL sum, and the empty block
+        of the head's own entries."""
         p = softmax(logits)
         logs = np.log(np.maximum(p, PROB_FLOOR)) - np.log(
             np.maximum(consensus.probs, PROB_FLOOR)
         )
         per_state = (p * logs).sum(axis=1)
-        return float(per_state.mean()), p * (logs - per_state[:, None]) / logits.shape[0], None
+        seeds = p * (logs - per_state[:, None]) / logits.shape[0]
+        return float(per_state.mean()), seeds, np.empty(0)
 
     kl_batch_loss = _Head._kl_batch_loss
 
@@ -436,18 +435,14 @@ class GaussianPolicy(_Head):
         return _draw_gaussian(self._outputs(state), self.std(), rng)
 
     @staticmethod
-    def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray | None = None,
-                   log_std: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray,
+                   log_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d log pi(a|s): (a - mu)/var with respect to the mean, and the log-std
-        term (a - mu)^2/var - 1. `log_std` is the policy's vector, or one row
-        per state; weights work as in `CategoricalPolicy.score_seed`."""
+        block (a - mu)^2/var - 1, each row scaled by its weight. `log_std` is
+        the policy's vector, or one row per state."""
         var = np.exp(2.0 * log_std)
-        seed = (actions - mu) / var
-        log_std_grad = (actions - mu) ** 2 / var - 1.0
-        if weights is not None:
-            seed = seed * weights[:, None]
-            log_std_grad = log_std_grad * weights[:, None]
-        return seed, log_std_grad
+        weights = weights[:, None]
+        return (actions - mu) / var * weights, ((actions - mu) ** 2 / var - 1.0) * weights
 
     def log_prob_grad(self, state: np.ndarray, action: np.ndarray) -> np.ndarray:
         return self._log_prob_grad(state, np.asarray(action, dtype=np.float64))
@@ -473,13 +468,14 @@ class GaussianPolicy(_Head):
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
-    def kl_seed(self, mu: np.ndarray, consensus: DistributionBatch
-                ) -> tuple[float, np.ndarray, np.ndarray]:
+    @staticmethod
+    def kl_seed(mu: np.ndarray, consensus: DistributionBatch,
+                log_std: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The mean over rows of the closed-form Gaussian KL to the consensus,
         its seeds d/dmu1 = (mu1 - mu2)/var2 / n, which chain through the
-        network, and the log-std tail var1/var2 - 1 per dimension, averaged
+        network, and the log-std block var1/var2 - 1 per dimension, averaged
         over states."""
-        var = np.exp(2.0 * self.log_std)
+        var = np.exp(2.0 * log_std)
         n = mu.shape[0]
         # log computed on the variance ratio so a bit-identical consensus
         # yields an exact zero loss (self-distillation fixed point)
@@ -526,12 +522,10 @@ class PolicyStack:
         outputs, cache = self.net.forward(states, bounds)
         n = self.net.num_params
         log_std = np.repeat(self.params[: len(bounds) - 1, n:], np.diff(bounds), axis=0)
-        seed, tail = self.head.score_seed(outputs, actions, weights, log_std)
-        grad = self.net.backward(cache, seed, bounds)
-        if tail is None:
-            return grad
-        return np.concatenate([grad, [tail[start:end].sum(axis=0)
-                                      for start, end in zip(bounds, bounds[1:])]], axis=1)
+        seed, own = self.head.score_seed(outputs, actions, weights, log_std)
+        return np.concatenate([self.net.backward(cache, seed, bounds),
+                               [own[start:end].sum(axis=0)
+                                for start, end in zip(bounds, bounds[1:])]], axis=1)
 
     def settle(self) -> np.ndarray:
         """After an in-place write to `params`, what `set_params` does, for

@@ -14,6 +14,8 @@ keep their position in the full 10-agent lineup.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 from .nn_core import ACTIVATIONS
 from .reinforce import AgentConfig
@@ -84,6 +86,8 @@ def parse_agent(entry: str, agent_id: str) -> AgentConfig:
         if act not in ACTIVATIONS:
             raise ConfigurationError(f"{where}: unknown activation {act!r}; "
                                      f"choose one of {', '.join(ACTIVATIONS)}")
+    if not 0.0 < lr < math.inf:
+        raise ConfigurationError(f"{where}: learning rate must be finite and > 0, not {lr!r}")
     return AgentConfig(agent_id=agent_id, hidden=list(zip(widths, acts)), learning_rate=lr)
 
 

@@ -71,6 +71,7 @@ def test_parse_config_text_types():
         "run.seeds = 1, 2, 3\n"
         "fed.d =\n"
         "run.output_dir = a, b\n"
+        "states.path = it's \"here\"\n"
     )
     assert values["env.kind"] == "cartpole-discrete"
     assert values["run.rounds"] == 12
@@ -80,6 +81,7 @@ def test_parse_config_text_types():
     assert values["run.seeds"] == [1, 2, 3]
     assert values["fed.d"] == []
     assert values["run.output_dir"] == "a, b"
+    assert values["states.path"] == "it's \"here\""  # unquoted text keeps its quotes
     assert parse_config_text("run.seeds = 7")["run.seeds"] == [7]
 
 
@@ -113,6 +115,45 @@ def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
 def test_parse_config_keeps_hash_inside_quotes():
     values = parse_config_text('run.output_dir = "runs/#1"  # trailing comment\n')
     assert values["run.output_dir"] == "runs/#1"
+
+
+def test_an_unbalanced_quote_is_a_config_error_naming_the_line_and_key(tmp_path):
+    # a value (or list entry) that opens with a quote ends with it, its only other copy
+    for line in ['run.output_dir = "abc', 'run.output_dir = "a" "b"', "states.path = 'it's'",
+                 'run.output_dir = "', "agents.spec = '4:relu@1e-3\"", 'run.seeds = "1, 2"']:
+        key = line.split("=")[0].strip()
+        path = write_config(tmp_path, f"run.rounds = 4\n{line}  # a comment\n")
+        with pytest.raises(ConfigurationError, match=f"^config line 2: {re.escape(key)}: "):
+            load_experiment_config(path)
+    # a path given on the command line is not config text: its quotes are kept,
+    # and config.resolved quotes it so that it reads back
+    out = tmp_path / 'say "a"'
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", "run.rounds = 2", "--set", "fed.d = 1"]) == 0
+    assert load_experiment_config(out / "config.resolved")["run.output_dir"] == str(out)
+
+
+@pytest.mark.parametrize("key", ["run.output_dir", "states.path"])
+def test_a_nul_byte_in_a_path_key_is_a_config_error_naming_it(tmp_path, capsys, key):
+    text = SMALL_CONFIG + f'{key} = "{tmp_path / "a"}\0b"\n'
+    if key == "states.path":
+        text += 'states.source = "file"\nrun.output_dir = "' + str(tmp_path / "out") + '"\n'
+    assert main(["train", "--config", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: ") and "NUL byte" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("rate", ["nan", "0", "-1e-3", "inf"])
+def test_a_bad_learning_rate_names_its_agents_spec_entry(tmp_path, capsys, rate):
+    entry = f"4:relu@{rate}"
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", f'agents.spec = "8:tanh@1e-3; {entry}"']) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: agents.spec entry '{entry}': learning rate must be finite "
+        f"and > 0, not {float(rate)!r}\n")
+    assert not out.exists()
 
 
 def test_boolean_is_not_a_positive_integer():
@@ -1003,6 +1044,33 @@ def test_train_outputs_keep_their_pinned_bytes(tmp_path, grid):
                for pattern in ("*.csv", "snapshots/*", "consensus/*")
                for p in sorted(out.glob(pattern))}
     assert digests == pinned
+
+
+# sha256 of the diagnostics.csv `diagnose` writes for a fedhpd snapshot of a
+# pinned grid against a consensus that agent received; the Gaussian case is
+# the one that runs that head's probe sweep (`probe_pairs`,
+# `score_square_norms`, `log_prob_grad`). A change here is a numeric or
+# schema change.
+PINNED_DIAGNOSTICS = {
+    "cartpole": (PINNED_CONFIG, "fedhpd-d2-seed20-agent-2", "fedhpd-d2-seed20-round3",
+                 "a1a7dfcbb8ff419410263d9b5a1b07ecce8e4707fdd3e071ef5c83f7fa2ae7b8"),
+    "pendulum": (PINNED_GAUSSIAN_CONFIG, "fedhpd-d2-seed20-agent-1", "fedhpd-d2-seed20-round3",
+                 "9974de9c227e97104a01b6f24d415f5a17422574e2987701b3334ae4261d16b4"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PINNED_DIAGNOSTICS))
+def test_diagnose_keeps_its_pinned_bytes(tmp_path, grid):
+    text, snapshot, consensus, pinned = PINNED_DIAGNOSTICS[grid]
+    path, out = write_config(tmp_path, text), tmp_path / "out"
+    assert main(["train", "--config", str(path), "--output-dir", str(out),
+                 "--set", "run.dump_consensus = true"]) == 0
+    assert main(["diagnose", "--config", str(path), "--output-dir", str(out / "diag"),
+                 "--snapshot", str(out / "snapshots" / f"{snapshot}.fhpd"),
+                 "--consensus", str(out / "consensus" / f"{consensus}.bin"),
+                 "--states", str(out / "states.txt"), "--set", "diag.samples = 4",
+                 "--set", "diag.repeats = 2", "--set", "diag.pairs = 3"]) == 0
+    assert hashlib.sha256((out / "diag" / "diagnostics.csv").read_bytes()).hexdigest() == pinned
 
 
 def test_experiment_cells_enumeration():

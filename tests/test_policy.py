@@ -446,6 +446,33 @@ def test_kl_batch_loss_nonnegative_on_random_pairs():
         assert loss >= 0.0
 
 
+@pytest.mark.parametrize("kind,own_width", [("categorical", 0), ("gaussian", 2)])
+def test_each_head_seeds_with_one_signature_and_an_own_entries_block(kind, own_width):
+    # score_seed(outputs, actions, weights, log_std) -> (seed, own) and
+    # kl_seed(outputs, consensus, log_std) -> (loss, seeds, own) on both heads,
+    # `own` one row per state (score) or one entry per own parameter (KL)
+    if kind == "categorical":
+        policy, rng = make_categorical(hidden=(5,), actions=3, seed=61)
+        other, _ = make_categorical(hidden=(4,), actions=3, seed=63)
+        actions = rng.integers(0, 3, size=6)
+    else:
+        policy, rng = make_gaussian(hidden=(5,), a_dim=2, seed=62)
+        other, _ = make_gaussian(hidden=(4,), a_dim=2, seed=64)
+        actions = rng.normal(size=(6, 2))
+    head = type(policy)
+    assert all(isinstance(head.__dict__[name], staticmethod) for name in ("score_seed", "kl_seed"))
+    states = rng.normal(size=(6, 4))
+    outputs = policy.net.forward(states)[0]
+    weights = rng.uniform(0.5, 2.0, size=6)
+    seed, own = head.score_seed(outputs, actions, weights, policy.log_std)
+    unit_seed, unit_own = head.score_seed(outputs, actions, np.ones(6), policy.log_std)
+    assert seed.shape == outputs.shape and own.shape == (6, own_width)
+    assert np.array_equal(seed, unit_seed * weights[:, None])
+    assert np.array_equal(own, unit_own * weights[:, None])
+    loss, seeds, own = head.kl_seed(outputs, other.extract_batch(states), policy.log_std)
+    assert loss > 0.0 and seeds.shape == outputs.shape and own.shape == (own_width,)
+
+
 # ------------------------------------------------------------- smoothness checks
 
 
