@@ -12,20 +12,21 @@ Every known key has a default and a range (`_KEYS`); an unknown key, or a
 value of another type or out of range, is rejected by name before any work
 starts. A training invocation expands into a grid of cells (mode, interval,
 seed) - the NoFed baseline plus one federated variant per interval. `run_cell`
-turns a finished cell into its summary row and one list of (relative path,
-contents): the metrics CSV, the snapshots and any kept consensus broadcasts,
-which `train_experiment` writes in one loop after removing the cell's stale
-files. Every CSV table (metrics, `summary.csv`, `diagnostics.csv`) is a column
-list and dict rows, formatted by `csv_text`: a key a row lacks is a blank
-field, and reals are printed with 17 significant digits so comparisons
+turns a finished cell's `RunResult` into its summary row and its files by
+relative path: the metrics CSV, the snapshots and any kept consensus
+broadcasts. Every CSV table (metrics, `summary.csv`, `diagnostics.csv`) is a
+column list and dict rows, formatted by `csv_text`: a key a row lacks is a
+blank field, and reals are printed with 17 significant digits so comparisons
 reproduce exactly.
 
 The cells of a grid share their lineup, so they train together in lockstep
 (`run_group`, `federation.run`): one group at `run.workers = 1`, otherwise the
-cells are dealt into `run.workers` groups that run in a process pool. Every
-cell's numbers are those it would have alone, and outputs are written by the
-parent in a fixed order, so byte-identical results do not depend on the
-worker count.
+cells are dealt into `run.workers` groups that run in a process pool. A group
+only trains: it returns each cell's `RunResult`, or the exception the cell
+failed with. Every cell's numbers are those it would have alone, and the
+parent takes the cells in order: it formats each finished cell (`run_cell`),
+removes the cell's stale files, and writes its files or its `failures.txt`
+line, so byte-identical results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -87,6 +88,17 @@ SIZE_KEYS = [key for key, (_, _, most) in _KEYS.items() if type(most) is int] + 
 
 # a quoted string (kept whole) or a comment from '#' to the end of the line
 _COMMENT = re.compile(r"""("[^"]*"|'[^']*')|#.*""")
+
+
+# what a string value cannot hold: config text has no escape, `resolved_text`
+# must read back (a line break is any that `str.splitlines` breaks at) and
+# write as UTF-8, and no path may hold a NUL byte
+_UNWRITABLE = [
+    (re.compile("\0"), "a NUL byte"),
+    (re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"), "a line break"),
+    (re.compile("[\ud800-\udfff]"), "a lone surrogate, which UTF-8 cannot encode"),
+    (re.compile("'.*\"|\".*'", re.DOTALL), "both quote characters, so no quote can enclose it"),
+]
 
 
 def _parse_scalar(raw: str):
@@ -152,8 +164,10 @@ def _check(key: str, value) -> None:
     is_list = isinstance(default, list)
     kind = type(default[0] if is_list else default)
     for entry in value if is_list else [value]:
-        if type(entry) is str and "\0" in entry:
-            raise ConfigurationError(f"{key}: {entry!r} holds a NUL byte")
+        if type(entry) is str:
+            for pattern, what in _UNWRITABLE:
+                if pattern.search(entry):
+                    raise ConfigurationError(f"{key}: {entry!r} holds {what}")
         if kind is str:
             ok = type(entry) is str and (least is None or entry in (least, greatest))
             wanted = "a quoted string" if least is None else f"{least!r} or {greatest!r}"
@@ -335,43 +349,34 @@ def metrics_rows(cell: Cell, result: RunResult) -> list[dict]:
     return rows
 
 
-def run_cell(cell: Cell, result: RunResult) -> dict:
-    """Format one finished cell: its summary row, and its files in writing order
-    as (path in the output directory, contents): metrics CSV, snapshots, kept broadcasts."""
+def run_cell(cell: Cell, result: RunResult) -> tuple[dict, dict]:
+    """Format one finished cell in the parent process, which calls it in cell
+    order: its summary row, and its files in writing order by path in the
+    output directory: metrics CSV, snapshots, kept broadcasts."""
     system = result.system_returns()
     window = min(FINAL_WINDOW, system.size)
-    return {
-        "cell": cell,
-        "summary": {"mode": cell.mode, "d": cell.interval, "seed": cell.seed,
-                    "final_window_mean": float(system[-window:].mean()),
-                    "overall_mean": float(system.mean())},
-        "files": [(cell.file_name, csv_text(METRICS_COLUMNS, metrics_rows(cell, result)))]
-        + [(f"snapshots/{cell.stem}-{agent_id}.fhpd", blob)
-           for agent_id, blob in zip(result.agent_ids, result.final_snapshots)]
-        + [(f"consensus/{cell.stem}-round{i}.bin", record.broadcast)
-           for i, record in result.consensus_records.items() if record.broadcast is not None],
-    }
+    summary = {"mode": cell.mode, "d": cell.interval, "seed": cell.seed,
+               "final_window_mean": float(system[-window:].mean()),
+               "overall_mean": float(system.mean())}
+    files = {cell.file_name: csv_text(METRICS_COLUMNS, metrics_rows(cell, result))}
+    files.update((f"snapshots/{cell.stem}-{agent_id}.fhpd", blob)
+                 for agent_id, blob in zip(result.agent_ids, result.final_snapshots))
+    files.update((f"consensus/{cell.stem}-round{i}.bin", record.broadcast)
+                 for i, record in result.consensus_records.items()
+                 if record.broadcast is not None)
+    return summary, files
 
 
-def _cell_outcome(cell: Cell, result) -> dict:
-    """A finished cell's outputs, or its failure; cell failures are recorded,
-    not fatal, but running out of memory is."""
-    try:
-        if not isinstance(result, Exception):
-            return run_cell(cell, result)
-    except Exception as exc:
-        result = exc
-    if isinstance(result, MemoryError):  # a resource fault, not the cell's: `cli.main` names it
-        raise result
-    return {"cell": cell, "error": f"{type(result).__name__}: {result}"}
-
-
-def run_group(args) -> list[dict]:
-    """Train a group of cells in lockstep (`federation.run`); one outcome per
-    cell, with a failure recorded against its cell only."""
+def run_group(args) -> list:
+    """Train a group of cells in lockstep and return `federation.run`'s list:
+    per cell its `RunResult`, or the exception it failed with. A group (in a
+    worker process when `run.workers` > 1) only trains; the parent formats and
+    writes the cells. A failure before the cells part is every cell's, but
+    running out of memory is raised: it is a resource fault, not a cell's, and
+    `cli.main` names the size keys."""
     config, cells, states = args
     try:
-        results = run(
+        return run(
             FedRunConfig(
                 spec=EnvSpec(config["env.kind"], config["env.max_steps"]),
                 rounds=config["run.rounds"],
@@ -383,13 +388,10 @@ def run_group(args) -> list[dict]:
             [(cell.interval, cell.seed) for cell in cells],
             states,
             keep_broadcasts=config["run.dump_consensus"])
-    except Exception as exc:  # a failure before the cells part fails them all
-        results = [exc] * len(cells)
-    outcomes = []
-    for c, cell in enumerate(cells):
-        outcomes.append(_cell_outcome(cell, results[c]))
-        results[c] = None  # a cell's result is large next to its CSV text
-    return outcomes
+    except MemoryError:
+        raise
+    except Exception as exc:
+        return [exc] * len(cells)
 
 
 def write_file(path: Path, data: str | bytes | None) -> None:
@@ -443,46 +445,46 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     workers = min(config["run.workers"], len(cells))
     jobs = [(config, cells[g::workers], states) for g in range(workers)]
     if workers == 1:
-        grouped = [run_group(jobs[0])]
+        results = run_group(jobs[0])
     else:
         # imported here: the pool's modules would add about 15 ms to every process
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
+        results = [None] * len(cells)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                grouped = list(pool.map(run_group, jobs))
+                for g, group in enumerate(pool.map(run_group, jobs)):
+                    results[g::workers] = group
         except BrokenProcessPool as exc:  # e.g. the kernel killed it for memory
             raise ConfigurationError(
                 f"a worker process ended abruptly; lower {', '.join(SIZE_KEYS)}") from exc
         except OSError as exc:  # e.g. fork at the process limit
             raise ConfigurationError(
                 f"cannot start {workers} worker processes ({exc}); lower run.workers") from exc
-    outcomes: list = [None] * len(cells)
-    for g, group in enumerate(grouped):
-        outcomes[g::workers] = group
 
     summary_rows = []
     pooled: dict = {}
     failures = []
     written = []
-    for outcome in outcomes:
-        cell = outcome["cell"]
-        files = dict(outcome.get("files", ()))
+    for c, cell in enumerate(cells):
+        result, results[c] = results[c], None  # freed once its files are written
+        failed = isinstance(result, Exception)
+        summary, files = (None, {}) if failed else run_cell(cell, result)
         # an earlier run's file of this cell that this run does not write is stale
         for pattern in (cell.file_name, f"snapshots/{cell.stem}-*.fhpd",
                         f"consensus/{cell.stem}-round*.bin"):
             for path in output_dir.glob(pattern):
                 if path.relative_to(output_dir).as_posix() not in files:
                     write_file(path, None)
-        if "error" in outcome:
-            failures.append(f"{cell.file_name}: {outcome['error']}")
+        if failed:
+            failures.append(f"{cell.file_name}: {type(result).__name__}: {result}")
             continue
         for name, data in files.items():
             write_file(output_dir / name, data)
         written.append(output_dir / cell.file_name)
-        summary_rows.append(outcome["summary"])
-        pooled.setdefault((cell.mode, cell.interval), []).append(outcome["summary"])
+        summary_rows.append(summary)
+        pooled.setdefault((cell.mode, cell.interval), []).append(summary)
 
     for (mode, d), rows in sorted(pooled.items()):
         summary_rows.append({"mode": mode, "d": d, "seed": "pooled", **{

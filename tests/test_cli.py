@@ -18,7 +18,7 @@ from fedhpd import cli, experiment
 from fedhpd.cli import DIAGNOSTICS_COLUMNS, main
 from fedhpd.diagnostics import SmoothnessProbe, VarianceReport
 from fedhpd.env import PublicStateSet, save_state_set
-from fedhpd.errors import ConfigurationError
+from fedhpd.errors import ConfigurationError, NumericError
 from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes
 from fedhpd.experiment import (
     _KEYS,
@@ -141,6 +141,24 @@ def test_a_nul_byte_in_a_path_key_is_a_config_error_naming_it(tmp_path, capsys, 
     assert main(["train", "--config", str(write_config(tmp_path, text))]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key}: ") and "NUL byte" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("name, what, given", [
+    ("q'x\"y", "both quote characters", "--output-dir"),  # config.resolved could not quote it
+    ("n\nl", "a line break", "--output-dir"),  # it would split config.resolved
+    ("n\x85l", "a line break", "--output-dir"),
+    ("bad\udcffdir", "a lone surrogate", "--output-dir"),  # as an undecodable byte arrives
+    ("bad\udcffdir", "a lone surrogate", "--set"),
+])
+def test_an_output_dir_config_text_cannot_hold_is_a_config_error(tmp_path, capsys, name, what,
+                                                                 given):
+    out = str(tmp_path / name)
+    argv = ["--output-dir", out] if given == "--output-dir" else [
+        "--set", f'run.output_dir = "{out}"']
+    assert main(["train", "--config", str(write_config(tmp_path)), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: run.output_dir: {out!r} holds {what}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
@@ -270,6 +288,39 @@ def test_running_out_of_memory_is_a_config_error_naming_the_sizes(tmp_path, caps
     out = tmp_path / "out"
     assert main(["train", "--config", str(write_config(tmp_path)),
                  "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out of memory; lower ")
+    assert all(key in err for key in SIZE_KEYS)
+    assert not (out / "failures.txt").exists() and not list(out.glob("run-*.csv"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failure_before_the_cells_start_fails_every_cell(tmp_path, capsys, monkeypatch,
+                                                           workers):
+    def boom(*args, **kwargs):
+        raise NumericError("boom")
+
+    monkeypatch.setattr(experiment, "run", boom)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", f"run.workers = {workers}"]) == 3
+    assert (out / "failures.txt").read_text() == "".join(
+        f"run-{cell.stem}.csv: NumericError: boom\n"
+        for cell in experiment_cells(load_experiment_config(write_config(tmp_path))))
+    assert "cell failed: run-nofed-seed20.csv: NumericError: boom" in capsys.readouterr().err
+    assert not list(out.glob("run-*.csv"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_running_out_of_memory_before_the_cells_start_names_the_sizes(tmp_path, capsys,
+                                                                     monkeypatch, workers):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(experiment, "run", exhausted)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", f"run.workers = {workers}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: out of memory; lower ")
     assert all(key in err for key in SIZE_KEYS)

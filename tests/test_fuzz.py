@@ -109,3 +109,23 @@ def test_config_text_fails_only_as_configuration_error(text):
         ExperimentConfig(parse_config_text(text))
     except ConfigurationError:
         pass
+
+
+# any character, lone surrogates included, and those config text reads specially
+_PATH_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                               st.sampled_from("'\"#=, \t\n\r\x0b\x0c\x1c\x85 \0\udcff")),
+                     max_size=16)
+
+
+@given(_PATH_TEXT)
+@example("q'x\"y")
+@example("n\x85l")
+@example("bad\udcffdir")
+def test_an_output_dir_is_refused_or_reads_back_from_resolved_text(text):
+    try:
+        config = ExperimentConfig({"run.output_dir": text})
+    except ConfigurationError:
+        return
+    resolved = config.resolved_text()
+    resolved.encode("utf-8")
+    assert parse_config_text(resolved) == config.values

@@ -535,31 +535,36 @@ states.rollouts = 2
 """
 
 
-def test_failing_cell_fails_alone_in_a_grid(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_cell_fails_alone_in_a_grid(tmp_path, monkeypatch, workers):
     path = tmp_path / "grid.cfg"
     path.write_text(GRID)
     assert main(["train", "--config", str(path), "--output-dir", str(tmp_path / "clean"),
                  "--set", "fed.d = 3"]) == 0
 
-    original = federation.distillation_round
-    calls = []
+    original_fires, original_round = federation.fires, federation.distillation_round
+    interval = []
+
+    def fires(round_index, d):  # `run` asks this of a cell just before it distils
+        interval[:] = [d]
+        return original_fires(round_index, d)
 
     def distillation_round(agents, states):
-        calls.append(1)
-        # d = 3 distils on rounds 2 and 5 of 8, d = 5 on round 4: the third
-        # and fourth calls are the two d = 5 cells'
-        if len(calls) in (3, 4):
+        # the d = 5 cells fail, whichever worker process runs them
+        if interval == [5]:
             raise NumericError("non-finite gradient in adam_step")
-        return original(agents, states)
+        return original_round(agents, states)
 
+    monkeypatch.setattr(federation, "fires", fires)
     monkeypatch.setattr(federation, "distillation_round", distillation_round)
     failing = tmp_path / "failing"
     assert main(["train", "--config", str(path), "--output-dir", str(failing),
-                 "--set", "fed.d = 3, 5"]) == 3
+                 "--set", "fed.d = 3, 5", "--set", f"run.workers = {workers}"]) == 3
     assert (failing / "failures.txt").read_text() == "".join(
         f"run-fedhpd-d5-seed{seed}.csv: NumericError: non-finite gradient in adam_step\n"
         for seed in (20, 25))
     assert not list(failing.glob("run-fedhpd-d5-*.csv"))
+    assert not list(failing.glob("snapshots/fedhpd-d5-*"))
     clean_files = sorted(p.relative_to(tmp_path / "clean")
                          for p in (tmp_path / "clean").rglob("*")
                          if p.is_file() and p.suffix in (".csv", ".fhpd")
