@@ -147,8 +147,8 @@ def cmd_diagnose(args) -> int:
                 f"{consensus.dim} does not fit the {policy.kind} snapshot's "
                 f"{policy.net.output_dim} outputs on {states.shape[0]} states")
     else:
-        consensus = policy.extract_batch(states, forward)
-    _, grad_kl = policy.kl_batch_loss(states, consensus, forward)
+        consensus = policy.extract_batch(forward)
+    _, grad_kl = policy.kl_batch_loss(consensus, forward)
 
     epsilon, delta = float(config["diag.epsilon"]), float(config["diag.delta"])
 

@@ -276,7 +276,7 @@ def lipschitz_probe(
         for _ in range(n_pairs):
             policy = policy_factory(rng)
             theta = policy.get_params()
-            _, grad_a = policy.kl_batch_loss(states, consensus)
+            _, grad_a = policy.kl_batch_loss(consensus, policy.net.forward(states))
             g_bound = max(g_bound, _grad_log_prob_max(policy, states, rng))
             m_bound = max(m_bound, _hessian_dir_max(policy, states, rng))
 
@@ -286,7 +286,7 @@ def lipschitz_probe(
             actual_delta = float(np.linalg.norm(policy.get_params() - theta))
             if actual_delta == 0.0:
                 raise ConfigurationError("probe displacement collapsed to zero")
-            _, grad_b = policy.kl_batch_loss(states, consensus)
+            _, grad_b = policy.kl_batch_loss(consensus, policy.net.forward(states))
             ratio = float(np.linalg.norm(grad_b - grad_a)) / actual_delta
             if not (math.isfinite(actual_delta) and math.isfinite(ratio)):
                 raise NumericError(f"probe radius {radius!r}: a pair's displacement norm "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -152,11 +153,13 @@ _HEADER_LINE = re.compile(rf"{re.escape(STATE_FILE_HEADER)} dim={STATE_DIM} n=([
 
 
 def save_state_set(states: PublicStateSet, path) -> None:
-    """Plain-text rows of 17-significant-digit decimals; round-trips exactly."""
+    """Plain-text rows of 17-significant-digit decimals; round-trips exactly.
+    The file's directory is created if it is missing."""
     lines = [f"{STATE_FILE_HEADER} dim={STATE_DIM} n={states.size}"]
     for row in states.states:
         lines.append(",".join(format(v, ".17g") for v in row))
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:

@@ -220,11 +220,10 @@ class ExperimentConfig:
                 f"diag.epsilon = {epsilon!r}, diag.delta = {delta!r}: delta * epsilon^2 "
                 "underflows to 0, so the sample count Var / (delta * epsilon^2) is too "
                 "large for a float")
-        if not v["agents.spec"]:
-            if v["agents.preset"] not in PRESET_ENVS:
-                raise ConfigurationError(f"agents.preset: must be one of {', '.join(PRESET_ENVS)}")
-            if PRESET_ENVS[v["agents.preset"]] != v["env.kind"]:
-                raise ConfigurationError(f"agents.preset: is not a lineup for {v['env.kind']}")
+        if v["agents.preset"] not in PRESET_ENVS:
+            raise ConfigurationError(f"agents.preset: must be one of {', '.join(PRESET_ENVS)}")
+        if not v["agents.spec"] and PRESET_ENVS[v["agents.preset"]] != v["env.kind"]:
+            raise ConfigurationError(f"agents.preset: is not a lineup for {v['env.kind']}")
         # build once so per-agent validation fires before any run starts
         self.agent_configs()
 
@@ -416,6 +415,7 @@ def write_states(config: ExperimentConfig, path: Path) -> PublicStateSet:
         n=config["states.size"],
         seed=config["states.seed"],
     )
+    save_state_set(states, path)  # first, so a failed write leaves no sidecar
     write_file(path.with_suffix(".provenance.json"), json.dumps({
         "seed": config["states.seed"],
         "warmup_rounds": config["states.warmup_rounds"],
@@ -424,7 +424,6 @@ def write_states(config: ExperimentConfig, path: Path) -> PublicStateSet:
         "env_kind": config["env.kind"],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }, indent=2) + "\n")
-    save_state_set(states, path)
     return states
 
 

@@ -113,7 +113,7 @@ def distillation_round(agents: list[Agent], states: PublicStateSet) -> Consensus
     parameters change before every upload is made, so each agent's
     extraction and digestion share one forward pass on the state set."""
     passes = [agent.policy.net.forward(states.states) for agent in agents]
-    uploads = [agent.policy.extract_batch(states.states, forward).to_bytes()
+    uploads = [agent.policy.extract_batch(forward).to_bytes()
                for agent, forward in zip(agents, passes)]
     received = [DistributionBatch.from_bytes(blob) for blob in uploads]
     consensus = aggregate(received)
@@ -125,7 +125,7 @@ def distillation_round(agents: list[Agent], states: PublicStateSet) -> Consensus
     kl_grad_norms = []
     for agent in agents:
         # popped, so each forward pass is freed once its agent has digested
-        loss, grad = agent.policy.kl_batch_loss(states.states, consensus, passes.pop(0))
+        loss, grad = agent.policy.kl_batch_loss(consensus, passes.pop(0))
         kl_losses.append(loss)
         kl_grad_norms.append(float(np.linalg.norm(grad)))
         # an exactly-zero KL gradient is the self-consensus fixed point;

@@ -331,20 +331,19 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def network_to_bytes(net: MlpNetwork, extra_params: np.ndarray | None = None) -> bytes:
+def network_to_bytes(net: MlpNetwork, extra_params: np.ndarray) -> bytes:
     """Binary snapshot: magic, version, layer table, then f64-LE parameters.
 
-    `extra_params` (e.g. a Gaussian head's log-std vector) is appended after
-    the network payload; the loader detects it from the payload length.
+    `extra_params`, a head's own entries (a Gaussian head's log-std vector;
+    empty for a categorical head or a bare network), is appended after the
+    network payload; the loader detects it from the payload length.
     """
     head = [SNAPSHOT_MAGIC, struct.pack("<II", SNAPSHOT_VERSION, len(net.layers))]
     for spec in net.layers:
         head.append(
             struct.pack("<IIB", spec.input_dim, spec.output_dim, _ACT_TAGS[spec.activation])
         )
-    payload = net.get_params()
-    if extra_params is not None:
-        payload = np.concatenate([payload, np.asarray(extra_params, dtype=np.float64)])
+    payload = np.concatenate([net.get_params(), extra_params])
     return b"".join(head) + payload.astype("<f8").tobytes()
 
 

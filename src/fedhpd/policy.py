@@ -27,8 +27,9 @@ evaluated on the shared public state set, with a compact binary wire format.
 
 KL divergences between a local batch and the broadcast consensus drive the
 knowledge-digestion update. Each head's `kl_seed` holds its closed form, and
-`kl_batch_loss` runs it through one forward and one backward pass; the
-gradients are verified against finite differences in the test suite.
+`kl_batch_loss` runs it through one backward pass of the forward pass its
+caller ran, the one its upload was extracted from; the gradients are
+verified against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ class _Head:
         """The network snapshot, with the log-std entries (if any) as its tail."""
         return network_to_bytes(self.net, self.log_std)
 
-    def _outputs(self, states: np.ndarray, forward: tuple | None = None) -> np.ndarray:
-        outputs = (self.net.forward(states) if forward is None else forward)[0]
+    def _outputs(self, forward: tuple) -> np.ndarray:
+        """The outputs of the caller's `forward` pass; non-finite ones raise."""
+        outputs = forward[0]
         if not np.isfinite(outputs).all():
             raise NumericError(self.nonfinite)
         return outputs
@@ -307,22 +309,21 @@ class _Head:
         seed, own = self.score_seed(outputs[:, 0], actions, np.ones(len(actions)), self.log_std)
         return self.net.grad_square_norms(cache, seed[:, None]) + np.einsum("ij,ij->i", own, own)
 
-    def _kl_batch_loss(self, states: np.ndarray, consensus: DistributionBatch,
-                       forward: tuple | None = None) -> tuple[float, np.ndarray]:
+    def _kl_batch_loss(self, consensus: DistributionBatch,
+                       forward: tuple) -> tuple[float, np.ndarray]:
         """Mean over states of KL(local row || consensus row), with its
-        gradient: one forward (unless `forward`, as in `extract_batch`, is
-        given) and one backward pass through the head's `kl_seed`. Non-finite
+        gradient: one backward pass through the head's `kl_seed` of `forward`,
+        the caller's `net.forward(states)` at the current parameters. Non-finite
         outputs raise the head's NumericError. The consensus is treated as
         broadcast data: no gradient flows into it. Each head binds this as
         its own `kl_batch_loss`."""
-        states = np.asarray(states, dtype=np.float64)
+        outputs, cache = forward
         if consensus.kind != self.kind:
             raise ConfigurationError("consensus kind does not match policy")
-        if consensus.n_states != states.shape[0] or consensus.dim != self.net.output_dim:
+        if consensus.n_states != outputs.shape[0] or consensus.dim != self.net.output_dim:
             raise ConfigurationError("consensus shape does not match state set")
-        forward = self.net.forward(states) if forward is None else forward
-        loss, seeds, own = self.kl_seed(self._outputs(states, forward), consensus, self.log_std)
-        return loss, np.concatenate([self.net.backward(forward[1], seeds), own])
+        loss, seeds, own = self.kl_seed(self._outputs(forward), consensus, self.log_std)
+        return loss, np.concatenate([self.net.backward(cache, seeds), own])
 
 
 class CategoricalPolicy(_Head):
@@ -386,10 +387,10 @@ class CategoricalPolicy(_Head):
         actions = np.arange(rows.shape[0]) % count
         return rows, actions, self.net.forward(rows[:, None, :])
 
-    def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
-        """The action distribution of every state row. `forward`, if given, is
-        `net.forward(states)` at the current parameters, already run."""
-        return DistributionBatch("categorical", probs=softmax(self._outputs(states, forward)))
+    def extract_batch(self, forward: tuple) -> DistributionBatch:
+        """The action distribution of every state row of `forward`, the
+        caller's `net.forward(states)` at the current parameters."""
+        return DistributionBatch("categorical", probs=softmax(self._outputs(forward)))
 
     @staticmethod
     def kl_seed(logits: np.ndarray, consensus: DistributionBatch,
@@ -432,7 +433,7 @@ class GaussianPolicy(_Head):
         return self._std
 
     def sample_action(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _draw_gaussian(self._outputs(state), self.std(), rng)
+        return _draw_gaussian(self._outputs(self.net.forward(state)), self.std(), rng)
 
     @staticmethod
     def score_seed(mu: np.ndarray, actions: np.ndarray, weights: np.ndarray,
@@ -460,11 +461,11 @@ class GaussianPolicy(_Head):
         `_draw_gaussian` call over the rows."""
         rows = np.repeat(states, 2, axis=0)
         forward = self.net.forward(rows[:, None, :])
-        actions = _draw_gaussian(self._outputs(rows, forward)[:, 0], self.std(), rng)
+        actions = _draw_gaussian(self._outputs(forward)[:, 0], self.std(), rng)
         return rows, actions, forward
 
-    def extract_batch(self, states: np.ndarray, forward: tuple | None = None) -> DistributionBatch:
-        mu = self._outputs(states, forward)
+    def extract_batch(self, forward: tuple) -> DistributionBatch:
+        mu = self._outputs(forward)
         var = np.broadcast_to(np.exp(2.0 * self.log_std), mu.shape).copy()
         return DistributionBatch("gaussian", mean=mu, var=var)
 
@@ -492,10 +493,9 @@ class PolicyStack:
     flat parameters are the rows of one [B, P] array, `params`, read in place
     by one stacked network, `net`.
 
-    Stacking several policies copies their parameters into the rows once and
-    binds each policy to its row, so later writes through either side are
-    seen by both (a policy reads only the last stack of several that bound
-    it); a stack of one is a view of its policy's own array.
+    Stacking copies the policies' parameters into the rows once and binds
+    each policy to its row, so later writes through either side are seen by
+    both (a policy reads only the last stack that bound it).
     `reinforce.rollout` steps every row through one `net.step_rows` pass;
     `score_grad` is REINFORCE's score pass, for a stack of any size.
     """
@@ -505,12 +505,9 @@ class PolicyStack:
         layers = policies[0].net.layers
         if any((type(p), p.net.layers) != (self.head, layers) for p in policies):
             raise ConfigurationError("stacked policies must share one head and layer stack")
-        if len(policies) == 1:
-            self.params = policies[0].params[None]
-        else:
-            self.params = np.stack([policy.params for policy in policies])
-            for policy, row in zip(policies, self.params):
-                policy.bind(row)
+        self.params = np.stack([policy.params for policy in policies])
+        for policy, row in zip(policies, self.params):
+            policy.bind(row)
         self.policies = list(policies)
         self.net = MlpNetwork(layers)
         self.net.bind(self.params[:, : self.net.num_params])

@@ -70,7 +70,7 @@ def episode_gradient(policy, episodes, gamma: float, reward_to_go: bool) -> np.n
         outputs, cache = policy.net.forward(episode.states)
         seed, tail = policy.score_seed(outputs, episode.actions, weights, policy.log_std)
         grad = policy.net.backward(cache, seed)
-        total += grad if tail is None else np.concatenate([grad, tail.sum(axis=0)])
+        total += np.concatenate([grad, tail.sum(axis=0)])
     return total / len(episodes)
 
 
@@ -224,7 +224,7 @@ class FixedUniform:
 def action_distribution(policy, state):
     """softmax(logits) at `state` (categorical), or the mean and the variance
     exp(2 log_std) (Gaussian); non-finite outputs raise as the head does."""
-    outputs = policy._outputs(state)
+    outputs = policy._outputs(policy.net.forward(state))
     if policy.kind == "categorical":
         return softmax(outputs)
     return outputs, np.exp(2.0 * policy.log_std)
@@ -235,7 +235,8 @@ def is_terminal(state) -> bool:
     return _out_of_bounds(state[0], state[2])
 
 
-def save_network(net, path, extra_params=None) -> None:
-    """Write `net`'s snapshot (with a head's `extra_params` tail) to `path`."""
+def save_network(net, path, extra_params) -> None:
+    """Write `net`'s snapshot, with a head's `extra_params` tail (empty for a
+    bare network), to `path`."""
     with open(path, "wb") as fh:
         fh.write(network_to_bytes(net, extra_params))

@@ -139,13 +139,13 @@ def test_criterion_1_gradient_correctness():
             policy, rng = make_policy(kind, seed=20_000 + case)
             other, _ = make_policy(kind, seed=30_000 + case)
             states = rng.normal(size=(4, 4))
-            consensus = other.extract_batch(states)
+            consensus = other.extract_batch(other.net.forward(states))
             params = policy.get_params()
-            _, analytic = policy.kl_batch_loss(states, consensus)
+            _, analytic = policy.kl_batch_loss(consensus, policy.net.forward(states))
 
             def loss(p):
                 policy.set_params(p)
-                return policy.kl_batch_loss(states, consensus)[0]
+                return policy.kl_batch_loss(consensus, policy.net.forward(states))[0]
 
             numeric = fd_grad(loss, params)
             policy.set_params(params)
@@ -206,11 +206,11 @@ def test_criterion_4_variance_identity():
         policy, rng = make_policy("categorical", seed=40_000 + case)
         other, _ = make_policy("categorical", seed=50_000 + case)
         states = rng.normal(scale=0.5, size=(8, 4))
-        consensus = other.extract_batch(states)
+        consensus = other.extract_batch(other.net.forward(states))
         samples = sample_trajectory_gradients(
             policy, spec, 256, np.random.default_rng(60_000 + case), 0.99, False
         )
-        _, grad_kl = policy.kl_batch_loss(states, consensus)
+        _, grad_kl = policy.kl_batch_loss(consensus, policy.net.forward(states))
         reportv = variance_report_from_samples(samples, grad_kl)
         worst = max(worst, reportv.identity_residual)
     elapsed = time.perf_counter() - start
@@ -397,7 +397,7 @@ def test_criterion_10_determinism(tmp_path):
 def test_criterion_11_lipschitz_probe_bound(cartpole_states):
     states = cartpole_states.states[:128]
     reference, _ = make_policy("categorical", seed=9000)
-    consensus = reference.extract_batch(states)
+    consensus = reference.extract_batch(reference.net.forward(states))
     layers = [LayerSpec(4, 8, "tanh"), LayerSpec(8, 2, "identity")]
 
     def factory(rng):

@@ -69,7 +69,8 @@ def test_lipschitz_probe_records_single_state_score_spans():
         def factory(rng):
             return head(glorot_init(layers, rng))
 
-        consensus = factory(np.random.default_rng(1)).extract_batch(states)
+        reference = factory(np.random.default_rng(1))
+        consensus = reference.extract_batch(reference.net.forward(states))
         with load_tracing().Tracer().installed() as tracer:
             diagnostics.lipschitz_probe(factory, states, consensus, n_pairs=1, radius=0.05,
                                         rng=np.random.default_rng(2))

@@ -214,6 +214,25 @@ def test_validation_names_the_bad_field():
         ExperimentConfig({"states.source": "file"})
 
 
+def test_an_unknown_preset_is_a_config_error_under_a_spec_lineup(tmp_path, capsys):
+    # SMALL_CONFIG's lineup is an agents.spec, so the preset supplies nothing
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir", str(out),
+                 "--set", 'agents.preset = "bogus"']) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: agents.preset: must be one of {', '.join(PRESET_NAMES)}\n")
+    assert not out.exists()
+
+
+def test_a_preset_is_fitted_to_the_env_only_when_it_supplies_the_lineup():
+    # the default cartpole-4 preset beside a spec lineup on the continuous env
+    config = ExperimentConfig({"env.kind": "cartpole-continuous", "agents.spec": "8:tanh@1e-3"})
+    assert config["agents.preset"] == "cartpole-4"
+    assert [a.agent_id for a in config.agent_configs()] == ["agent-1"]
+    with pytest.raises(ConfigurationError, match="agents.preset: is not a lineup for"):
+        ExperimentConfig({"env.kind": "cartpole-continuous"})
+
+
 @pytest.mark.parametrize("line", [
     "run.gamma = abc", "run.gamma = 0.5, 0.6", "diag.radius = abc",
     "diag.epsilon = 0.1, 0.2", "diag.delta = inf", "run.output_dir = 5", "states.path = 5",
@@ -575,6 +594,28 @@ def test_cli_generate_states_roundtrip_and_seed_sensitivity(tmp_path):
     assert out_a.with_suffix(".provenance.json").exists()
 
 
+@pytest.mark.parametrize("command", ["generate-states", "train"])
+def test_a_state_set_that_cannot_be_written_leaves_no_provenance_sidecar(tmp_path, capsys,
+                                                                         command):
+    path, out = write_config(tmp_path), tmp_path / "out"
+    if command == "train":
+        target, argv = out / "states.txt", ["train", "--output-dir", str(out)]
+    else:
+        target = tmp_path / "taken"
+        argv = ["generate-states", "--out", str(target), "--output-dir", str(out)]
+    target.mkdir(parents=True)  # a directory: the state file cannot be opened
+    assert main([*argv, "--config", str(path)]) == 4
+    assert f"cannot write state set {target}" in capsys.readouterr().err
+    assert not target.with_suffix(".provenance.json").exists()
+
+
+def test_a_nested_state_set_target_gets_its_directories_and_both_files(tmp_path):
+    nested = tmp_path / "new" / "nested" / "s.txt"
+    assert main(["generate-states", "--config", str(write_config(tmp_path)), "--out",
+                 str(nested), "--output-dir", str(tmp_path)]) == 0
+    assert nested.exists() and nested.with_suffix(".provenance.json").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("run.rounds = 0\n")
@@ -584,7 +625,8 @@ def test_cli_exit_codes(tmp_path):
     truncated = tmp_path / "truncated.fhpd"
     truncated.write_bytes(b"FHPD\x01")
     snapshot = tmp_path / "net.fhpd"
-    save_network(glorot_init([LayerSpec(4, 2, "identity")], np.random.default_rng(0)), snapshot)
+    save_network(glorot_init([LayerSpec(4, 2, "identity")], np.random.default_rng(0)), snapshot,
+                 np.empty(0))
     nan_states = tmp_path / "nan.txt"
     nan_states.write_text("# fedhpd-states v1 dim=4 n=2\n0,0,0,0\nnan,0,0,0\n")
     missing = tmp_path / "nope.txt"
@@ -635,7 +677,7 @@ def test_cli_exit_codes(tmp_path):
 ])
 def test_cli_diagnose_names_a_snapshot_that_does_not_fit(tmp_path, capsys, layers, message):
     snapshot = tmp_path / "misfit.fhpd"
-    save_network(glorot_init(layers, np.random.default_rng(0)), snapshot)
+    save_network(glorot_init(layers, np.random.default_rng(0)), snapshot, np.empty(0))
     states_file = tmp_path / "states.txt"
     save_state_set(PublicStateSet(np.zeros((3, 4))), states_file)
     capsys.readouterr()
@@ -652,7 +694,7 @@ def quick_diagnose(tmp_path, *overrides, activation="relu"):
     rng = np.random.default_rng(0)
     snapshot = tmp_path / f"{activation}.fhpd"
     save_network(glorot_init([LayerSpec(4, 8, activation), LayerSpec(8, 2, "identity")], rng),
-                 snapshot)
+                 snapshot, np.empty(0))
     states_file = tmp_path / "states.txt"
     save_state_set(PublicStateSet(rng.normal(scale=0.1, size=(6, 4))), states_file)
     settings = ["diag.samples = 4", "diag.repeats = 1", "diag.pairs = 1", *overrides]
@@ -706,9 +748,9 @@ def test_cli_diagnose_of_an_overflowing_snapshot_is_a_numeric_error(tmp_path, ca
     # warning (an error under this suite's filter) before it
     argv = quick_diagnose(tmp_path)
     snapshot = Path(argv[argv.index("--snapshot") + 1])
-    net, _ = network_from_bytes(snapshot.read_bytes())
+    net, tail = network_from_bytes(snapshot.read_bytes())
     net.set_params(net.params * 1e200)
-    save_network(net, snapshot)
+    save_network(net, snapshot, tail)
     assert main(argv) == 3
     assert capsys.readouterr().err == "numeric error: non-finite policy logits\n"
     assert not (tmp_path / "diag" / "diagnostics.csv").exists()
@@ -908,6 +950,10 @@ def test_rerun_removes_the_stale_failures_and_metrics_of_an_earlier_run(tmp_path
     # warnings filter (here pytest's error::RuntimeWarning)
     assert all(": NumericError: " in line for line in failures)
     assert cell_files() == []
+    # nor any other per-cell file: only the run's own files remain
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+        "config.resolved", "failures.txt", "states.provenance.json", "states.txt",
+        "summary.csv"]
     # a clean run into the same directory leaves no failures behind
     assert train("1e-3") == 0
     assert not (out / "failures.txt").exists()

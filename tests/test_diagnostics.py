@@ -1,6 +1,7 @@
 """Variance identity, angle condition, lockstep trajectory samples, sample sizing,
 smoothness probes."""
 
+import copy
 import math
 import re
 import tracemalloc
@@ -56,9 +57,10 @@ def test_variance_identity_on_sampled_gradients():
     for case in range(5):
         policy = make_categorical(seed=100 + case)
         other = make_categorical(seed=200 + case)
-        consensus = other.extract_batch(states)
+        consensus = other.extract_batch(other.net.forward(states))
+        grad_kl = policy.kl_batch_loss(consensus, policy.net.forward(states))[1]
         report = gradient_variance(
-            policy, SPEC, policy.kl_batch_loss(states, consensus)[1], n_samples=64,
+            policy, SPEC, grad_kl, n_samples=64,
             rng=np.random.default_rng(300 + case), gamma=0.99, reward_to_go=False,
         )
         assert report.identity_residual < 1e-9
@@ -70,9 +72,9 @@ def test_variance_identity_on_sampled_gradients():
 def test_zero_kl_gradient_collapses_to_plain_variance():
     states = generate_public_states(SPEC, warmup_rounds=0, rollouts=2, n=10, seed=2).states
     policy = make_categorical(seed=7)
-    consensus = policy.extract_batch(states)  # self-consensus: grad_kl == 0
+    consensus = policy.extract_batch(policy.net.forward(states))  # self-consensus: grad_kl == 0
     report = gradient_variance(
-        policy, SPEC, policy.kl_batch_loss(states, consensus)[1], n_samples=32,
+        policy, SPEC, policy.kl_batch_loss(consensus, policy.net.forward(states))[1], n_samples=32,
         rng=np.random.default_rng(8), gamma=0.99, reward_to_go=False,
     )
     assert report.var_kl_trace == 0.0
@@ -135,7 +137,8 @@ def test_cov_bounded_by_cauchy_schwarz():
     states = generate_public_states(SPEC, warmup_rounds=0, rollouts=2, n=8, seed=5).states
     policy = make_categorical(seed=13)
     other = make_categorical(seed=14)
-    grad_kl = policy.kl_batch_loss(states, other.extract_batch(states))[1]
+    consensus = other.extract_batch(other.net.forward(states))
+    grad_kl = policy.kl_batch_loss(consensus, policy.net.forward(states))[1]
     report = gradient_variance(
         policy, SPEC, grad_kl, n_samples=32, rng=rng,
         gamma=0.99, reward_to_go=False,
@@ -206,9 +209,10 @@ def child_generator(seed, n_samples, j):
 
 
 def solo_sample(policy, spec, rng, gamma, reward_to_go):
-    """One trajectory gradient with its episode alone: a stack of one,
+    """One trajectory gradient with its episode alone: a stack of one copy
+    of `policy` (stacking binds the copy, never the caller's policy),
     `rollout` and `policy_gradient`."""
-    stack = PolicyStack([policy])
+    stack = PolicyStack([copy.deepcopy(policy)])
     episodes = raise_failures(rollout([stack], spec, [rng]))
     return policy_gradient(stack, [episodes], gamma, reward_to_go)[0]
 
@@ -327,7 +331,7 @@ def test_lipschitz_probe_rejects_an_overflowing_displacement(kind, radius):
         return sweep_policy(kind, "relu", seed=int(rng.integers(1 << 30)))
 
     reference = factory(np.random.default_rng(19))
-    consensus = reference.extract_batch(states)
+    consensus = reference.extract_batch(reference.net.forward(states))
     with pytest.raises(NumericError, match=reference.nonfinite):
         lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
                         rng=np.random.default_rng(21))
@@ -347,7 +351,8 @@ def test_lipschitz_probe_rejects_a_non_finite_bound(kind, activation, radius, wh
     def factory(rng):
         return sweep_policy(kind, activation, seed=int(rng.integers(1 << 30)))
 
-    consensus = factory(np.random.default_rng(19)).extract_batch(states)
+    reference = factory(np.random.default_rng(19))
+    consensus = reference.extract_batch(reference.net.forward(states))
     with pytest.raises(NumericError, match=re.escape(f"probe radius {radius!r}: ") + ".*" + re.escape(what)):
         lipschitz_probe(factory, states, consensus, n_pairs=1, radius=radius,
                         rng=np.random.default_rng(21))
@@ -356,7 +361,7 @@ def test_lipschitz_probe_rejects_a_non_finite_bound(kind, activation, radius, wh
 def test_lipschitz_ratio_below_softmax_bound():
     states = generate_public_states(SPEC, warmup_rounds=0, rollouts=3, n=32, seed=6).states
     reference = make_categorical(seed=21)
-    consensus = reference.extract_batch(states)
+    consensus = reference.extract_batch(reference.net.forward(states))
     probe = lipschitz_probe(
         categorical_factory(), states, consensus,
         n_pairs=40, radius=0.05, rng=np.random.default_rng(22),
@@ -372,7 +377,7 @@ def test_lipschitz_probe_gaussian_head_reports_without_asserting():
     states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=8, seed=7).states
     rng = np.random.default_rng(23)
     ref = GaussianPolicy(glorot_init([LayerSpec(4, 5, "tanh"), LayerSpec(5, 1, "identity")], rng))
-    consensus = ref.extract_batch(states)
+    consensus = ref.extract_batch(ref.net.forward(states))
 
     def factory(r):
         return GaussianPolicy(
@@ -622,7 +627,8 @@ def test_lipschitz_probe_is_unchanged_by_the_stacked_sweep(kind, monkeypatch):
     def factory(rng):
         return sweep_policy(kind, "relu", seed=int(rng.integers(1 << 30)))
 
-    consensus = factory(np.random.default_rng(13)).extract_batch(states)
+    reference = factory(np.random.default_rng(13))
+    consensus = reference.extract_batch(reference.net.forward(states))
     rng, oracle_rng = np.random.default_rng(14), np.random.default_rng(14)
     probe = lipschitz_probe(factory, states, consensus, n_pairs=3, radius=0.05, rng=rng)
     monkeypatch.setattr(diagnostics, "_grad_log_prob_max", grad_log_prob_max)

@@ -129,12 +129,14 @@ def test_divergent_agents_kl_decreases_after_one_step():
     states = small_states(seed=8, n=12)
     configs = [agent_config(0, lr=1e-3), agent_config(1, lr=1e-3, hidden=((6, "tanh"),))]
     agents = make_agents(configs, SPEC, seed=55)
-    batches = [a.policy.extract_batch(states.states) for a in agents]
+    batches = [a.policy.extract_batch(a.policy.net.forward(states.states)) for a in agents]
     consensus = aggregate(batches)
-    before = sum(a.policy.kl_batch_loss(states.states, consensus)[0] for a in agents)
+    before = sum(a.policy.kl_batch_loss(consensus, a.policy.net.forward(states.states))[0]
+                 for a in agents)
     assert before > 0.0
     distillation_round(agents, states)
-    after = sum(a.policy.kl_batch_loss(states.states, consensus)[0] for a in agents)
+    after = sum(a.policy.kl_batch_loss(consensus, a.policy.net.forward(states.states))[0]
+                for a in agents)
     assert after < before
 
 
@@ -149,7 +151,8 @@ def test_extraction_happens_before_any_digestion():
     replicas = make_agents(configs, SPEC, seed=66)
     for replica, params in zip(replicas, pre_params):
         replica.policy.set_params(params)
-    expected = aggregate([r.policy.extract_batch(states.states) for r in replicas])
+    expected = aggregate([r.policy.extract_batch(r.policy.net.forward(states.states))
+                          for r in replicas])
     assert np.array_equal(DistributionBatch.from_bytes(record.broadcast).probs, expected.probs)
     # digestion did move parameters (the agents genuinely disagreed)
     assert any(
@@ -160,7 +163,7 @@ def test_extraction_happens_before_any_digestion():
 @pytest.mark.parametrize("env_kind", ["cartpole-discrete", "cartpole-continuous"])
 def test_digestion_equals_a_fresh_kl_step_per_agent(env_kind):
     # distillation_round digests through the forward pass its extraction ran;
-    # each agent must end exactly where its own kl_batch_loss (a fresh
+    # each agent must end exactly where its own kl_batch_loss (on a fresh
     # forward pass) and one Adam step take a replica
     spec = EnvSpec(env_kind)
     states = generate_public_states(spec, warmup_rounds=0, rollouts=2, n=16, seed=12)
@@ -171,7 +174,8 @@ def test_digestion_equals_a_fresh_kl_step_per_agent(env_kind):
     record = distillation_round(agents, states)
     consensus = DistributionBatch.from_bytes(record.broadcast)
     for agent, replica, loss in zip(agents, replicas, record.kl_losses):
-        want_loss, grad = replica.policy.kl_batch_loss(states.states, consensus)
+        forward = replica.policy.net.forward(states.states)
+        want_loss, grad = replica.policy.kl_batch_loss(consensus, forward)
         params = replica.policy.get_params()
         adam_step(params, grad, replica.adam, replica.config.learning_rate)
         assert loss == want_loss

@@ -20,7 +20,8 @@ from fedhpd.policy import DistributionBatch
 
 _RNG = np.random.default_rng(5)
 SNAPSHOTS = [
-    network_to_bytes(glorot_init([LayerSpec(4, 3, "tanh"), LayerSpec(3, 2, "identity")], _RNG)),
+    network_to_bytes(glorot_init([LayerSpec(4, 3, "tanh"), LayerSpec(3, 2, "identity")], _RNG),
+                     np.empty(0)),
     network_to_bytes(glorot_init([LayerSpec(4, 2, "relu"), LayerSpec(2, 1, "identity")], _RNG),
                      np.array([-0.5])),
 ]

@@ -347,7 +347,7 @@ def test_snapshot_roundtrip_is_bit_identical():
     rng = np.random.default_rng(23)
     net = glorot_init(build_layers([(9, "tanh"), (7, "relu")], 2), rng)
     x = rng.normal(size=4)
-    blob = network_to_bytes(net)
+    blob = network_to_bytes(net, np.empty(0))
     restored, extras = network_from_bytes(blob)
     assert extras.size == 0
     assert [l for l in restored.layers] == [l for l in net.layers]
@@ -366,7 +366,7 @@ def test_snapshot_roundtrip_with_extra_params():
 
 def test_every_truncated_snapshot_is_an_artifact_error():
     net = glorot_init(build_layers([(5, "tanh"), (3, "relu")], 2), np.random.default_rng(31))
-    blob = network_to_bytes(net)
+    blob = network_to_bytes(net, np.empty(0))
     for end in range(len(blob)):
         with pytest.raises(ArtifactIOError):
             network_from_bytes(blob[:end])

@@ -273,20 +273,20 @@ def test_log_prob_grad_matches_finite_differences(kind):
 def test_extract_batch_rows_match_single_state_calls():
     policy, rng = make_categorical(hidden=(7,), actions=3, seed=5)
     states = rng.normal(size=(6, 4))
-    batch = policy.extract_batch(states)
+    batch = policy.extract_batch(policy.net.forward(states))
     assert batch.n_states == 6
     for i in range(6):
         np.testing.assert_allclose(
             batch.probs[i], action_distribution(policy, states[i]), rtol=1e-13
         )
-    again = policy.extract_batch(states)
+    again = policy.extract_batch(policy.net.forward(states))
     assert np.array_equal(batch.probs, again.probs)
 
 
 def test_zero_param_batch_is_uniform():
     policy, rng = make_categorical(actions=4)
     policy.set_params(np.zeros(policy.num_params))
-    batch = policy.extract_batch(rng.normal(size=(5, 4)))
+    batch = policy.extract_batch(policy.net.forward(rng.normal(size=(5, 4))))
     np.testing.assert_allclose(batch.probs, 0.25, atol=1e-15)
 
 
@@ -295,7 +295,7 @@ def test_gaussian_extract_batch_shape_and_variance():
     params = policy.get_params()
     params[-2:] = [0.5, -0.5]
     policy.set_params(params)
-    batch = policy.extract_batch(rng.normal(size=(4, 4)))
+    batch = policy.extract_batch(policy.net.forward(rng.normal(size=(4, 4))))
     assert batch.mean.shape == (4, 2)
     expected = np.tile(np.exp([1.0, -1.0]), (4, 1))
     np.testing.assert_allclose(batch.var, expected, rtol=1e-15)
@@ -374,8 +374,8 @@ def test_self_consensus_is_exact_fixed_point(kind):
         params[-2:] = [0.2, -0.3]
         policy.set_params(params)
     states = rng.normal(size=(8, 4))
-    consensus = policy.extract_batch(states)
-    loss, grad = policy.kl_batch_loss(states, consensus)
+    consensus = policy.extract_batch(policy.net.forward(states))
+    loss, grad = policy.kl_batch_loss(consensus, policy.net.forward(states))
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros(policy.num_params))
 
@@ -394,13 +394,13 @@ def test_kl_batch_grad_matches_finite_differences(kind):
             policy.set_params(params)
             other, _ = make_gaussian(hidden=(4,), a_dim=2, seed=800 + case)
         states = rng.normal(size=(5, 4))
-        consensus = other.extract_batch(states)
+        consensus = other.extract_batch(other.net.forward(states))
         params = policy.get_params()
-        _, analytic = policy.kl_batch_loss(states, consensus)
+        _, analytic = policy.kl_batch_loss(consensus, policy.net.forward(states))
 
         def f(p):
             policy.set_params(p)
-            return policy.kl_batch_loss(states, consensus)[0]
+            return policy.kl_batch_loss(consensus, policy.net.forward(states))[0]
 
         numeric = fd_grad(f, params)
         policy.set_params(params)
@@ -414,8 +414,10 @@ def test_kl_batch_loss_mean_reduction():
     state = rng.normal(size=4)
     single = np.array([state])
     double = np.array([state, state])
-    loss1, _ = policy.kl_batch_loss(single, other.extract_batch(single))
-    loss2, _ = policy.kl_batch_loss(double, other.extract_batch(double))
+    loss1, _ = policy.kl_batch_loss(other.extract_batch(other.net.forward(single)),
+                                    policy.net.forward(single))
+    loss2, _ = policy.kl_batch_loss(other.extract_batch(other.net.forward(double)),
+                                    policy.net.forward(double))
     assert abs(loss1 - loss2) < 1e-15
 
 
@@ -424,7 +426,7 @@ def test_kl_batch_loss_rejects_kind_mismatch():
     gauss, _ = make_gaussian(a_dim=2)
     states = rng.normal(size=(3, 4))
     with pytest.raises(ConfigurationError):
-        cat.kl_batch_loss(states, gauss.extract_batch(states))
+        cat.kl_batch_loss(gauss.extract_batch(gauss.net.forward(states)), cat.net.forward(states))
 
 
 def test_kl_batch_loss_nonnegative_on_random_pairs():
@@ -432,7 +434,8 @@ def test_kl_batch_loss_nonnegative_on_random_pairs():
         policy, rng = make_categorical(hidden=(4,), actions=3, seed=1200 + case)
         other, _ = make_categorical(hidden=(6,), actions=3, seed=1300 + case)
         states = rng.normal(size=(4, 4))
-        loss, _ = policy.kl_batch_loss(states, other.extract_batch(states))
+        consensus = other.extract_batch(other.net.forward(states))
+        loss, _ = policy.kl_batch_loss(consensus, policy.net.forward(states))
         assert loss >= 0.0
     for case in range(40):
         policy, rng = make_gaussian(hidden=(4,), a_dim=2, seed=1400 + case)
@@ -442,7 +445,8 @@ def test_kl_batch_loss_nonnegative_on_random_pairs():
             params[-2:] = rng.uniform(-1.0, 0.5, size=2)
             p.set_params(params)
         states = rng.normal(size=(4, 4))
-        loss, _ = policy.kl_batch_loss(states, other.extract_batch(states))
+        consensus = other.extract_batch(other.net.forward(states))
+        loss, _ = policy.kl_batch_loss(consensus, policy.net.forward(states))
         assert loss >= 0.0
 
 
@@ -469,7 +473,8 @@ def test_each_head_seeds_with_one_signature_and_an_own_entries_block(kind, own_w
     assert seed.shape == outputs.shape and own.shape == (6, own_width)
     assert np.array_equal(seed, unit_seed * weights[:, None])
     assert np.array_equal(own, unit_own * weights[:, None])
-    loss, seeds, own = head.kl_seed(outputs, other.extract_batch(states), policy.log_std)
+    consensus = other.extract_batch(other.net.forward(states))
+    loss, seeds, own = head.kl_seed(outputs, consensus, policy.log_std)
     assert loss > 0.0 and seeds.shape == outputs.shape and own.shape == (own_width,)
 
 
