@@ -85,6 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    for option in ("output_dir", "out", "states", "consensus"):
+        if getattr(args, option, None) == "":
+            raise ConfigurationError(f"--{option.replace('_', '-')}: must not be empty")
     config = load_experiment_config(args.config, args.overrides)
     if args.output_dir:  # a path, not config text, so any quotes in it are kept
         config = ExperimentConfig({**config.values, "run.output_dir": args.output_dir})

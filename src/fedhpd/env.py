@@ -41,6 +41,14 @@ RESET_BOUND = 0.05
 STATE_DIM = 4
 
 
+def ascii_number(text: str, parse):
+    """`parse(text)` for `parse` int or float, refusing with a ValueError the
+    other scripts' digits and the '_' separators that both also read."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text.strip()!r} is not a number in ASCII digits")
+    return parse(text)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     kind: str
@@ -177,7 +185,7 @@ def load_state_set(path) -> PublicStateSet:
         raise ArtifactIOError(f"{path} is not a state-set file: its first line must be "
                               f"'{STATE_FILE_HEADER} dim={STATE_DIM} n=<rows>'")
     try:
-        states = PublicStateSet(np.array([[float(v) for v in line.split(",")]
+        states = PublicStateSet(np.array([[ascii_number(v, float) for v in line.split(",")]
                                           for line in lines[1:] if line.strip()]))
     except (ValueError, ConfigurationError) as exc:
         raise ArtifactIOError(f"{path} is not a valid state set: {exc}") from exc

@@ -24,9 +24,12 @@ The cells of a grid share their lineup, so they train together in lockstep
 cells are dealt into `run.workers` groups that run in a process pool. A group
 only trains: it returns each cell's `RunResult`, or the exception the cell
 failed with. Every cell's numbers are those it would have alone, and the
-parent takes the cells in order: it formats each finished cell (`run_cell`),
-removes the cell's stale files, and writes its files or its `failures.txt`
-line, so byte-identical results do not depend on the worker count.
+parent takes the cells in order: it formats and writes each finished cell
+(`run_cell`) or records the failed one's `failures.txt` line, so
+byte-identical results do not depend on the worker count. Before any cell
+trains, the run removes an earlier run's files from its output directory:
+every file by a name this program gives (`RUN_FILES`), and the state set when
+this run neither writes nor reads one.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import ENV_KINDS, EnvSpec, PublicStateSet, load_state_set, save_state_set
+from .env import ENV_KINDS, EnvSpec, PublicStateSet, ascii_number, load_state_set, save_state_set
 from .errors import ArtifactIOError, ConfigurationError
 from .federation import FedRunConfig, RunResult, run
-from .presets import MAX_WIDTH, PRESET_ENVS, ascii_number, parse_agent_spec, preset_agents
+from .presets import MAX_WIDTH, PRESET_ENVS, parse_agent_spec, preset_agents
 from .public_states import generate_public_states
 from .reinforce import AgentConfig
 
@@ -212,6 +215,8 @@ class ExperimentConfig:
         if any(d > v["run.rounds"] for d in v["fed.d"]):
             raise ConfigurationError("fed.d: intervals beyond run.rounds never fire; drop them "
                                      "or use fed.include_nofed")
+        if not v["run.output_dir"]:
+            raise ConfigurationError("run.output_dir: must not be empty")
         if v["states.source"] == "file" and not v["states.path"]:
             raise ConfigurationError("states.path: required when states.source = 'file'")
         epsilon, delta = float(v["diag.epsilon"]), float(v["diag.delta"])
@@ -313,6 +318,13 @@ class Cell:
         return f"run-{self.stem}.csv"
 
 
+# the names this program gives a `train` run's files, as globs in its output
+# directory; the state set is an earlier run's when this run neither writes nor reads one
+RUN_FILES = ("run-nofed-seed*.csv", "run-fedhpd-d*-seed*.csv", "snapshots/*.fhpd",
+             "consensus/*.bin", "summary.csv", "failures.txt")
+STATE_FILES = ("states.txt", "states.provenance.json")
+
+
 def experiment_cells(config: ExperimentConfig) -> list[Cell]:
     intervals = ([None] if config["fed.include_nofed"] else []) + config["fed.d"]
     return [Cell(d, seed) for d in intervals for seed in config["run.seeds"]]
@@ -393,15 +405,11 @@ def run_group(args) -> list:
         return [exc] * len(cells)
 
 
-def write_file(path: Path, data: str | bytes | None) -> None:
-    """Write one output file, creating its directory, or with `data` None remove
-    an earlier run's, now stale; failures are I/O errors."""
+def write_file(path: Path, data: str | bytes) -> None:
+    """Write one output file, creating its directory; failures are I/O errors."""
     try:
-        if data is None:
-            path.unlink(missing_ok=True)
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data.encode() if isinstance(data, str) else data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
@@ -439,6 +447,15 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
             states = load_state_set(config["states.path"])
         else:
             states = write_states(config, output_dir / "states.txt")
+    # after the state set, so a state file that cannot be written is named as such
+    stale = RUN_FILES
+    if states is None and config["states.source"] == "generate":
+        stale += STATE_FILES
+    for path in [path for pattern in stale for path in output_dir.glob(pattern)]:
+        try:
+            path.unlink()
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot remove {path}, an earlier run's: {exc}") from exc
 
     # cells are dealt round-robin into one lockstep group per worker
     workers = min(config["run.workers"], len(cells))
@@ -468,17 +485,10 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     written = []
     for c, cell in enumerate(cells):
         result, results[c] = results[c], None  # freed once its files are written
-        failed = isinstance(result, Exception)
-        summary, files = (None, {}) if failed else run_cell(cell, result)
-        # an earlier run's file of this cell that this run does not write is stale
-        for pattern in (cell.file_name, f"snapshots/{cell.stem}-*.fhpd",
-                        f"consensus/{cell.stem}-round*.bin"):
-            for path in output_dir.glob(pattern):
-                if path.relative_to(output_dir).as_posix() not in files:
-                    write_file(path, None)
-        if failed:
+        if isinstance(result, Exception):
             failures.append(f"{cell.file_name}: {type(result).__name__}: {result}")
             continue
+        summary, files = run_cell(cell, result)
         for name, data in files.items():
             write_file(output_dir / name, data)
         written.append(output_dir / cell.file_name)
@@ -492,7 +502,8 @@ def train_experiment(config: ExperimentConfig, output_dir) -> dict:
     summary_path = output_dir / "summary.csv"
     write_file(summary_path, csv_text(SUMMARY_COLUMNS, summary_rows))
 
-    write_file(output_dir / "failures.txt", "\n".join(failures) + "\n" if failures else None)
+    if failures:
+        write_file(output_dir / "failures.txt", "\n".join(failures) + "\n")
     return {
         "metrics_files": written,
         "summary_file": summary_path,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from .env import ascii_number
 from .errors import ConfigurationError
 from .nn_core import ACTIVATIONS
 from .reinforce import AgentConfig
@@ -55,14 +56,6 @@ _PRESETS = {
 
 PRESET_NAMES = tuple(_PRESETS)
 PRESET_ENVS = {name: env for name, (env, _) in _PRESETS.items()}
-
-
-def ascii_number(text: str, parse):
-    """`parse(text)` for `parse` int or float, refusing with a ValueError the
-    other scripts' digits and the '_' separators that both also read."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"{text.strip()!r} is not a number in ASCII digits")
-    return parse(text)
 
 
 def parse_agent(entry: str, agent_id: str) -> AgentConfig:

@@ -671,6 +671,43 @@ def test_cli_exit_codes(tmp_path):
     assert main(["train", "--config", str(utf16), "--output-dir", str(tmp_path / "u")]) == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["train", "--output-dir", ""], "--output-dir"),
+    (["train", "--set", 'run.output_dir = ""'], "run.output_dir"),
+    (["generate-states", "--out", ""], "--out"),
+    (["diagnose", "--states", ""], "--states"),
+    (["diagnose", "--consensus", ""], "--consensus"),
+])
+def test_an_empty_path_is_a_config_error_naming_its_option_or_key(tmp_path, capsys,
+                                                                 monkeypatch, argv, name):
+    # an empty path is never replaced by a default or read as the working directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path)
+    if argv[0] == "diagnose":
+        snapshot, states = tmp_path / "net.fhpd", tmp_path / "states.txt"
+        save_network(glorot_init([LayerSpec(4, 2, "identity")], np.random.default_rng(0)),
+                     snapshot, np.empty(0))
+        save_state_set(PublicStateSet(np.zeros((3, 4))), states)
+        argv = [*argv, "--snapshot", str(snapshot), "--set", f'states.path = "{states}"',
+                "--set", "diag.samples = 2", "--set", "diag.repeats = 1",
+                "--set", "diag.pairs = 1"]
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {name}: must not be empty\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_state_file_number_in_other_digits_is_an_io_error(tmp_path, capsys):
+    states = tmp_path / "states.txt"
+    states.write_text("# fedhpd-states v1 dim=4 n=2\n0,0,0,0\n1_0,\u0661,3,4\n",
+                      encoding="utf-8")
+    assert main(["train", "--config", str(write_config(tmp_path)), "--output-dir",
+                 str(tmp_path / "out"), "--set", 'states.source = "file"',
+                 "--set", f'states.path = "{states}"']) == 4
+    assert capsys.readouterr().err == (f"I/O error: {states} is not a valid state set: "
+                                       "'1_0' is not a number in ASCII digits\n")
+
+
 @pytest.mark.parametrize("layers,message", [
     ([LayerSpec(3, 2, "identity")], "network input dim 3 does not fit"),
     ([LayerSpec(4, 3, "identity")], "network output dim 3 does not fit"),
@@ -968,13 +1005,69 @@ def test_rerun_fails_on_a_stale_failures_file_it_cannot_remove(tmp_path):
 
 
 @pytest.mark.parametrize("stale", ["snapshots/nofed-seed20-agent-9.fhpd",
-                                   "consensus/fedhpd-d4-seed25-round1.bin"])
+                                   "consensus/fedhpd-d4-seed25-round1.bin",
+                                   "run-fedhpd-d9-seed99.csv"])
 def test_rerun_fails_on_a_stale_cell_file_it_cannot_remove(tmp_path, stale):
-    # a file of a cell this run trains but does not write is an earlier run's
+    # a file by a cell file's name is an earlier run's, whether or not this
+    # run trains that cell
     path = write_config(tmp_path)
     out = tmp_path / "out"
     (out / stale).mkdir(parents=True)  # a directory: unlink fails
     assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 4
+
+
+def run_files(out):
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("setting", ["fed.d =", "run.seeds = 30"])
+def test_a_rerun_leaves_only_the_files_a_fresh_run_writes(tmp_path, setting):
+    # an earlier grid's cells that this run does not train, and a state set
+    # this run neither writes nor reads, are an earlier run's files
+    path = write_config(tmp_path)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    train = ["train", "--config", str(path), "--set", "run.dump_consensus = true"]
+    assert main([*train, "--output-dir", str(out)]) == 0
+    assert "consensus/fedhpd-d4-seed20-round3.bin" in run_files(out)
+    assert main([*train, "--output-dir", str(out), "--set", setting]) == 0
+    assert main([*train, "--output-dir", str(fresh), "--set", setting]) == 0
+    assert run_files(out) == run_files(fresh)
+    if setting == "fed.d =":
+        assert run_files(out) == [
+            "config.resolved", "run-nofed-seed20.csv", "run-nofed-seed25.csv",
+            "snapshots/nofed-seed20-agent-1.fhpd", "snapshots/nofed-seed20-agent-2.fhpd",
+            "snapshots/nofed-seed25-agent-1.fhpd", "snapshots/nofed-seed25-agent-2.fhpd",
+            "summary.csv"]
+    else:
+        assert not [name for name in run_files(out) if "seed20" in name or "seed25" in name]
+
+
+def test_a_rerun_keeps_the_files_whose_names_this_program_never_gives(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    kept = ["notes.txt", "run-notes.csv", "snapshots/notes.txt"]
+    for name in kept:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(name)
+    assert main(["train", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert main(["train", "--config", str(path), "--output-dir", str(out),
+                 "--set", "fed.d ="]) == 0
+    assert [(out / name).read_text() for name in kept] == kept
+
+
+@pytest.mark.parametrize("grid", ["fed.d = 4", "fed.d ="])
+def test_a_rerun_keeps_the_state_set_it_reads_from_its_output_directory(tmp_path, grid):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    states = out / "states.txt"
+    assert main(["generate-states", "--config", str(path), "--out", str(states),
+                 "--output-dir", str(out)]) == 0
+    blobs = [p.read_bytes() for p in (states, states.with_suffix(".provenance.json"))]
+    for _ in range(2):
+        assert main(["train", "--config", str(path), "--output-dir", str(out), "--set", grid,
+                     "--set", 'states.source = "file"',
+                     "--set", f'states.path = "{states}"']) == 0
+    assert [p.read_bytes() for p in (states, states.with_suffix(".provenance.json"))] == blobs
 
 
 PINNED_CONFIG = """

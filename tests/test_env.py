@@ -170,10 +170,12 @@ def test_state_set_header_is_checked_exactly(tmp_path, header):
     assert load_state_set(path).size == 3
 
 
-@pytest.mark.parametrize("row", ["1,2,x,4", "1,2,3", "1,,3,4"])
+# float() alone reads '1_0' as 10 and other scripts' digits ('\u0661') as theirs
+@pytest.mark.parametrize("row", ["1,2,x,4", "1,2,3", "1,,3,4", "1_0,2,3,4", "1,\u0661,3,4",
+                                 "1,2,\uff13,4", "1,2,3,4.5_0"])
 def test_state_set_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "bad.txt"
-    path.write_text(f"# fedhpd-states v1 dim=4 n=2\n0,0,0,0\n{row}\n")
+    path.write_text(f"# fedhpd-states v1 dim=4 n=2\n0,0,0,0\n{row}\n", encoding="utf-8")
     with pytest.raises(ArtifactIOError, match="not a valid state set"):
         load_state_set(path)
 
