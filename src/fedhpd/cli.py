@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    for option in ("output_dir", "out", "states", "consensus"):
+    for option in ("config", "output_dir", "out", "states", "snapshot", "consensus"):
         if getattr(args, option, None) == "":
             raise ConfigurationError(f"--{option.replace('_', '-')}: must not be empty")
     config = load_experiment_config(args.config, args.overrides)

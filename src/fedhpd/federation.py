@@ -37,7 +37,7 @@ from .env import EnvSpec, PublicStateSet
 from .errors import ConfigurationError
 from .nn_core import adam_step
 from .policy import DistributionBatch
-from .reinforce import Agent, AgentConfig, Cohort, make_agents, train_round
+from .reinforce import Agent, AgentConfig, Cohort, make_agents, raise_failures, train_round
 
 
 @dataclass
@@ -153,12 +153,14 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
     everything else is `config`'s. Each round every agent collects its
     episodes in one lockstep `train_round` over one `Cohort` per lineup slot
     (agent k of each running cell, restacked only when a cell fails); then
-    each cell runs its own distillation if its interval fires. A cell whose
-    code raises stops there: its slot holds its first failing agent's
-    exception instead of a `RunResult`, and the others run on with exactly
-    the numbers they would have had alone. A `MemoryError` is raised, not
-    recorded: it is the run's sizes at fault, not the cell. Each consensus
-    record keeps its broadcast bytes only with `keep_broadcasts`.
+    one pass over the running cells, in cell order, records each cell's
+    round: its agents' numbers, its distillation if its interval fires, and
+    its parameter trace. A cell whose code raises stops there: its slot
+    holds the first error of its round, by lineup slot, then its
+    distillation's, instead of a `RunResult`, and the others run on with
+    exactly the numbers they would have had alone. A `MemoryError` is
+    raised, not recorded: it is the run's sizes at fault, not the cell. Each
+    consensus record keeps its broadcast bytes only with `keep_broadcasts`.
     """
     intervals = [interval for interval, _ in cells]
     if any(d is not None and d < 1 for d in intervals):
@@ -170,46 +172,36 @@ def run(config: FedRunConfig, cells: list[tuple[int | None, int]],
     shape = (config.rounds, len(lineup))
     results: list = [RunResult([a.agent_id for a in lineup],
                                *(np.full(shape, np.nan) for _ in range(3))) for _ in cells]
-
-    def running() -> list[int]:
-        return [c for c, result in enumerate(results) if isinstance(result, RunResult)]
-
-    live: list[int] = []
+    live = list(range(len(cells)))
+    cohorts = None
     for i in range(config.rounds):
-        now = running()
-        if not now:
+        if not live:
             break
-        if now != live:  # round 0, or a cell failed: restack the cells left
-            live = now
+        if cohorts is None:  # round 0, or a cell failed: stack the cells left
             cohorts = [Cohort([agents[c][k] for c in live]) for k in range(len(lineup))]
-        for k, outcomes in enumerate(train_round(cohorts, config.spec, config.episodes_per_round,
-                                                 config.gamma, config.reward_to_go)):
-            for c, stats in zip(live, outcomes):
-                result = results[c]
-                if not isinstance(result, RunResult):  # an earlier slot failed
-                    continue
-                if isinstance(stats, MemoryError):  # a resource fault, not the cell's
-                    raise stats
-                if isinstance(stats, Exception):
-                    results[c] = stats
-                else:
-                    (result.episode_return[i, k], result.discounted_return[i, k],
-                     result.grad_norm[i, k]) = stats
-        for c in running():
+        outcomes = train_round(cohorts, config.spec, config.episodes_per_round, config.gamma,
+                               config.reward_to_go)
+        for j, c in enumerate(live):  # cell c is row j of every cohort
             result = results[c]
-            if fires(i, intervals[c]):
-                try:
+            try:
+                stats = raise_failures([slot[j] for slot in outcomes])
+                (result.episode_return[i], result.discounted_return[i],
+                 result.grad_norm[i]) = zip(*stats)
+                if fires(i, intervals[c]):
                     record = distillation_round(agents[c], states)
-                except MemoryError:
-                    raise
-                except Exception as exc:
-                    results[c] = exc
-                    continue
-                if not keep_broadcasts:
-                    record.broadcast = None
-                result.consensus_records[i] = record
+                    if not keep_broadcasts:
+                        record.broadcast = None
+                    result.consensus_records[i] = record
+            except MemoryError:  # a resource fault, not the cell's
+                raise
+            except Exception as exc:
+                results[c] = exc
+                continue
             if trace_params:
                 result.param_traces.append([agent.policy.get_params() for agent in agents[c]])
-    for c in running():
+        left = [c for c in live if isinstance(results[c], RunResult)]
+        if left != live:
+            live, cohorts = left, None
+    for c in live:
         results[c].final_snapshots = [agent.policy.snapshot() for agent in agents[c]]
     return results

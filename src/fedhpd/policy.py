@@ -554,13 +554,14 @@ def load_policy(path, spec: EnvSpec):
             f"snapshot {path}: network input dim {net.input_dim} does not fit "
             f"{spec.kind} states of dim {STATE_DIM}"
         )
+    if net.output_dim != spec.action_count:
+        raise ConfigurationError(
+            f"snapshot {path}: network output dim {net.output_dim} does not fit {spec.kind}"
+        )
     expected = 0 if spec.discrete else net.output_dim
     if tail.size != expected:
         raise ConfigurationError(
             f"snapshot {path}: log-std tail has {tail.size} entries, "
             f"{spec.kind} needs {expected}"
         )
-    try:
-        return make_policy(spec, net, tail)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"snapshot {path}: {exc}") from exc
+    return make_policy(spec, net, tail)

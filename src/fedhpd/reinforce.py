@@ -159,8 +159,9 @@ def _sample_one(policy, state: tuple, rng: np.random.Generator):
 
 
 def raise_failures(results: list) -> list:
-    """`results` of `rollout`, or one cohort's of `collect_trajectories` or
-    `train_round`, with its first failure raised instead of returned."""
+    """`results` of `rollout`, one cohort's of `collect_trajectories` or
+    `train_round`, or one cell's across `train_round`'s cohorts, with its
+    first failure raised instead of returned."""
     for result in results:
         if isinstance(result, Exception):
             raise result
@@ -250,8 +251,8 @@ class Agent:
     def local_round(cls, cohort: "Cohort", collected: list, gamma: float,
                     reward_to_go: bool) -> list:
         """Gradient and Adam step for a cohort from this round's episodes,
-        collected[i] for its agent i: an episode list (empty: left out) or
-        the exception an episode raised. Per agent, (mean episode return,
+        collected[i] for its agent i: its episode list (one or more) or the
+        exception an episode raised. Per agent, (mean episode return,
         mean discounted return, gradient norm) or the exception it raised."""
         episodes = [[] if isinstance(rows, Exception) else rows for rows in collected]
         if not any(episodes):
@@ -262,7 +263,7 @@ class Agent:
         for rows, grad, failure in zip(collected, grads, failures):
             if isinstance(rows, Exception):
                 failure = rows
-            elif failure is None and rows:
+            elif failure is None:
                 failure = (
                     _mean([float(e.rewards.sum()) for e in rows]),
                     _mean([envmod.discounted_return(e.rewards, gamma) for e in rows]),

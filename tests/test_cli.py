@@ -677,22 +677,26 @@ def test_cli_exit_codes(tmp_path):
     (["generate-states", "--out", ""], "--out"),
     (["diagnose", "--states", ""], "--states"),
     (["diagnose", "--consensus", ""], "--consensus"),
+    (["train", "--config", ""], "--config"),
+    (["diagnose", "--snapshot", ""], "--snapshot"),
 ])
 def test_an_empty_path_is_a_config_error_naming_its_option_or_key(tmp_path, capsys,
                                                                  monkeypatch, argv, name):
     # an empty path is never replaced by a default or read as the working directory
     monkeypatch.chdir(tmp_path)
-    path = write_config(tmp_path)
-    if argv[0] == "diagnose":
+    command, *options = argv
+    argv = [command, "--config", str(write_config(tmp_path))]
+    if command == "diagnose":
         snapshot, states = tmp_path / "net.fhpd", tmp_path / "states.txt"
         save_network(glorot_init([LayerSpec(4, 2, "identity")], np.random.default_rng(0)),
                      snapshot, np.empty(0))
         save_state_set(PublicStateSet(np.zeros((3, 4))), states)
-        argv = [*argv, "--snapshot", str(snapshot), "--set", f'states.path = "{states}"',
-                "--set", "diag.samples = 2", "--set", "diag.repeats = 1",
-                "--set", "diag.pairs = 1"]
+        argv += ["--snapshot", str(snapshot), "--set", f'states.path = "{states}"',
+                 "--set", "diag.samples = 2", "--set", "diag.repeats = 1",
+                 "--set", "diag.pairs = 1"]
     before = sorted(tmp_path.iterdir())
-    assert main([*argv, "--config", str(path)]) == 2
+    # the row's options come last: argparse keeps an option's last value
+    assert main([*argv, *options]) == 2
     assert capsys.readouterr().err == f"configuration error: {name}: must not be empty\n"
     assert sorted(tmp_path.iterdir()) == before
 
@@ -723,6 +727,25 @@ def test_cli_diagnose_names_a_snapshot_that_does_not_fit(tmp_path, capsys, layer
                  "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"snapshot {snapshot}: {message}" in err
+
+
+@pytest.mark.parametrize("outputs, tail, loaded", [(2, 0, "cartpole-continuous"),
+                                                   (1, 1, "cartpole-discrete")])
+def test_cli_diagnose_names_a_snapshot_whose_outputs_do_not_fit_the_env(tmp_path, capsys,
+                                                                         outputs, tail, loaded):
+    # a snapshot of the other env's head (two outputs and no log-std tail, or
+    # one output and one log-std entry) misfits by its outputs, not its tail
+    snapshot = tmp_path / "other.fhpd"
+    save_network(glorot_init([LayerSpec(4, outputs, "identity")], np.random.default_rng(0)),
+                 snapshot, np.zeros(tail))
+    states_file = tmp_path / "states.txt"
+    save_state_set(PublicStateSet(np.zeros((3, 4))), states_file)
+    assert main(["diagnose", "--config", str(write_config(tmp_path)), "--snapshot",
+                 str(snapshot), "--states", str(states_file), "--output-dir", str(tmp_path),
+                 "--set", f'env.kind = "{loaded}"']) == 2
+    assert capsys.readouterr().err == (f"configuration error: snapshot {snapshot}: network "
+                                       f"output dim {outputs} does not fit {loaded}\n")
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 def quick_diagnose(tmp_path, *overrides, activation="relu"):

@@ -510,6 +510,47 @@ def test_a_cell_whose_two_slots_fail_in_one_round_reports_the_first(monkeypatch)
         assert got.final_snapshots == want.final_snapshots
 
 
+def test_a_cell_whose_slot_fails_on_a_distillation_round_reports_the_slot(monkeypatch):
+    # slot 1 of the seed-4 cell fails in round 3, where d = 2 fires: the cell
+    # reports the slot's error and does not distil that round
+    config = run_config()
+    states = generate_public_states(config.spec, warmup_rounds=0, rollouts=2, n=8, seed=3)
+    clean = run(config, [(2, 3), (2, 5)], states)
+    original_agents, original_round = federation.make_agents, federation.distillation_round
+    local_round = Agent.local_round.__func__
+    slot_rounds = itertools.count()  # slot 1's cohort trains once a round
+    distilled = []
+
+    def make_agents(agent_configs, spec, seed):
+        agents = original_agents(agent_configs, spec, seed)
+        for agent in agents:
+            agent.seed = seed
+        return agents
+
+    def failing_round(cls, cohort, collected, gamma, reward_to_go):
+        outcomes = local_round(cls, cohort, collected, gamma, reward_to_go)
+        if cohort.config.agent_id != "a1" or next(slot_rounds) != 3:
+            return outcomes
+        return [NumericError("injected learner failure") if agent.seed == 4 else outcome
+                for agent, outcome in zip(cohort.agents, outcomes)]
+
+    def distillation_round(agents, states):
+        distilled.append(agents[0].seed)
+        return original_round(agents, states)
+
+    monkeypatch.setattr(federation, "make_agents", make_agents)
+    monkeypatch.setattr(Agent, "local_round", classmethod(failing_round))
+    monkeypatch.setattr(federation, "distillation_round", distillation_round)
+    results = run(config, [(2, 3), (2, 4), (2, 5)], states)
+    assert isinstance(results[1], NumericError) and str(results[1]) == "injected learner failure"
+    assert distilled == [3, 4, 5, 3, 5, 3, 5]  # rounds 1, 3 and 5
+    for got, want in zip(results[0::2], clean):
+        assert run_stats(got) == run_stats(want)
+        assert got.final_snapshots == want.final_snapshots
+        assert ({i: r.kl_losses for i, r in got.consensus_records.items()}
+                == {i: r.kl_losses for i, r in want.consensus_records.items()})
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_group_whose_cells_all_fail_reports_each(monkeypatch):
     original = federation.make_agents
