@@ -40,11 +40,9 @@ EXIT_IO = 4
 
 DIAGNOSTICS_COLUMNS = [
     "probe", "round_index", "n_samples",
-    "var_j_trace", "var_j_mean", "var_kl_trace", "cov_trace",
-    "var_jprime_direct", "var_jprime_reconstructed", "var_jprime_predicted",
+    "var_j_trace", "var_j_mean", "var_jprime_direct", "var_jprime_predicted",
     "identity_residual", "cos_angle", "grad_norm_ratio",
-    "condition_holds", "condition_vacuous",
-    "chebyshev_n_j", "chebyshev_n_jprime",
+    "condition_holds", "condition_vacuous", "chebyshev_n_j",
     "n_pairs", "radius", "lipschitz_estimate",
     "grad_log_prob_bound", "hessian_bound_estimate", "theory_bound",
 ]
@@ -151,7 +149,11 @@ def cmd_diagnose(args) -> int:
                 f"{policy.net.output_dim} outputs on {states.shape[0]} states")
     else:
         consensus = policy.extract_batch(forward)
-    _, grad_kl = policy.kl_batch_loss(consensus, forward)
+    kl, grad_kl = policy.kl_batch_loss(consensus, forward)
+    norm = float(np.linalg.norm(grad_kl))
+    if not (np.isfinite(kl) and np.isfinite(norm)):  # the self-consensus KL is 0
+        raise NumericError(f"consensus {args.consensus}: the KL divergence ({kl!r}) "
+                           f"or its gradient's norm ({norm!r}) is not finite")
 
     epsilon, delta = float(config["diag.epsilon"]), float(config["diag.delta"])
 
@@ -171,7 +173,6 @@ def cmd_diagnose(args) -> int:
             "probe": f"variance-{rep}", "round_index": rep, **vars(report),
             "identity_residual": report.identity_residual,
             "chebyshev_n_j": sample_count(report.var_j_trace),
-            "chebyshev_n_jprime": sample_count(report.var_jprime_direct),
         })
 
     def factory(rng):

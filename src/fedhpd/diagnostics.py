@@ -1,16 +1,20 @@
 """Empirical checks of the variance-reduction story behind distillation.
 
 The regularized objective J' = J - KL(local || consensus) has gradient
-g_J - g_KL. Over trajectory sampling, g_KL is a constant vector for fixed
-parameters (it depends on the public state set only), while g_J is estimated
-per trajectory. `variance_report_from_samples` measures, on one shared
-sample set:
+g_J - g_KL. g_J is estimated per trajectory, but g_KL is computed on the
+whole public state set, so for fixed parameters it is one deterministic
+vector. Subtracting a constant leaves a sample variance unchanged:
+Var[g_J - g_KL] = Var[g_J], and Var[g_KL] and Cov[g_J, g_KL] are zero by
+construction, so they are not reported. `variance_report_from_samples`
+measures, on one shared sample set:
 
-* the sample variance decomposition Var[g_J - g_KL] =
-  Var[g_J] + Var[g_KL] - 2 Cov, which must hold as floating-point algebra;
-* the alignment condition cos(angle) > ||g_KL|| / (2 ||g_J||), evaluated on
-  mean gradients, which predicts when subtracting the distillation gradient
-  shrinks the variance (treating g_KL as exactly its mean).
+* Var[g_J] and Var[g_J - g_KL], each directly; their relative gap,
+  `identity_residual`, is the rounding cost of subtracting g_KL: near 1e-16
+  until ||g_KL|| swamps the samples, and then no longer small;
+* the alignment condition cos(angle) > ||g_KL|| / (2 ||g_J||) on mean
+  gradients. It and `var_jprime_predicted` concern the mean square
+  E||g_J - g_KL||^2, not the variance: the condition holds exactly when
+  subtracting g_KL lowers that mean square.
 
 Vector-valued variance is reduced to the trace of the sample covariance
 (the sum of per-coordinate variances); the mean per-coordinate variance is
@@ -42,10 +46,7 @@ class VarianceReport:
     n_samples: int
     var_j_trace: float
     var_j_mean: float
-    var_kl_trace: float
-    cov_trace: float
     var_jprime_direct: float
-    var_jprime_reconstructed: float
     var_jprime_predicted: float
     cos_angle: float
     grad_norm_ratio: float
@@ -54,15 +55,16 @@ class VarianceReport:
 
     @property
     def identity_residual(self) -> float:
+        """|Var[g_J - g_KL] - Var[g_J]| relative: 0 but for rounding."""
         scale = max(abs(self.var_jprime_direct), 1e-300)
-        return abs(self.var_jprime_direct - self.var_jprime_reconstructed) / scale
+        return abs(self.var_jprime_direct - self.var_j_trace) / scale
 
 
 def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> VarianceReport:
     """Build the full report from n gradient samples and the fixed KL gradient.
 
     `samples` is [n x P]; `grad_kl` is the deterministic distillation gradient
-    at the same parameters. All variance terms are ddof=1 sample estimators
+    at the same parameters. Both variances are ddof=1 sample estimators
     computed on this one sample set.
     """
     samples = np.asarray(samples, dtype=np.float64)
@@ -71,21 +73,13 @@ def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> Va
         raise ConfigurationError("need at least 2 gradient samples")
     if grad_kl.shape != (samples.shape[1],):
         raise ConfigurationError("KL gradient length does not match samples")
-    n = samples.shape[0]
-
-    kl_samples = np.broadcast_to(grad_kl, samples.shape)
 
     def trace_var(x):
         return float(np.sum(np.var(x, axis=0, ddof=1)))
 
     mean_g = samples.mean(axis=0)
     var_j = trace_var(samples)
-    var_kl = trace_var(kl_samples)
-    # every row of the KL samples deviates from their mean by this one row
-    cov = float(np.sum((samples - mean_g) * (grad_kl - kl_samples.mean(axis=0))) / (n - 1))
-
     var_direct = trace_var(samples - grad_kl)
-    var_reconstructed = var_j + var_kl - 2.0 * cov
 
     norm_g = float(np.linalg.norm(mean_g))
     norm_kl = float(np.linalg.norm(grad_kl))
@@ -100,16 +94,14 @@ def variance_report_from_samples(samples: np.ndarray, grad_kl: np.ndarray) -> Va
         cos = float(mean_g @ grad_kl) / (norm_g * norm_kl)
         ratio = norm_kl / norm_g
         condition = cos > 0.5 * ratio
+    # Var[g_J] plus the change in the mean square, E||g_J - g_KL||^2 - E||g_J||^2
     var_predicted = var_j + norm_kl**2 - 2.0 * float(mean_g @ grad_kl)
 
     return VarianceReport(
-        n_samples=n,
+        n_samples=samples.shape[0],
         var_j_trace=var_j,
         var_j_mean=var_j / samples.shape[1],
-        var_kl_trace=var_kl,
-        cov_trace=cov,
         var_jprime_direct=var_direct,
-        var_jprime_reconstructed=var_reconstructed,
         var_jprime_predicted=var_predicted,
         cos_angle=cos,
         grad_norm_ratio=ratio,
@@ -164,9 +156,10 @@ def gradient_variance(
     gamma: float,
     reward_to_go: bool,
 ) -> VarianceReport:
-    """Sample gradients in the environment and report the variance identity
-    against `grad_kl`, the policy's `kl_batch_loss` gradient: it depends on
-    the policy, states and consensus only, so repeats share one."""
+    """Sample gradients in the environment and report them against `grad_kl`,
+    the policy's `kl_batch_loss` gradient. It depends on the policy, states
+    and consensus only, never on a trajectory, so repeats share one and
+    Var[g_J - g_KL] = Var[g_J] up to rounding."""
     samples = sample_trajectory_gradients(policy, spec, n_samples, rng, gamma, reward_to_go)
     return variance_report_from_samples(samples, grad_kl)
 

@@ -77,10 +77,7 @@ def test_zero_kl_gradient_collapses_to_plain_variance():
         policy, SPEC, policy.kl_batch_loss(consensus, policy.net.forward(states))[1], n_samples=32,
         rng=np.random.default_rng(8), gamma=0.99, reward_to_go=False,
     )
-    assert report.var_kl_trace == 0.0
-    assert report.cov_trace == 0.0
     assert report.var_jprime_direct == report.var_j_trace
-    assert report.var_jprime_reconstructed == report.var_j_trace
     assert report.grad_norm_ratio == 0.0 and not report.condition_holds
 
 
@@ -132,28 +129,10 @@ def test_condition_equivalent_to_predicted_reduction():
         assert report.condition_holds == predicted_drop
 
 
-def test_cov_bounded_by_cauchy_schwarz():
-    rng = np.random.default_rng(12)
-    states = generate_public_states(SPEC, warmup_rounds=0, rollouts=2, n=8, seed=5).states
-    policy = make_categorical(seed=13)
-    other = make_categorical(seed=14)
-    consensus = other.extract_batch(other.net.forward(states))
-    grad_kl = policy.kl_batch_loss(consensus, policy.net.forward(states))[1]
-    report = gradient_variance(
-        policy, SPEC, grad_kl, n_samples=32, rng=rng,
-        gamma=0.99, reward_to_go=False,
-    )
-    bound = math.sqrt(report.var_j_trace * report.var_kl_trace)
-    assert abs(report.cov_trace) <= bound + 1e-9
-
-
 def named_deviation_report(samples, grad_kl):
-    """The report's variance terms through named [n, P] deviation arrays."""
+    """The report's variance terms through named [n, P] sample arrays."""
     kl_samples = np.broadcast_to(grad_kl, samples.shape)
-    dev_g = samples - samples.mean(axis=0)
-    dev_kl = kl_samples - kl_samples.mean(axis=0)
-    return (np.sum(np.var(samples, axis=0, ddof=1)), np.sum(np.var(kl_samples, axis=0, ddof=1)),
-            np.sum(dev_g * dev_kl) / (samples.shape[0] - 1),
+    return (np.sum(np.var(samples, axis=0, ddof=1)),
             np.sum(np.var(samples - kl_samples, axis=0, ddof=1)))
 
 
@@ -165,8 +144,7 @@ def test_report_keeps_the_bits_of_named_deviation_arrays():
         samples = rng.normal(scale=scale, size=(n, p)) + rng.normal(scale=scale, size=p)
         grad_kl = rng.normal(scale=scale, size=p)
         report = variance_report_from_samples(samples, grad_kl)
-        assert_same_bits(np.array([report.var_j_trace, report.var_kl_trace, report.cov_trace,
-                                   report.var_jprime_direct]),
+        assert_same_bits(np.array([report.var_j_trace, report.var_jprime_direct]),
                          np.array(named_deviation_report(samples, grad_kl)))
 
 

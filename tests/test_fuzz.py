@@ -1,4 +1,5 @@
-"""The artifact readers and the config parser fail only by name.
+"""The artifact readers, the config parser and the command line fail only by
+name.
 
 Each reader either returns or raises its documented error: `ArtifactIOError`
 for snapshots, distribution batches and state files, `ConfigurationError` for
@@ -6,15 +7,20 @@ config text. Inputs are raw bytes or valid artifacts with flipped bytes,
 cuts and appended junk.
 """
 
+import contextlib
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fedhpd.cli import main
 from fedhpd.env import STATE_FILE_HEADER, load_state_set
 from fedhpd.errors import ArtifactIOError, ConfigurationError
-from fedhpd.experiment import _KEYS, ExperimentConfig, parse_config_text
+from fedhpd.experiment import _KEYS, SIZE_KEYS, ExperimentConfig, parse_config_text
 from fedhpd.nn_core import LayerSpec, glorot_init, network_from_bytes, network_to_bytes
 from fedhpd.policy import DistributionBatch
 
@@ -130,3 +136,70 @@ def test_an_output_dir_is_refused_or_reads_back_from_resolved_text(text):
     resolved = config.resolved_text()
     resolved.encode("utf-8")
     assert parse_config_text(resolved) == config.values
+
+
+# a tiny valid grid: one seed, NoFed and an interval that fires, two small agents
+_TINY_CONFIG = """
+env.kind = "cartpole-discrete"
+env.max_steps = 20
+run.rounds = 3
+run.seeds = 20
+run.workers = 1
+fed.d = 2
+agents.spec = "4:tanh@1e-3; 3:relu@2e-3"
+states.size = 6
+states.warmup_rounds = 0
+states.rollouts = 1
+diag.samples = 2
+diag.repeats = 1
+diag.pairs = 1
+"""
+
+
+def _bad_value(key):
+    """A value for `key` that is out of range, malformed or tiny: a size is
+    never drawn as a large valid one."""
+    _, _, most = _KEYS[key]
+    if key == "agents.spec":
+        return st.one_of(
+            st.sampled_from(['""', '"4:tanh@1e-3"', '"1:relu@1e300"', '"0:tanh@1e-3"',
+                             '"501:tanh@1e-3"', '"4:sigmoid@1e-3"', '"4x4:relu@nan"',
+                             '"2x2:relu,tanh,relu@1e-3"', '"4:tanh"', "4:tanh@1e-3"]),
+            st.text(':;x@,.-e tanhrelu"', max_size=16))
+    if key in SIZE_KEYS:
+        return st.sampled_from(["0", "-1", "1", "2", "1.5", '"2"', "", "nan", "1_0",
+                                str(most + 1), str(2**62)])
+    if type(most) is float:
+        return st.one_of(st.floats().map(repr),
+                         st.sampled_from(["0", "-1", "1e-320", "1e154", '"x"', "true"]))
+    return st.one_of(st.text(max_size=12), st.integers(-3, 10**6).map(str),
+                     st.sampled_from(["true", "false", '""', '"cartpole-continuous"',
+                                      '"pendulum-4"', '"file"', "1, 2", "0.5"]))
+
+
+# every key but the pinned `run.workers` and the paths, which a draw would
+# point outside the test's directory
+_DRAWN_KEYS = sorted(set(_KEYS) - {"run.workers", "run.output_dir", "states.path"})
+_SETTINGS = st.none() | st.sampled_from(_DRAWN_KEYS).flatmap(
+    lambda key: _bad_value(key).map(f"{key} = {{}}".format))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_SETTINGS, st.integers(0, 15))
+def test_the_cli_ends_in_a_documented_exit_code(setting, pick):
+    # `train` on a tiny grid with at most one bad value, then `diagnose` on
+    # one of its snapshots if it trained
+    with tempfile.TemporaryDirectory() as tmp:
+        out, config = Path(tmp) / "out", Path(tmp) / "exp.cfg"
+        config.write_text(_TINY_CONFIG)
+        options = ["--config", str(config), *(["--set", setting] if setting else [])]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes = [main(["train", *options, "--output-dir", str(out)])]
+            snapshots = sorted(out.glob("snapshots/*.fhpd"))
+            if codes[0] == 0 and snapshots:
+                codes.append(main(["diagnose", *options, "--output-dir", str(out / "diag"),
+                                   "--snapshot", str(snapshots[pick % len(snapshots)]),
+                                   "--states", str(out / "states.txt")]))
+    assert set(codes) <= {0, 2, 3, 4}, (codes, err.getvalue())
+    assert "Traceback" not in err.getvalue()
